@@ -32,15 +32,13 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(command, workload, seed, seconds, trace) -> tuple[dict, str]:
+def run_once(command, workload, seed, seconds, trace) -> dict:
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
-    host = next((l.strip() for l in lines if l.strip().startswith("host reference loop")), "")
-    return json.loads(lines[-1]), host
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def summarize(values: list[float]) -> dict:
@@ -65,20 +63,19 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         runs = []
         for seed in seeds:
-            result, host = run_once(bench["command"], workload, seed, args.seconds, 0)
+            result = run_once(bench["command"], workload, seed, args.seconds, 0)
             if not result["correct"] or result["failed"]:
                 raise SystemExit(f"{workload} seed {seed}: {result['failed']} failed ops")
-            runs.append({"seed": seed, "attempted": result["attempted"], "host": host,
+            runs.append({"seed": seed, "attempted": result["attempted"],
                          **{k: v["value"] for k, v in result["metrics"].items()}})
             print(f"{workload} seed {seed}: " + "  ".join(
-                f"{k} {v['value']:.6g}" for k, v in result["metrics"].items())
-                + f"  ({host})", flush=True)
+                f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()), flush=True)
         summary = {}
         for name, bound in bounds.items():
             stats = summarize([r[name] for r in runs])
             summary[name] = stats
             flag = ""
-            if name != "setup_s" and stats["spread"] > bound / 3:
+            if stats["spread"] > bound / 3:
                 flag = "  <-- above a third of the bound"
                 flagged += 1
             print(f"  {name:<12} median {stats['median']:.6g}  q1 {stats['q1']:.6g}  "

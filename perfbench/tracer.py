@@ -31,6 +31,7 @@ TRACED = {
     "filling.fill_boundary": ("filling", "fill_boundary"),
     "filling.min_mass_fill": ("filling", "min_mass_fill"),
     "filling.enumerate_simple_cycles": ("filling", "enumerate_simple_cycles"),
+    "filling.hf1_profile": ("filling", "hf1_profile"),
     "geom.ball_cover": ("geom", "ball_cover"),
     "geom.geodesic_graph": ("geom", "geodesic_graph"),
     "geom.nerve": ("geom", "nerve"),
