@@ -9,14 +9,16 @@ Load comes from this one process, single-threaded, as a closed loop with one
 client: the next op starts when the previous one has returned and its
 output has been checked.  Checks run outside the timed region.
 
-``--trace 0`` runs ops until their summed time reaches ``--seconds`` and at
-least ``min_ops`` ops have run, with the workload's ``setups`` set-ups split
-before and after them, and reports the end-to-end metrics.
+``--trace 0`` runs the workload's ``setups`` set-ups, then ops until their
+summed wall time reaches ``--seconds`` and at least ``min_ops`` ops have
+run, and reports the end-to-end metrics.  Their times
+are corrected for the host's speed (see ``hostspeed.py``); the wall times are
+printed beside them.
 ``--trace 1`` runs a fixed number of ops, derived from ``--seconds`` only, so
 that its work counters repeat exactly for a seed.  It runs one set-up and those
 ops untraced, then again with the tracer installed, and reports the
-per-layer metrics.  Both sets of end-to-end numbers are included, and their
-difference is the tracing overhead.
+per-layer metrics.  Both sets of end-to-end numbers are included, in wall
+time, and their difference is the tracing overhead.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
@@ -25,6 +27,7 @@ The last line of standard output is one JSON object with the keys
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import resource
 import statistics
@@ -32,6 +35,7 @@ import sys
 import time
 from pathlib import Path
 
+from hostspeed import REF_S, HostSpeed
 from tracer import Tracer
 
 HERE = Path(__file__).resolve().parent
@@ -54,19 +58,28 @@ def import_library():
         sys.exit(f"perfbench: fillbound was imported from {fillbound.__file__}, not {SRC}")
 
 
+def wall(t0: float, t1: float) -> float:
+    return t1 - t0
+
+
 class Phase:
-    """Set-up times, op latencies and failures of one pass over a workload."""
+    """Set-up and op intervals (``perf_counter`` start and end) and failures
+    of one pass over a workload."""
 
     def __init__(self):
-        self.setup_s: list[float] = []
-        self.latencies: list[float] = []
+        self.setups: list[tuple[float, float]] = []
+        self.ops: list[tuple[float, float]] = []
         self.failures: list[str] = []
 
-    def end_to_end(self) -> dict[str, float]:
-        lat = sorted(self.latencies)
+    def op_total(self, duration=wall) -> float:
+        return sum(duration(*iv) for iv in self.ops)
+
+    def end_to_end(self, duration=wall) -> dict[str, float]:
+        """The end-to-end metrics, each interval measured by ``duration``."""
+        lat = sorted(duration(*iv) for iv in self.ops)
         n = len(lat)
         return {
-            "setup_s": statistics.median(self.setup_s),
+            "setup_s": statistics.median(duration(*iv) for iv in self.setups),
             "op_p50_s": statistics.median(lat),
             # a percentile is reported only with ten samples beyond it; with
             # fewer than 100 ops (hf1_ico2 makes 4-6) the median stands in
@@ -77,29 +90,35 @@ class Phase:
 
 
 def run_phase(wl, n_setups, tracer=None, seconds=None, n_ops=None) -> Phase:
-    """Run exactly ``n_ops`` ops, or ops until ``seconds`` of op time and at
-    least ``wl.min_ops`` ops, between ``n_setups`` set-ups: the first half
-    before the ops, the rest after them, so that set-up time is sampled at
-    two moments of the run.  With a tracer, set-up and ops are traced;
-    checks never are."""
+    """Run ``n_setups`` set-ups, then exactly ``n_ops`` ops, or ops until
+    ``seconds`` of op wall time and at least ``wl.min_ops`` ops.  With a
+    tracer, set-ups and ops are traced; checks never are.
+
+    All set-ups come first: a set-up after the ops peaked at 32.5 to
+    34.1 MB between identical runs of ``fill_ico2``, as the heap the ops
+    left behind allowed, while set-ups before them always peaked alike."""
     phase = Phase()
     perf = time.perf_counter
 
     def setup(i):
+        # untimed: free what the set-up replaces, so that neither peak
+        # memory nor the set-up's own time depends on when the collector
+        # last ran
+        wl.release(i)
+        gc.collect()
         if tracer is not None:
             tracer.op, tracer.enabled = f"setup-{i}", True
         t0 = perf()
         wl.setup(i)
-        phase.setup_s.append(perf() - t0)
+        phase.setups.append((t0, perf()))
         if tracer is not None:
             tracer.enabled = False
 
-    before = (n_setups + 1) // 2
-    for i in range(before):
+    for i in range(n_setups):
         setup(i)
     busy = 0.0
     for inp in wl.inputs():
-        j = len(phase.latencies)
+        j = len(phase.ops)
         if n_ops is not None and j >= n_ops:
             break
         if seconds is not None and busy >= seconds and j >= wl.min_ops:
@@ -112,11 +131,11 @@ def run_phase(wl, n_setups, tracer=None, seconds=None, n_ops=None) -> Phase:
             out = wl.op(inp)
         except Exception as exc:  # an op that raises is a failed op, not a crash
             err = exc
-        dt = perf() - t0
+        t1 = perf()
         if tracer is not None:
             tracer.enabled = False
-        phase.latencies.append(dt)
-        busy += dt
+        phase.ops.append((t0, t1))
+        busy += t1 - t0
         if err is None:
             try:
                 wl.check(inp, out)
@@ -124,8 +143,6 @@ def run_phase(wl, n_setups, tracer=None, seconds=None, n_ops=None) -> Phase:
                 err = exc
         if err is not None:
             phase.failures.append(f"op {j}: {type(err).__name__}: {err}")
-    for i in range(before, n_setups):
-        setup(i)
     return phase
 
 
@@ -169,14 +186,25 @@ def print_failures(phase: Phase):
 
 
 def run_untraced(wl, args) -> dict:
-    phase = run_phase(wl, wl.setups, seconds=args.seconds)
-    e2e = phase.end_to_end()
+    speed = HostSpeed()
+    speed.start()
+    try:
+        phase = run_phase(wl, wl.setups, seconds=args.seconds)
+    finally:
+        speed.stop()
+    e2e = phase.end_to_end(speed.duration)
     e2e["peak_rss_mb"] = peak_rss_mb()
-    n, failed = len(phase.latencies), len(phase.failures)
+    wall_e2e = phase.end_to_end()
+    n, failed = len(phase.ops), len(phase.failures)
     print(f"workload {wl.name}  seed {args.seed}  seconds {args.seconds:g}  "
-          f"ops {n}  set-ups {len(phase.setup_s)}")
+          f"ops {n}  set-ups {len(phase.setups)}")
+    print(f"  host speed: {len(speed.refs)} samples, reference slice median "
+          f"{statistics.median(speed.refs) * 1e6:.0f} us (fast host {REF_S * 1e6:.0f} us), "
+          f"wall time / corrected time {phase.op_total() / phase.op_total(speed.duration):.3f} "
+          f"over the ops")
+    print(f"  {'metric':<12} {'corrected':>14}      {'wall':>14}")
     for name, value in e2e.items():
-        print(f"  {name:<12} {value:14.6f} {UNITS[name]}")
+        print(f"  {name:<12} {value:14.6f} {UNITS[name]:<4} {wall_e2e.get(name, value):14.6f}")
     if wl.name == "hf1_ico2":
         print(f"  {'hf1_s':<12} {e2e['op_p50_s']:14.6f} s   (median hf1_profile call)")
     else:
@@ -211,7 +239,7 @@ def run_traced(wl, args) -> dict:
     for name in plain_e2e:
         metrics[f"trace.untraced.{name}"] = (plain_e2e[name], UNITS[name])
         metrics[f"trace.traced.{name}"] = (traced_e2e[name], UNITS[name])
-    plain_total, traced_total = sum(plain.latencies), sum(traced.latencies)
+    plain_total, traced_total = plain.op_total(), traced.op_total()
     metrics["trace.untraced.op_total_s"] = (plain_total, "s")
     metrics["trace.traced.op_total_s"] = (traced_total, "s")
     metrics["trace.overhead_s"] = (traced_total - plain_total, "s")
@@ -224,7 +252,7 @@ def run_traced(wl, args) -> dict:
     accounted = gap <= abs(traced_total - plain_total) + ACCOUNT_TOL * plain_total
 
     failures = plain.failures + traced.failures
-    attempted = len(plain.latencies) + len(traced.latencies)
+    attempted = len(plain.ops) + len(traced.ops)
     print(f"workload {wl.name}  seed {args.seed}  traced ops {n_ops} (plus {n_ops} untraced)")
     for name, (value, unit) in metrics.items():
         text = f"{value:d}" if isinstance(value, int) else f"{value:.6f}"

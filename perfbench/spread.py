@@ -19,6 +19,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,13 +33,16 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(command, workload, seed, seconds, trace) -> dict:
+def run_once(command, workload, seed, seconds, trace) -> tuple[dict, float]:
+    """The run's result line and its wall time in seconds, start-up included."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", str(trace)]
+    t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=900)
+    elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1]), elapsed
 
 
 def summarize(values: list[float]) -> dict:
@@ -63,12 +67,12 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         runs = []
         for seed in seeds:
-            result = run_once(bench["command"], workload, seed, args.seconds, 0)
+            result, elapsed = run_once(bench["command"], workload, seed, args.seconds, 0)
             if not result["correct"] or result["failed"]:
                 raise SystemExit(f"{workload} seed {seed}: {result['failed']} failed ops")
-            runs.append({"seed": seed, "attempted": result["attempted"],
+            runs.append({"seed": seed, "attempted": result["attempted"], "run_wall_s": elapsed,
                          **{k: v["value"] for k, v in result["metrics"].items()}})
-            print(f"{workload} seed {seed}: " + "  ".join(
+            print(f"{workload} seed {seed} ({elapsed:.1f} s): " + "  ".join(
                 f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()), flush=True)
         summary = {}
         for name, bound in bounds.items():

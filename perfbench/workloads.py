@@ -4,6 +4,8 @@ Each workload class sets ``setups`` (set-ups in an untraced run), ``min_ops``
 (the fewest ops a timed run makes, however slow the host) and
 ``nominal_op_s`` (sizes the fixed op count of a traced run).  Its objects have
 
+- ``release(i)``: drop the objects that set-up ``i`` replaces.  It runs
+  untimed before the set-up, so that peak memory holds one copy of them.
 - ``setup(i)``: build or load the space and cover, plus one untimed warm-up
   op that fills the library's caches.  Set-up ``i`` starts from fresh
   objects, so every set-up pays the cold cost again.
@@ -18,6 +20,7 @@ imported name), so the tracer's wrappers see them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import os
@@ -105,9 +108,17 @@ class FillIco2:
     setups = 5
     min_ops = 100  # so that ten samples lie beyond p90 on a slow host too
     nominal_op_s = 0.22
+    # Support sizes that split the E2 cycles of a free draw into quarters
+    # (sizes up to 14, 15-30, 31-41, 42 and more; from 1033 such cycles).
+    # An E2 op's time grows with the size (correlation 0.79), so every run
+    # gets the same number of E2 ops from each quarter.
+    size_bounds = (14, 30, 41)
 
     def __init__(self, seed: int):
         self.seed = seed
+        self.space = self.cover = None
+
+    def release(self, i: int):
         self.space = self.cover = None
 
     def setup(self, i: int):
@@ -129,17 +140,22 @@ class FillIco2:
         whether a cycle reaches E2, so a change to that projection changes
         the input stream too.  E2 ops take about twice as long, so a fixed
         2/3 share keeps the median from jumping with the share a seed
-        happens to draw.
+        happens to draw.  The E2 ops cycle through the four quarters of
+        ``size_bounds``, so a seed cannot draw mostly short or long ones.
         """
         rng = random.Random(f"fill_ico2/{self.seed}")
         graph = geom.geodesic_graph(self.space, self.cover)
+        e2_ops = 0
         for i in itertools.count():
             want_e2 = i % 3 != 2
             while True:
                 z = random_cycle(rng, self.space, rng.randint(1, 3))
+                if want_e2 and bisect.bisect_left(self.size_bounds, len(z.support)) != e2_ops % 4:
+                    continue
                 c_graph, _, _ = geom.project_cycle_to_graph(self.space, self.cover, graph, z)
                 if (not c_graph.is_zero()) == want_e2:
                     break
+            e2_ops += want_e2
             yield i, z
 
     def op(self, inp):
@@ -155,10 +171,10 @@ class FillIco2:
 class Hf1Ico2:
     """Warm ``hf1_profile`` on seeded vertex relabellings of icosphere(2).
 
-    Set-up ``i`` builds relabelling ``i`` into slot ``i mod 3``.  The three
-    set-ups before the ops fill the slots, and op ``j`` profiles slot
-    ``j mod 3``, so each relabelling is profiled again and its result must
-    repeat exactly.  The set-ups after the ops are timed only.
+    Set-up ``i`` builds relabelling ``i`` into slot ``i mod 3``, so the
+    last three set-ups fill the slots.  Op ``j`` profiles slot ``j mod 3``,
+    so each relabelling is profiled again and its result must repeat
+    exactly.
     """
 
     name = "hf1_ico2"
@@ -176,9 +192,10 @@ class Hf1Ico2:
         self._seen: dict[int, tuple] = {}
         self._counts = None
 
-    def setup(self, i: int):
-        # free the slot first, so that peak memory holds three relabellings
+    def release(self, i: int):
         self.spaces.pop(i % self.slots, None)
+
+    def setup(self, i: int):
         base = shapes.icosphere(2)
         n = base.complex.n_vertices
         perm = list(range(n))
@@ -244,7 +261,7 @@ class CliFillCapped:
     # close to the shares of a free draw (about 65, 20, 9 and 6%), so that
     # every seed gets the same mix of cheap and expensive paths
     pattern = ((True, True),) * 8 + ((True, False),) * 2 + ((False, True), (False, False))
-    setups = 15  # each is one cold call plus a load and a cover, about 10 ms
+    setups = 41  # each is one cold call plus a load and a cover, about 10 ms
     min_ops = 100
     nominal_op_s = 0.012
 
@@ -285,6 +302,9 @@ class CliFillCapped:
             if len(pools.get(cls, ())) < need.get(cls, 0):
                 pools[cls].append(z)
         return pools
+
+    def release(self, i: int):
+        self.space = None
 
     def setup(self, i: int):
         # the program's cold start: load the space, cover it, and one call
