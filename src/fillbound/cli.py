@@ -5,21 +5,29 @@ pipeline end to end, ``hf1`` profiles the filling function, ``bfrt-check``
 stress-tests the small-solution certificate chain on random systems.
 
 Exit codes: 0 success, 2 domain or structural problem, 3 capacity budget
-exceeded, 4 I/O failure.  The FILLBOUND_THREADS variable caps worker counts
-(the current implementation runs single-threaded and records the setting).
+exceeded, 4 I/O failure, 5 internal invariant violated.  The
+FILLBOUND_THREADS variable caps worker counts (the current implementation
+runs single-threaded and records the setting).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 from typing import Optional
 
 from . import shapes
-from .errors import CapacityError, DomainError, FillboundError, StructuralError
+from .errors import (
+    CapacityError,
+    DomainError,
+    FillboundError,
+    InvariantError,
+    StructuralError,
+)
 from .filling import amin_upper_bound, hf1_profile
 from .fileio import (
     canonical_json,
@@ -36,6 +44,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
+EXIT_INVARIANT = 5
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -48,6 +57,12 @@ def _thread_cap() -> Optional[int]:
         return max(1, int(raw))
     except ValueError:
         return None
+
+
+def _require_nonnegative(option: str, value: float):
+    """Reject a non-finite or negative numeric option before any work."""
+    if not (math.isfinite(value) and value >= 0):
+        raise DomainError(f"{option} must be finite and nonnegative, got {value}")
 
 
 def _emit(path: Optional[str], text: str):
@@ -84,6 +99,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fill(args) -> int:
+    _require_nonnegative("--tolerance", args.tolerance)
     space = load_space(args.space)
     cycle = load_chain(args.cycle, space)
     report_doc = {
@@ -114,9 +130,9 @@ def cmd_fill(args) -> int:
 
 
 def cmd_hf1(args) -> int:
+    _require_nonnegative("--l-max", args.l_max)
+    _require_nonnegative("--tolerance", args.tolerance)
     space = load_space(args.space)
-    if args.l_max < 0:
-        raise DomainError("l_max must be nonnegative")
     steps = max(1, args.steps)
     grid = [args.l_max * i / steps for i in range(steps + 1)]
     diameter = skeleton_diameter(space)
@@ -295,6 +311,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityError as err:
         print(f"capacity error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
+    except InvariantError as err:
+        print(f"invariant violated: {err}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (DomainError, StructuralError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The three leaf classes map onto the CLI exit codes: structural and domain
-problems exit with 2, capacity problems with 3.  I/O failures are reported
-with the interpreter's own OSError family and exit with 4.
+The leaf classes map onto the CLI exit codes: structural and domain
+problems exit with 2, capacity problems with 3, and a violated internal
+invariant (an exact chain identity that failed to hold) with 5.  I/O
+failures are reported with the interpreter's own OSError family and exit
+with 4.
 """
 
 
@@ -29,3 +31,11 @@ class CapacityError(FillboundError):
         super().__init__(message)
         self.incumbent = incumbent
         self.incumbent_cost = incumbent_cost
+
+
+class InvariantError(FillboundError):
+    """An exact identity that the algorithms guarantee did not hold.
+
+    Raised by the checks on every run (e.g. ``boundary(E) == C`` after a
+    fill); seeing it means a bug, not bad input.
+    """

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .chains import Chain, SimplicialComplex, boundary_matrix, mass
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, InvariantError
 from .intlin import (
     SmithDecomposition,
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
     column_echelon_basis,
-    rank,
     smith_decomposition,
 )
 
@@ -41,13 +40,45 @@ def boundary_smith(complex: SimplicialComplex, k: int) -> SmithDecomposition:
     return cached
 
 
+def rank_d1(complex: SimplicialComplex) -> int:
+    """Rank of the first boundary matrix, as n0 - #components by union-find.
+
+    Exact: a graph's incidence matrix is totally unimodular, and its rank
+    over the rationals is the vertex count minus the number of components.
+    """
+    parent = list(range(complex.n_vertices))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    merges = 0
+    for u, v in complex.simplices(1):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            merges += 1
+    return merges
+
+
 def h1_is_trivial(complex: SimplicialComplex) -> bool:
-    """Every integer 1-cycle bounds: rank Z_1 = rank B_1 and no torsion."""
+    """Every integer 1-cycle bounds: rank Z_1 = rank B_1 and no torsion.
+
+    The verdict is cached per complex.
+    """
+    cached = complex._memo.get("h1_trivial")
+    if cached is None:
+        cached = _h1_is_trivial(complex)
+        complex._memo["h1_trivial"] = cached
+    return cached
+
+
+def _h1_is_trivial(complex: SimplicialComplex) -> bool:
     if complex.dimension < 1:
         return True
-    n1 = complex.n_simplices(1)
-    rank_d1 = rank(boundary_matrix(complex, 1))
-    cycle_rank = n1 - rank_d1
+    cycle_rank = complex.n_simplices(1) - rank_d1(complex)
     if complex.dimension < 2:
         return cycle_rank == 0
     snf2 = boundary_smith(complex, 2)
@@ -100,10 +131,12 @@ def _binomial_bound(n0: int, k: int) -> float:
 def _min_maxnorm_in_coset(x0: list[int], kernel: list[list[int]],
                           node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Exact minimal (max-norm, l1, lex) representative of x0 + lattice."""
-    xr = _greedy_reduce_maxnorm(x0, kernel)
-    box = max(map(abs, xr), default=0)
+    # the search starts from the greedy reduction of x0, which never raises
+    # the max-norm, so a box of x0's max-norm holds that start
+    box = max(map(abs, x0), default=0)
     best = _maxnorm_coset_min(x0, kernel, box, node_budget)
-    assert best is not None  # xr itself is inside the box
+    if best is None:
+        raise InvariantError("coset search found nothing inside a box that holds its start")
     return best
 
 

@@ -21,8 +21,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .chains import Chain, SimplicialComplex, boundary, mass
-from .errors import DomainError, FillboundError, StructuralError
-from .filling import FillCertificate, fill_boundary, h1_is_trivial, min_mass_fill
+from .errors import DomainError, FillboundError, InvariantError, StructuralError
+from .filling import (
+    FillCertificate,
+    amin_upper_bound,
+    fill_boundary,
+    h1_is_trivial,
+    min_mass_fill,
+)
 
 DEFAULT_REL_TOL = 1e-9
 
@@ -616,7 +622,8 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int,
                                         rel_tol=rel_tol)
             wedge_cache[idx] = part
         total = total + part.scale(a)
-    assert boundary(space.complex, total) == loop
+    if boundary(space.complex, total) != loop:
+        raise InvariantError("cone fill has the wrong boundary")
     return total
 
 
@@ -713,7 +720,8 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
                 next_acc[jdx] = next_acc.get(jdx, 0) + sgn * a
         cur = Chain(1, next_acc)
         total = total + sweep
-    assert boundary(space.complex, total) == c - cur
+    if boundary(space.complex, total) != c - cur:
+        raise InvariantError("neck sweep has the wrong boundary")
     return cur, total
 
 
@@ -836,7 +844,8 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
             balance = dict(boundary(space.complex, restriction).items())
             connectors = _pair_junctions(space, label, balance)
             piece = restriction + connectors
-            assert boundary(space.complex, piece).is_zero()
+            if not boundary(space.complex, piece).is_zero():
+                raise InvariantError(f"closed neck piece {label} is not a cycle")
             pieces.append((label, piece))
             remainder = remainder - piece
     else:
@@ -850,13 +859,15 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
         by_body.setdefault(label, {})[idx] = a
     for label in sorted(by_body):
         piece = Chain(1, by_body[label])
-        assert boundary(space.complex, piece).is_zero()
+        if not boundary(space.complex, piece).is_zero():
+            raise InvariantError(f"body piece {label} is not a cycle")
         pieces.append((label, piece))
     pieces = [(label, piece.scale(content)) for label, piece in pieces]
     total = Chain.zero(1)
     for _, piece in pieces:
         total = total + piece
-    assert total == c
+    if total != c:
+        raise InvariantError("region pieces do not sum to the cycle")
     return sorted(pieces, key=lambda p: p[0])
 
 
@@ -991,7 +1002,11 @@ def project_cycle_to_graph(
             e1 = e1 + cone_fill(space, loop_a, cover.centers[si], rel_tol=rel_tol)
 
             eidx = graph.edge_index(si, sj)
-            assert eidx is not None  # the sets share the junction vertex
+            if eidx is None:
+                raise InvariantError(
+                    f"no geodesic-graph edge between cover sets {si} and {sj}, "
+                    "which share a junction vertex"
+                )
             edge = graph.edges[eidx]
             sign = 1 if si == edge.a else -1
             graph_acc[eidx] = graph_acc.get(eidx, 0) + sign
@@ -1004,7 +1019,8 @@ def project_cycle_to_graph(
     c_graph = Chain(1, graph_acc).scale(content)
     e1 = e1.scale(content)
     realized = graph.realize(space, c_graph)
-    assert boundary(k, e1) == c - realized
+    if boundary(k, e1) != c - realized:
+        raise InvariantError("E1 projection fill has the wrong boundary")
     report = ProjectionReport(
         input_mass1=space.mass1(c),
         rerouted_mass1=space.mass1(realized),
@@ -1202,7 +1218,7 @@ def pipeline_fill(
 
     total = e0 + e1 + e2
     if boundary(space.complex, total) != c:
-        raise RuntimeError("pipeline produced a chain with the wrong boundary")
+        raise InvariantError("pipeline produced a chain with the wrong boundary")
 
     input_mass = space.mass1(c)
     m0, m1, m2 = space.mass2(e0), space.mass2(e1), space.mass2(e2)
@@ -1217,7 +1233,7 @@ def pipeline_fill(
         nerve_vertices=len(cover.sets),
         certificate=certificate,
         measured_f1=(space.mass2(total) / input_mass) if input_mass > 0 else None,
-        amin_bound=60.0 * total_mass,
+        amin_bound=amin_upper_bound(total_mass, 4),
         boundary_verified=True,
         timing=timing,
         measured_constants=constants,

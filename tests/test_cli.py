@@ -15,7 +15,7 @@ from fillbound.fileio import (
     save_space,
     space_from_dict,
 )
-from fillbound.shapes import capped_prism, octahedron
+from fillbound.shapes import capped_prism, icosphere, octahedron
 
 
 @pytest.fixture
@@ -291,6 +291,77 @@ class TestHf1Command:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert [0.0, 0.0] in doc["samples"]
+
+
+@pytest.fixture
+def ico_files(tmp_path):
+    space = icosphere(1, 1.0)
+    space_path = tmp_path / "ico.json"
+    save_space(str(space_path), space)
+    z = chain_from_simplices(space.complex, 1, [((0, 12), 1), ((12, 14), 1), ((0, 14), -1)])
+    cycle_path = tmp_path / "tri.json"
+    save_chain(str(cycle_path), space, z)
+    return str(space_path), str(cycle_path)
+
+
+class TestInputContracts:
+    """Bad numeric options exit 2 with one line, before any document is read."""
+
+    @pytest.mark.parametrize("extra", [
+        ["fill", "--radius", "0.8", "--tolerance", "-1"],
+        ["fill", "--radius", "0.8", "--tolerance", "nan"],
+        ["fill", "--radius", "0.8", "--tolerance", "inf"],
+        ["hf1", "--l-max", "inf"],
+        ["hf1", "--l-max", "nan"],
+        ["hf1", "--l-max", "-1"],
+        ["hf1", "--l-max", "2", "--tolerance", "-1"],
+        ["hf1", "--l-max", "2", "--tolerance", "nan"],
+    ])
+    def test_rejected_before_work(self, tmp_path, ico_files, capsys, monkeypatch, extra):
+        import fillbound.cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("a document was read before the options were checked")
+
+        monkeypatch.setattr(fillbound.cli, "load_space", no_load)
+        space_path, cycle_path = ico_files
+        out = tmp_path / "out.json"
+        argv = [extra[0], "--space", space_path, "--out", str(out)] + extra[1:]
+        if extra[0] == "fill":
+            argv += ["--cycle", cycle_path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_tolerance_accepted(self, tmp_path, ico_files):
+        space_path, cycle_path = ico_files
+        assert main(["fill", "--space", space_path, "--cycle", cycle_path,
+                     "--radius", "0.8", "--tolerance", "0",
+                     "--out", str(tmp_path / "out.json")]) == 0
+
+
+class TestInvariantExit:
+    def test_wrong_boundary_exits_5(self, tmp_path, octa_files, capsys, monkeypatch):
+        import fillbound.geom
+
+        real = fillbound.geom.boundary
+
+        def skewed(complex, c):
+            out = real(complex, c)
+            return out + Chain(1, {0: 1}) if c.dim == 2 else out
+
+        monkeypatch.setattr(fillbound.geom, "boundary", skewed)
+        _, space_path, cycle_path = octa_files
+        out = tmp_path / "out.json"
+        code = main(["fill", "--space", space_path, "--cycle", cycle_path,
+                     "--radius", "0.8", "--out", str(out)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violated: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "wrong boundary" in json.loads(out.read_text())["error"]
 
 
 class TestBfrtCommand:

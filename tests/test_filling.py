@@ -1,12 +1,16 @@
 import itertools
 import math
+import random
 
 import pytest
 
+import fillbound.filling
+import fillbound.intlin
 from fillbound.chains import (
     Chain,
     SimplicialComplex,
     boundary,
+    boundary_matrix,
     chain_from_simplices,
     mass,
 )
@@ -19,7 +23,9 @@ from fillbound.filling import (
     hf1_profile,
     loop_chain,
     min_mass_fill,
+    rank_d1,
 )
+from fillbound.intlin import rank
 
 from conftest import random_boundary, random_complex
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
@@ -210,6 +216,42 @@ class TestH1Check:
             [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)]
         )
         assert not h1_is_trivial(ann)
+
+
+def random_multi_component_complex(rng: random.Random) -> SimplicialComplex:
+    """Disjoint random pieces of dimension 1 or 2 plus isolated vertices."""
+    simplices = []
+    offset = 0
+    for _ in range(rng.randint(1, 4)):
+        piece = random_complex(rng, max_vertices=6, min_vertices=3, max_faces=5)
+        top = piece.simplices(2) if rng.random() < 0.5 else piece.simplices(1)
+        simplices += [tuple(v + offset for v in s) for s in top]
+        offset += piece.n_vertices + rng.randint(0, 2)  # gaps are isolated vertices
+    return SimplicialComplex.from_simplices(simplices, n_vertices=offset + rng.randint(0, 2))
+
+
+class TestH1Differential:
+    def test_union_find_rank_matches_dense_rank(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            k = random_multi_component_complex(rng)
+            assert rank_d1(k) == rank(boundary_matrix(k, 1))
+
+    def test_verdict_cached(self, monkeypatch):
+        k = SimplicialComplex.from_simplices(list(OCTA.simplices(2)))
+        assert h1_is_trivial(k)
+
+        def no_algebra(*args, **kwargs):
+            raise AssertionError("a cached H1 verdict ran exact algebra")
+
+        monkeypatch.setattr(fillbound.filling, "smith_decomposition", no_algebra)
+        monkeypatch.setattr(fillbound.filling, "rank_d1", no_algebra)
+        monkeypatch.setattr(fillbound.intlin, "smith_decomposition", no_algebra)
+        monkeypatch.setattr(fillbound.intlin, "rank", no_algebra)
+        assert h1_is_trivial(k)
+        circle = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(AssertionError, match="cached H1 verdict"):
+            h1_is_trivial(circle)
 
 
 class TestHf1Profile:

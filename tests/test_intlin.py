@@ -187,6 +187,91 @@ class TestSolveInteger:
             confirmed += 1
 
 
+def dense_solve_oracle(snf, b):
+    """The dense U b / V y solve that the sparse transforms replaced."""
+    u, d, v = snf.u, snf.d, snf.v
+    lrows, ncols = u.rows, v.rows
+    c = u.mul_vec(list(b))
+    y = [0] * ncols
+    k = min(lrows, ncols)
+    for i in range(k):
+        di = d[i, i]
+        if di != 0:
+            if c[i] % di != 0:
+                return None, f"invariant factor d[{i}]={di} does not divide transformed rhs {c[i]}"
+            y[i] = c[i] // di
+        elif c[i] != 0:
+            return None, f"transformed rhs is {c[i]} on zero diagonal row {i}"
+    for i in range(k, lrows):
+        if c[i] != 0:
+            return None, f"transformed rhs is {c[i]} on row {i} beyond the diagonal"
+    return v.mul_vec(y), None
+
+
+@st.composite
+def small_systems(draw):
+    """Small integer systems A x = b, solvable or not.
+
+    Entries lean to zero and to values with common factors, a whole-matrix
+    scale makes every invariant factor non-unit, and a row and a column may
+    be zeroed.
+    """
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    m = [[scale * draw(entry) for _ in range(cols)] for _ in range(rows)]
+    zero_row = draw(st.none() | st.integers(0, rows - 1))
+    zero_col = draw(st.none() | st.integers(0, cols - 1))
+    for i in range(rows):
+        for j in range(cols):
+            if i == zero_row or j == zero_col:
+                m[i][j] = 0
+    a = IntMatrix.from_rows(m)
+    if draw(st.booleans()):
+        b = a.mul_vec(draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)))
+    else:
+        b = draw(st.lists(st.integers(-6, 6), min_size=rows, max_size=rows))
+    return a, b
+
+
+class TestSparseSolveDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(system=small_systems())
+    def test_matches_dense_oracle(self, system):
+        a, b = system
+        snf = smith_decomposition(a)
+        got = snf.solve_with_obstruction(b)
+        assert got == dense_solve_oracle(snf, b)
+        x, _ = got
+        if x is not None:
+            assert a.mul_vec(x) == b
+
+    def test_each_obstruction_kind(self):
+        cases = {
+            "does not divide": (IntMatrix.from_rows([[2, 0], [0, 6]]), [2, 3]),
+            "zero diagonal": (IntMatrix.from_rows([[1, 0], [0, 0]]), [0, 1]),
+            "beyond the diagonal": (IntMatrix.from_rows([[1], [0]]), [0, 1]),
+        }
+        for phrase, (a, b) in cases.items():
+            snf = smith_decomposition(a)
+            x, reason = snf.solve_with_obstruction(b)
+            assert x is None and phrase in reason
+            assert (x, reason) == dense_solve_oracle(snf, b)
+
+    def test_kernel_basis_is_cached_dense_v_columns(self, rng):
+        for _ in range(50):
+            a = random_matrix(rng, max_rows=4, max_cols=6, max_entry=3)
+            snf = smith_decomposition(a)
+            v = snf.v
+            kernel = snf.kernel_basis()
+            assert kernel == [[v[i, j] for i in range(v.rows)]
+                              for j in range(snf.rank, v.cols)]
+            assert snf.kernel_basis() is kernel
+            for col in kernel:
+                assert not any(a.mul_vec(col))
+
+
 def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
     """Adjugate-based inverse; valid because |det u| = 1."""
     n = u.rows
