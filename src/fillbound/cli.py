@@ -28,7 +28,7 @@ from .errors import (
     InvariantError,
     StructuralError,
 )
-from .filling import amin_upper_bound, hf1_profile
+from .filling import DEFAULT_REL_TOL, amin_upper_bound, hf1_profile
 from .fileio import (
     canonical_json,
     chain_to_dict,
@@ -45,8 +45,6 @@ EXIT_DOMAIN = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 EXIT_INVARIANT = 5
-
-DEFAULT_TOLERANCE = 1e-9
 
 
 def _thread_cap() -> Optional[int]:
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     fill.add_argument("--radius", type=float, required=True)
     fill.add_argument("--out", default=None)
     fill.add_argument("--chain-out", default=None)
-    fill.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    fill.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL)
     fill.add_argument(
         "--timing", action="store_true",
         help="include wall-clock stage timings (report is then not byte-stable)",
@@ -287,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     hf1.add_argument("--cycle-budget", type=int, default=200)
     hf1.add_argument("--out", default=None)
     hf1.add_argument("--csv", default=None)
-    hf1.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    hf1.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL)
     hf1.set_defaults(func=cmd_hf1)
 
     bfrt = sub.add_parser("bfrt-check", help="stress-test the coefficient bound")

@@ -23,14 +23,13 @@ from typing import Mapping, Optional, Sequence
 from .chains import Chain, SimplicialComplex, boundary, mass
 from .errors import DomainError, FillboundError, InvariantError, StructuralError
 from .filling import (
+    DEFAULT_REL_TOL,
     FillCertificate,
     amin_upper_bound,
     fill_boundary,
     h1_is_trivial,
     min_mass_fill,
 )
-
-DEFAULT_REL_TOL = 1e-9
 
 
 def _heron(p, q, r) -> float:
@@ -71,8 +70,15 @@ class MetricComplex:
         dims = {len(p) for p in self.coords}
         if len(dims) != 1:
             raise StructuralError("inconsistent ambient dimension")
-        if self.radial is not None and len(self.radial) != k.n_vertices:
-            raise StructuralError("radial field length mismatch")
+        for v, p in enumerate(self.coords):
+            if not all(map(math.isfinite, p)):
+                raise StructuralError(f"vertex {v} has a non-finite coordinate {p}")
+        if self.radial is not None:
+            if len(self.radial) != k.n_vertices:
+                raise StructuralError("radial field length mismatch")
+            for v, r in enumerate(self.radial):
+                if not math.isfinite(r):
+                    raise StructuralError(f"vertex {v} has a non-finite radial value {r}")
         if self.region is not None:
             if len(self.region) != k.n_vertices:
                 raise StructuralError("region labels must cover all vertices")
@@ -234,9 +240,6 @@ class Cover:
     kinds: tuple[str, ...]
     warnings: tuple[str, ...] = ()
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def member_sets(self, vertex: int) -> list[int]:
-        return [i for i, s in enumerate(self.sets) if vertex in s]
 
 
 def _connected_component(members: set, seed: int, adj) -> set:

@@ -342,6 +342,34 @@ class TestInputContracts:
                      "--out", str(tmp_path / "out.json")]) == 0
 
 
+class TestNonFiniteGeometry:
+    """A non-finite coordinate or radial value exits 2 naming its vertex."""
+
+    @pytest.mark.parametrize("field,value,phrase", [
+        ("radial", float("nan"), "non-finite radial value"),
+        ("vertices", float("nan"), "non-finite coordinate"),
+        ("vertices", float("inf"), "non-finite coordinate"),
+    ])
+    def test_rejected(self, tmp_path, octa_files, capsys, field, value, phrase):
+        space, space_path, cycle_path = octa_files
+        doc = json.loads(open(space_path).read())
+        if field == "radial":
+            doc["radial"] = [1.0] * space.complex.n_vertices
+            doc["radial"][2] = value
+        else:
+            doc["vertices"][2][0] = value
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        code = main(["fill", "--space", str(bad_path), "--cycle", cycle_path,
+                     "--radius", "0.8", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"vertex 2 has a {phrase}" in err
+        assert "Traceback" not in err
+
+
 class TestInvariantExit:
     def test_wrong_boundary_exits_5(self, tmp_path, octa_files, capsys, monkeypatch):
         import fillbound.geom

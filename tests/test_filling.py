@@ -17,6 +17,7 @@ from fillbound.chains import (
 from fillbound.errors import CapacityError, DomainError
 from fillbound.filling import (
     amin_upper_bound,
+    boundary_smith,
     enumerate_simple_cycles,
     fill_boundary,
     h1_is_trivial,
@@ -26,6 +27,7 @@ from fillbound.filling import (
     rank_d1,
 )
 from fillbound.intlin import rank
+from fillbound.shapes import icosphere
 
 from conftest import random_boundary, random_complex
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
@@ -61,6 +63,12 @@ def brute_force_fills(complex, z, coeff_range=(-1, 0, 1)):
 
 TETRA_SURFACE = SimplicialComplex.from_simplices(
     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+)
+
+# the 6-vertex, 10-triangle real projective plane: H1 = Z/2
+RP2 = SimplicialComplex.from_simplices(
+    [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+     (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
 )
 
 
@@ -115,6 +123,19 @@ class TestFillBoundary:
             assert boundary(k, filled) == z
             assert cert.bounds_hold()
             checked += 1
+
+    def test_torsion_pivot(self):
+        # the last invariant factor of RP2's boundary matrix is 2, so the
+        # generator g does not bound and 2g does
+        assert boundary_smith(RP2, 2).diagonal[-1] == 2
+        assert not h1_is_trivial(RP2)
+        g = chain_from_simplices(RP2, 1, [((0, 1), 1), ((1, 3), 1), ((0, 3), -1)])
+        assert boundary(RP2, g).is_zero()
+        with pytest.raises(DomainError, match=r"invariant factor d\[\d+\]=2 "):
+            fill_boundary(RP2, g)
+        filled, cert = fill_boundary(RP2, g * 2)
+        assert boundary(RP2, filled) == g * 2
+        assert cert.bounds_hold()
 
     def test_fill_2_boundary_in_solid_tetra(self):
         solid = SimplicialComplex.from_simplices([(0, 1, 2, 3)])
@@ -210,6 +231,17 @@ class TestH1Check:
     def test_circle(self):
         circle = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
         assert not h1_is_trivial(circle)
+
+    def test_icosphere_3(self):
+        space = icosphere(3)
+        cx = space.complex
+        assert h1_is_trivial(cx)
+        face = chain_from_simplices(cx, 2, [(cx.simplices(2)[0], 1)])
+        z = boundary(cx, face)
+        weights = {1: space.edge_lengths, 2: space.triangle_areas}
+        filled, m = min_mass_fill(cx, weights, z)
+        assert boundary(cx, filled) == z
+        assert m == pytest.approx(space.triangle_areas[0], rel=1e-9)
 
     def test_annulus(self):
         ann = SimplicialComplex.from_simplices(

@@ -16,6 +16,10 @@ from fillbound.intlin import (
     solve_integer_small,
 )
 
+from fillbound.chains import boundary_matrix
+from fillbound.geom import ball_cover, nerve
+from fillbound.shapes import capped_prism, icosphere, octahedron
+
 from conftest import box_search_best, det_laplace, squared_norm
 
 
@@ -208,17 +212,135 @@ def dense_solve_oracle(snf, b):
     return v.mul_vec(y), None
 
 
+def _sparse_columns(m):
+    """Per column of a dense row-major matrix: (row indices, values) of its nonzeros."""
+    out = []
+    for col in zip(*m):
+        rows = [i for i, x in enumerate(col) if x]
+        out.append((rows, [col[i] for i in rows]))
+    return out
+
+
+def dense_smith_oracle(a):
+    """The dense minimal-pivot Smith form that the sparse replay replaced.
+
+    Returns (diagonal, U columns, V columns) in the layout of
+    ``SmithDecomposition``'s ``diagonal``, ``_u_cols`` and ``_v_cols``.
+    """
+    lrows, ncols = a.rows, a.cols
+    d = a.to_rows()
+    u = [[1 if i == j else 0 for j in range(lrows)] for i in range(lrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(m, i, j):
+        m[i], m[j] = m[j], m[i]
+
+    def negate_row(m, i):
+        m[i] = [-x for x in m[i]]
+
+    def add_row(m, dst, src, q):
+        if q:
+            m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+
+    def swap_cols(m, i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def add_col(m, dst, src, q):
+        if q:
+            for row in m:
+                row[dst] += q * row[src]
+
+    t = 0
+    limit = min(lrows, ncols)
+    while t < limit:
+        # locate the minimal nonzero entry of the trailing block
+        pivot = None
+        best = None
+        for i in range(t, lrows):
+            row = d[i]
+            for j in range(t, ncols):
+                vij = row[j]
+                if vij != 0 and (best is None or abs(vij) < best):
+                    best = abs(vij)
+                    pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            swap_rows(d, pi, t)
+            swap_rows(u, pi, t)
+        if pj != t:
+            swap_cols(d, pj, t)
+            swap_cols(v, pj, t)
+        if d[t][t] < 0:
+            negate_row(d, t)
+            negate_row(u, t)
+
+        while True:
+            # clear the pivot column; a nonzero remainder becomes the new pivot
+            restart = False
+            for i in range(t + 1, lrows):
+                if d[i][t] == 0:
+                    continue
+                q = d[i][t] // d[t][t]
+                add_row(d, i, t, -q)
+                add_row(u, i, t, -q)
+                if d[i][t] != 0:
+                    swap_rows(d, i, t)
+                    swap_rows(u, i, t)
+                    restart = True
+                    break
+            if restart:
+                continue
+            for j in range(t + 1, ncols):
+                if d[t][j] == 0:
+                    continue
+                q = d[t][j] // d[t][t]
+                add_col(d, j, t, -q)
+                add_col(v, j, t, -q)
+                if d[t][j] != 0:
+                    swap_cols(d, j, t)
+                    swap_cols(v, j, t)
+                    restart = True
+                    break
+            if restart:
+                continue
+            # divisibility cleanup: pivot must divide the trailing block
+            offender = None
+            for i in range(t + 1, lrows):
+                row = d[i]
+                for j in range(t + 1, ncols):
+                    if row[j] % d[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(d, t, offender, 1)
+            add_row(u, t, offender, 1)
+        t += 1
+
+    return tuple(d[i][i] for i in range(limit)), _sparse_columns(u), _sparse_columns(v)
+
+
 @st.composite
-def small_systems(draw):
-    """Small integer systems A x = b, solvable or not.
+def smith_matrices(draw):
+    """Small integer matrices: 1 x n, n x 1 or general.
 
     Entries lean to zero and to values with common factors, a whole-matrix
     scale makes every invariant factor non-unit, and a row and a column may
     be zeroed.
     """
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
+    shape = draw(st.sampled_from(["row", "column", "general"]))
+    rows = 1 if shape == "row" else draw(st.integers(1, 7))
+    cols = 1 if shape == "column" else draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 9])
     scale = draw(st.sampled_from([1, 1, 2, 3]))
     m = [[scale * draw(entry) for _ in range(cols)] for _ in range(rows)]
     zero_row = draw(st.none() | st.integers(0, rows - 1))
@@ -227,11 +349,17 @@ def small_systems(draw):
         for j in range(cols):
             if i == zero_row or j == zero_col:
                 m[i][j] = 0
-    a = IntMatrix.from_rows(m)
+    return IntMatrix.from_rows(m)
+
+
+@st.composite
+def small_systems(draw):
+    """Small integer systems A x = b, solvable or not."""
+    a = draw(smith_matrices())
     if draw(st.booleans()):
-        b = a.mul_vec(draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)))
+        b = a.mul_vec(draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols)))
     else:
-        b = draw(st.lists(st.integers(-6, 6), min_size=rows, max_size=rows))
+        b = draw(st.lists(st.integers(-6, 6), min_size=a.rows, max_size=a.rows))
     return a, b
 
 
@@ -270,6 +398,31 @@ class TestSparseSolveDifferential:
             assert snf.kernel_basis() is kernel
             for col in kernel:
                 assert not any(a.mul_vec(col))
+
+
+def _boundary_cases():
+    spaces = [("octahedron", octahedron(), 0.8), ("icosphere1", icosphere(1), 0.8),
+              ("capped_prism", capped_prism(6, 2), 1.2)]
+    for name, space, radius in spaces:
+        for label, cx in ((name, space.complex), (name + "-nerve", nerve(ball_cover(space, radius)))):
+            for k in range(1, cx.dimension + 1):
+                yield pytest.param(cx, k, id=f"{label}-d{k}")
+
+
+class TestSmithReplayDifferential:
+    """The sparse replay gives the dense routine's U, D and V exactly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=smith_matrices())
+    def test_matches_dense_oracle(self, a):
+        snf = smith_decomposition(a)
+        assert (snf.diagonal, snf._u_cols, snf._v_cols) == dense_smith_oracle(a)
+
+    @pytest.mark.parametrize("cx,k", list(_boundary_cases()))
+    def test_boundary_matrices(self, cx, k):
+        a = boundary_matrix(cx, k)
+        snf = smith_decomposition(a)
+        assert (snf.diagonal, snf._u_cols, snf._v_cols) == dense_smith_oracle(a)
 
 
 def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
