@@ -294,6 +294,20 @@ def chain_from_simplices(
     return Chain(dim, acc)
 
 
+def path_chain(complex: SimplicialComplex, path: Sequence[int]) -> Chain:
+    """Oriented 1-chain of a vertex path (empty or single vertex -> zero)."""
+    acc: dict[int, int] = {}
+    for a, b in zip(path, path[1:]):
+        if a == b:
+            continue
+        if a < b:
+            idx, sgn = complex.index_of(1, (a, b)), 1
+        else:
+            idx, sgn = complex.index_of(1, (b, a)), -1
+        acc[idx] = acc.get(idx, 0) + sgn
+    return Chain(1, acc)
+
+
 def _check_chain(complex: SimplicialComplex, c: Chain):
     n = complex.n_simplices(c.dim)
     for idx in c._c:

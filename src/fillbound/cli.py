@@ -13,7 +13,6 @@ runs single-threaded and records the setting).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -35,6 +34,7 @@ from .fileio import (
     load_chain,
     load_space,
     save_space,
+    space_to_dict,
     write_atomic,
 )
 from .geom import ball_cover, pipeline_fill, skeleton_diameter
@@ -57,10 +57,10 @@ def _thread_cap() -> Optional[int]:
         return None
 
 
-def _require_nonnegative(option: str, value: float):
-    """Reject a non-finite or negative numeric option before any work."""
-    if not (math.isfinite(value) and value >= 0):
-        raise DomainError(f"{option} must be finite and nonnegative, got {value}")
+def _require_nonnegative(option: str, value: float, below: float = math.inf):
+    """Reject a numeric option that is not finite and in [0, below), before any work."""
+    if not (math.isfinite(value) and 0 <= value < below):
+        raise DomainError(f"{option} must be finite and in [0, {below:g}), got {value}")
 
 
 def _emit(path: Optional[str], text: str):
@@ -90,14 +90,14 @@ def cmd_gen(args) -> int:
     if args.out:
         save_space(args.out, space, metadata=meta)
     else:
-        from .fileio import space_to_dict
-
         _emit(None, canonical_json(space_to_dict(space, meta)))
     return EXIT_OK
 
 
 def cmd_fill(args) -> int:
-    _require_nonnegative("--tolerance", args.tolerance)
+    _require_nonnegative("--tolerance", args.tolerance, below=1.0)
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise DomainError(f"--radius must be finite and positive, got {args.radius}")
     space = load_space(args.space)
     cycle = load_chain(args.cycle, space)
     report_doc = {
@@ -129,7 +129,7 @@ def cmd_fill(args) -> int:
 
 def cmd_hf1(args) -> int:
     _require_nonnegative("--l-max", args.l_max)
-    _require_nonnegative("--tolerance", args.tolerance)
+    _require_nonnegative("--tolerance", args.tolerance, below=1.0)
     space = load_space(args.space)
     steps = max(1, args.steps)
     grid = [args.l_max * i / steps for i in range(steps + 1)]
@@ -173,6 +173,10 @@ def cmd_hf1(args) -> int:
 
 
 def cmd_bfrt_check(args) -> int:
+    for option, value, low in (("--trials", args.trials, 0), ("--m-max", args.m_max, 1),
+                               ("--n-max", args.n_max, 1), ("--max-entry", args.max_entry, 0)):
+        if value < low:
+            raise DomainError(f"{option} must be at least {low}, got {value}")
     rng = random.Random(args.seed)
     results = []
     violations = 0
@@ -234,8 +238,15 @@ def cmd_bfrt_check(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_DOMAIN
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors as one line on stderr, exit status 2."""
+
+    def error(self, message):
+        self.exit(EXIT_DOMAIN, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fillbound",
         description="Certified homological fillings of integer 1-cycles.",
     )
@@ -315,7 +326,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DomainError, StructuralError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, json.JSONDecodeError) as err:
+    except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
 

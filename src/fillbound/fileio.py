@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import tempfile
 from typing import Optional
 
@@ -103,42 +104,63 @@ def space_to_dict(space: MetricComplex, metadata: Optional[dict] = None) -> dict
     return doc
 
 
+def _expect(x, kind: type, what: str):
+    """x if its type is exactly ``kind`` (so a bool is no integer)."""
+    if type(x) is not kind:
+        raise StructuralError(f"{what} must be {kind.__name__}, got {reprlib.repr(x)}")
+    return x
+
+
+def _number(x, what: str) -> float:
+    if type(x) not in (int, float):
+        raise StructuralError(f"{what} must be a number, got {reprlib.repr(x)}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise StructuralError(f"{what} {reprlib.repr(x)} is beyond binary64 range") from None
+
+
+def _simplex(x, what: str) -> tuple[int, ...]:
+    return tuple(_expect(v, int, f"{what} vertex id") for v in _expect(x, list, what))
+
+
+def _read_json(path: str):
+    """Parse a JSON file; text that is not UTF-8 JSON is a malformed document."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as err:
+            raise StructuralError(f"{path} is not a JSON document: {err}") from None
+
+
 def space_from_dict(doc: dict) -> MetricComplex:
     if not isinstance(doc, dict):
         raise StructuralError("space document must be a JSON object")
-    try:
-        ambient = int(doc["ambient_dim"])
-        vertices = doc["vertices"]
-        triangles = doc.get("triangles", [])
-    except (KeyError, TypeError, ValueError) as err:
-        raise StructuralError(f"malformed space document: {err}") from err
-    if not isinstance(vertices, list) or not vertices:
+    ambient = _expect(doc.get("ambient_dim"), int, "ambient_dim")
+    vertices = _expect(doc.get("vertices"), list, "vertices")
+    if not vertices:
         raise StructuralError("space needs a nonempty vertex list")
     coords = []
     for i, row in enumerate(vertices):
         if not isinstance(row, list) or len(row) != ambient:
             raise StructuralError(f"vertex {i} does not have {ambient} coordinates")
-        coords.append(tuple(float(x) for x in row))
-    simplices = [tuple(int(v) for v in t) for t in triangles]
-    for extra in doc.get("edges", []):
-        simplices.append(tuple(int(v) for v in extra))
+        coords.append(tuple(_number(x, f"vertex {i} coordinate") for x in row))
+    simplices = [_simplex(t, "triangle") for t in _expect(doc.get("triangles", []), list, "triangles")]
+    simplices += [_simplex(e, "edge") for e in _expect(doc.get("edges", []), list, "edges")]
     if not simplices:
         raise StructuralError("space has no edges or triangles")
     complex = SimplicialComplex.from_simplices(simplices, n_vertices=len(coords))
     radial = doc.get("radial")
+    if radial is not None:
+        radial = tuple(_number(x, "radial value") for x in _expect(radial, list, "radial"))
     region = doc.get("region")
-    return MetricComplex(
-        complex=complex,
-        coords=tuple(coords),
-        radial=None if radial is None else tuple(float(x) for x in radial),
-        region=None if region is None else tuple(str(x) for x in region),
-    )
+    if region is not None:
+        region = tuple(_expect(x, str, "region label") for x in _expect(region, list, "region"))
+    return MetricComplex(complex=complex, coords=tuple(coords), radial=radial, region=region)
 
 
 def load_space(path: str) -> MetricComplex:
-    with open(path) as handle:
-        doc = json.load(handle)
-    return space_from_dict(doc)
+    return space_from_dict(_read_json(path))
 
 
 def save_space(path: str, space: MetricComplex, metadata: Optional[dict] = None):
@@ -161,34 +183,28 @@ def chain_to_dict(space: MetricComplex, chain: Chain) -> dict:
 def chain_from_dict(space: MetricComplex, doc: dict) -> Chain:
     if not isinstance(doc, dict):
         raise StructuralError("chain document must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as err:
-        raise StructuralError(f"malformed chain document: {err}") from err
-    if not isinstance(entries, list):
-        raise StructuralError("chain entries must be a list")
+    dim = _expect(doc.get("dim"), int, "chain dim")
     acc: dict[int, int] = {}
-    for item in entries:
+    for item in _expect(doc.get("entries"), list, "chain entries"):
         if not (isinstance(item, list) and len(item) == 2):
-            raise StructuralError(f"malformed chain entry {item!r}")
+            raise StructuralError(f"malformed chain entry {reprlib.repr(item)}")
         verts, coeff_str = item
+        if type(coeff_str) not in (int, str):
+            raise StructuralError(f"bad coefficient {reprlib.repr(coeff_str)}")
         try:
             coeff = int(coeff_str)
-        except (TypeError, ValueError) as err:
-            raise StructuralError(f"bad coefficient {coeff_str!r}") from err
+        except ValueError:
+            raise StructuralError(f"bad coefficient {reprlib.repr(coeff_str)}") from None
         if coeff == 0:
             raise StructuralError("chain entries must have nonzero coefficients")
-        canon, sign = sort_with_sign(tuple(int(v) for v in verts))
+        canon, sign = sort_with_sign(_simplex(verts, "chain entry"))
         idx = space.complex.index_of(dim, canon)
         acc[idx] = acc.get(idx, 0) + sign * coeff
     return Chain(dim, acc)
 
 
 def load_chain(path: str, space: MetricComplex) -> Chain:
-    with open(path) as handle:
-        doc = json.load(handle)
-    return chain_from_dict(space, doc)
+    return chain_from_dict(space, _read_json(path))
 
 
 def save_chain(path: str, space: MetricComplex, chain: Chain):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .chains import Chain, SimplicialComplex, boundary_matrix, mass
+from .chains import Chain, SimplicialComplex, boundary_matrix, mass, path_chain
 from .errors import CapacityError, DomainError, InvariantError
 from .intlin import (
     SmithDecomposition,
@@ -128,18 +128,6 @@ def _binomial_bound(n0: int, k: int) -> float:
         return math.inf
 
 
-def _min_maxnorm_in_coset(x0: list[int], kernel: list[list[int]],
-                          node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
-    """Exact minimal (max-norm, l1, lex) representative of x0 + lattice."""
-    # the search starts from the greedy reduction of x0, which never raises
-    # the max-norm, so a box of x0's max-norm holds that start
-    box = max(map(abs, x0), default=0)
-    best = _maxnorm_coset_min(x0, kernel, box, node_budget)
-    if best is None:
-        raise InvariantError("coset search found nothing inside a box that holds its start")
-    return best
-
-
 def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCertificate]:
     """Fill a simplicial k-boundary by a (k+1)-chain with certified coefficients.
 
@@ -161,9 +149,12 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
     x0, obstruction = snf.solve_with_obstruction(b)
     if x0 is None:
         raise DomainError(f"chain is not a boundary: {obstruction}")
-    kernel = snf.kernel_basis()
+    kernel = snf.kernel_columns()
     if kernel and len(kernel) <= KERNEL_REDUCTION_MAX_DIM:
-        x = _min_maxnorm_in_coset(x0, kernel)
+        # the search starts from x0's greedy reduction, inside x0's max-norm box
+        x = _maxnorm_coset_min(x0, snf, max(map(abs, x0)), DEFAULT_NODE_BUDGET)
+        if x is None:
+            raise InvariantError("coset search found nothing inside a box that holds its start")
     elif kernel and len(kernel) * len(x0) <= GREEDY_REDUCTION_MAX_WORK:
         x = _greedy_reduce_maxnorm(x0, kernel)
     else:
@@ -428,19 +419,6 @@ def enumerate_simple_cycles(
     return out
 
 
-def loop_chain(complex: SimplicialComplex, loop: Sequence[int]) -> Chain:
-    """Oriented 1-chain traversing the closed vertex loop."""
-    acc: dict[int, int] = {}
-    for i in range(len(loop)):
-        u, v = loop[i], loop[(i + 1) % len(loop)]
-        if u < v:
-            idx, sgn = complex.index_of(1, (u, v)), 1
-        else:
-            idx, sgn = complex.index_of(1, (v, u)), -1
-        acc[idx] = acc.get(idx, 0) + sgn
-    return Chain(1, acc)
-
-
 MAX_CYCLE_MULTIPLE = 3
 
 
@@ -481,7 +459,7 @@ def hf1_profile(
 
     members: list[tuple[float, float]] = []  # (mass, exact fill mass)
     for loop in loops:
-        z = loop_chain(complex, loop)
+        z = path_chain(complex, loop + [loop[0]])
         if z.is_zero():
             continue
         m1 = mass(w1, z)
@@ -530,7 +508,10 @@ def _fit_upper_line(samples: Sequence[tuple[float, float]]) -> tuple[float, floa
         n = len(xs)
         mx = sum(xs) / n
         my = sum(ys) / n
-        sxx = sum((x - mx) ** 2 for x in xs)
+        try:
+            sxx = sum((x - mx) ** 2 for x in xs)
+        except OverflowError:  # a spread beyond 1e154: any slope >= 0 dominates
+            sxx = 0.0
         f1 = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx if sxx > 0 else 0.0
     else:
         f1 = 0.0

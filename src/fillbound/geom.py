@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .chains import Chain, SimplicialComplex, boundary, mass
+from .chains import Chain, SimplicialComplex, boundary, mass, path_chain
 from .errors import DomainError, FillboundError, InvariantError, StructuralError
 from .filling import (
     DEFAULT_REL_TOL,
@@ -32,12 +32,22 @@ from .filling import (
 )
 
 
-def _heron(p, q, r) -> float:
-    a = math.dist(p, q)
-    b = math.dist(q, r)
-    c = math.dist(p, r)
+def _heron(p, q, r) -> Optional[float]:
+    """Heron's area of triangle pqr; None if area <= 1e-12 diam^2.
+
+    Sides are scaled by a power of two to a maximum in [0.5, 1), which is
+    exact and keeps the product from overflowing: the area has the unscaled
+    formula's bits wherever that is finite.  OverflowError if it is not.
+    """
+    sides = (math.dist(p, q), math.dist(q, r), math.dist(p, r))
+    e = math.frexp(max(sides))[1]
+    a, b, c = (math.ldexp(x, -e) for x in sides)
     s = (a + b + c) / 2.0
-    return math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0))
+    area = math.sqrt(max(s * (s - a) * (s - b) * (s - c), 0.0))
+    diam = max(a, b, c)
+    if not area > 1e-12 * diam * diam:
+        return None
+    return math.ldexp(area, 2 * e)
 
 
 def is_neck_label(label: str) -> bool:
@@ -86,18 +96,17 @@ class MetricComplex:
         lengths = []
         for (u, v) in k.simplices(1):
             d = math.dist(self.coords[u], self.coords[v])
-            if not d > 0.0:
-                raise StructuralError(f"degenerate edge {(u, v)}")
+            if not 0.0 < d < math.inf:
+                what = "degenerate edge" if d == 0.0 else "binary64 overflow in the length of edge"
+                raise StructuralError(f"{what} {(u, v)}")
             lengths.append(d)
         areas = []
         for (a, b, c) in k.simplices(2):
-            area = _heron(self.coords[a], self.coords[b], self.coords[c])
-            diam = max(
-                math.dist(self.coords[a], self.coords[b]),
-                math.dist(self.coords[b], self.coords[c]),
-                math.dist(self.coords[a], self.coords[c]),
-            )
-            if not area > 1e-12 * diam * diam:
+            try:
+                area = _heron(self.coords[a], self.coords[b], self.coords[c])
+            except OverflowError:
+                raise StructuralError(f"area of triangle {(a, b, c)} overflows binary64") from None
+            if area is None:
                 raise StructuralError(f"degenerate triangle {(a, b, c)}")
             areas.append(area)
         self._memo["lengths"] = tuple(lengths)
@@ -194,20 +203,6 @@ def shortest_path_tree(
                 continue
             heapq.heappush(heap, (d + length, path + (w,)))
     return best
-
-
-def path_chain(complex: SimplicialComplex, path: Sequence[int]) -> Chain:
-    """Oriented 1-chain of a vertex path (empty or single vertex -> zero)."""
-    acc: dict[int, int] = {}
-    for a, b in zip(path, path[1:]):
-        if a == b:
-            continue
-        if a < b:
-            idx, sgn = complex.index_of(1, (a, b)), 1
-        else:
-            idx, sgn = complex.index_of(1, (b, a)), -1
-        acc[idx] = acc.get(idx, 0) + sgn
-    return Chain(1, acc)
 
 
 def skeleton_diameter(space: MetricComplex) -> float:

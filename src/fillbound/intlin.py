@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -76,31 +77,12 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols)
 
-    @classmethod
-    def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls.from_rows([[v] for v in vec])
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self._m[i][j]
 
     def to_rows(self) -> list[list[int]]:
         return [row[:] for row in self._m]
-
-    def row(self, i: int) -> list[int]:
-        return self._m[i][:]
-
-    def copy(self) -> "IntMatrix":
-        out = IntMatrix.__new__(IntMatrix)
-        out.rows, out.cols = self.rows, self.cols
-        out._m = [row[:] for row in self._m]
-        return out
-
-    def transpose(self) -> "IntMatrix":
-        out = IntMatrix.__new__(IntMatrix)
-        out.rows, out.cols = self.cols, self.rows
-        out._m = [list(col) for col in zip(*self._m)]
-        return out
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -247,10 +229,6 @@ class SmithDecomposition:
             m._m[i][i] = x
         return m
 
-    def solve(self, b: Sequence[int]) -> Optional[list[int]]:
-        x, _ = self.solve_with_obstruction(b)
-        return x
-
     def solve_with_obstruction(self, b: Sequence[int]):
         """Solve A x = b; on failure return (None, reason string).
 
@@ -287,11 +265,15 @@ class SmithDecomposition:
                 x[r] += yi * val
         return x, None
 
+    def kernel_columns(self) -> list:
+        """Sparse columns (rows, values) of V spanning ker(A) over the integers."""
+        return self._v_cols[self.rank:]
+
     def kernel_basis(self) -> list[list[int]]:
-        """Columns of V spanning ker(A) over the integers (cached)."""
+        """Dense columns of V spanning ker(A) over the integers (cached)."""
         if self._kernel is None:
             kernel = []
-            for rows, vals in self._v_cols[self.rank:]:
+            for rows, vals in self.kernel_columns():
                 col = [0] * self.cols
                 for i, x in zip(rows, vals):
                     col[i] = x
@@ -423,17 +405,6 @@ def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(diagonal, u_cols, v_cols)
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U @ A @ V = D in Smith normal form."""
-    snf = smith_decomposition(a)
-    return snf.u, snf.d, snf.v
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[list[int]]:
-    """Some integer x with A x = b, or None when no integer solution exists."""
-    return smith_decomposition(a).solve(b)
-
-
 def max_minor_abs(a: IntMatrix, m: int, budget: int = DEFAULT_MINOR_BUDGET) -> int:
     """Exact max |det S| over all m x m submatrices S of ``a``.
 
@@ -545,7 +516,7 @@ def certify_small_solution(
             hadamard_case="b_column", degenerate_rank=True,
         )
     snf = smith_decomposition(a)
-    x0 = snf.solve(list(b))
+    x0, _ = snf.solve_with_obstruction(list(b))
     if x0 is None:
         return None
     m = snf.rank
@@ -611,38 +582,49 @@ def column_echelon_basis(cols: list[list[int]], n: int) -> tuple[list[list[int]]
     return work, pivots
 
 
-def _greedy_reduce_maxnorm(x: list[int], cols: list[list[int]]) -> list[int]:
-    """Shrink max-norm of x by integer shifts along kernel basis vectors."""
+def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
+    """Shrink the max-norm of x by integer shifts along sparse columns.
+
+    Columns are (rows, nonzero values), visited in order until a pass changes
+    nothing; each takes the shift, among the rounded quotients on its support
+    and their neighbours, that most lowers (max |x_i|, sum |x_i|), strictly.
+    Trials are scored on the support only: l1 runs as an integer and the max
+    off the support comes from a histogram of |x_i|.  A column whose support
+    misses x's is skipped: a shift along it raises l1 and cannot lower the max.
+    """
     x = x[:]
-    if not cols:
-        return x
-
-    def score(v):
-        return (max(abs(c) for c in v), sum(abs(c) for c in v))
-
-    best = score(x)
+    hist = Counter(map(abs, x))
+    top, l1 = max(hist, default=0), sum(map(abs, x))
     improved = True
     while improved:
         improved = False
-        for col in cols:
+        for rows, vals in cols:
+            on = [abs(x[i]) for i in rows]
+            if not any(on):
+                continue
+            off_top = top
+            if on.count(top) == hist[top]:
+                on_count = Counter(on)
+                off_top = max((a for a, k in hist.items() if k > on_count[a]), default=0)
+            off_l1 = l1 - sum(on)
             candidates = {0}
-            for xi, ci in zip(x, col):
-                if ci:
-                    q = round(xi / ci)
-                    candidates.update((q - 1, q, q + 1))
-            best_q = 0
-            best_s = best
+            for i, ci in zip(rows, vals):
+                q = round(x[i] / ci)
+                candidates.update((q - 1, q, q + 1))
+            best_q, best_s = 0, (top, l1)
             for q in sorted(candidates):
                 if q == 0:
                     continue
-                trial = [xi - q * ci for xi, ci in zip(x, col)]
-                s = score(trial)
+                shifted = [abs(x[i] - q * ci) for i, ci in zip(rows, vals)]
+                s = (max(off_top, *shifted), off_l1 + sum(shifted))
                 if s < best_s:
-                    best_s = s
-                    best_q = q
+                    best_q, best_s = q, s
             if best_q:
-                x = [xi - best_q * ci for xi, ci in zip(x, col)]
-                best = best_s
+                for i, ci in zip(rows, vals):
+                    hist[abs(x[i])] -= 1
+                    x[i] -= best_q * ci
+                    hist[abs(x[i])] += 1
+                top, l1 = best_s
                 improved = True
     return x
 
@@ -653,17 +635,17 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _maxnorm_coset_min(
     x0: list[int],
-    kernel_cols: list[list[int]],
+    snf: SmithDecomposition,
     box: int,
     node_budget: int,
 ) -> Optional[list[int]]:
-    """Minimal (max-norm, l1, lexicographic) element of x0 + lattice, if any
+    """Minimal (max-norm, l1, lexicographic) element of x0 + ker(A), if any
     lies in the box [-box, box]^n.  Exact by iterative deepening."""
     n = len(x0)
-    xr = _greedy_reduce_maxnorm(x0, kernel_cols)
-    if not kernel_cols:
+    xr = _greedy_reduce_maxnorm(x0, snf.kernel_columns())
+    if not snf.kernel_columns():
         return xr if max(map(abs, xr), default=0) <= box else None
-    cols, pivots = column_echelon_basis(kernel_cols, n)
+    cols, pivots = column_echelon_basis(snf.kernel_basis(), n)
     r = len(cols)
     first_pivot = pivots[0]
     # rows above the first pivot cannot be changed by any lattice shift
@@ -729,7 +711,7 @@ def solve_integer_small(
     if budget_box < 0:
         raise DomainError("budget_box must be nonnegative")
     snf = smith_decomposition(a)
-    x0 = snf.solve(list(b))
+    x0, _ = snf.solve_with_obstruction(list(b))
     if x0 is None:
         return None
     return _small_solution(a, b, snf, x0, budget_box, node_budget)
@@ -744,17 +726,17 @@ def _small_solution(
     node_budget: int,
 ) -> Optional[list[int]]:
     """``solve_integer_small`` given the Smith form of ``a`` and one solution x0."""
-    kernel = snf.kernel_basis()
-    if len(kernel) > 8:
+    kernel_dim = len(snf.kernel_columns())
+    if kernel_dim > 8:
         # fall back to direct box enumeration when it fits the budget
         width = 2 * budget_box + 1
         if width ** a.cols > node_budget:
             raise CapacityError(
-                f"kernel dimension {len(kernel)} > 8 and box of size "
+                f"kernel dimension {kernel_dim} > 8 and box of size "
                 f"{width}^{a.cols} exceeds the enumeration budget"
             )
         return _box_enumerate(a, list(b), budget_box)
-    return _maxnorm_coset_min(x0, kernel, budget_box, node_budget)
+    return _maxnorm_coset_min(x0, snf, budget_box, node_budget)
 
 
 def _box_enumerate(a: IntMatrix, b: list[int], box: int) -> Optional[list[int]]:

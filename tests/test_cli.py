@@ -282,6 +282,15 @@ class TestHf1Command:
                      "--cycle-budget", "4"])
         assert code == 3
 
+    def test_huge_l_max(self, tmp_path, capsys):
+        # grid points 1e300 apart: the line fit's squared spread overflows
+        space_path = tmp_path / "tetra.json"
+        assert main(["gen", "--shape", "tetra_boundary", "--out", str(space_path)]) == 0
+        assert main(["hf1", "--space", str(space_path), "--l-max", "1e300", "--steps", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fitted_f1"] == 0.0
+        assert doc["fitted_f2"] == max(e for _, e in doc["samples"])
+
     def test_l_max_zero(self, tmp_path, capsys):
         space_path = tmp_path / "tetra.json"
         assert main(["gen", "--shape", "tetra_boundary", "--out", str(space_path)]) == 0
@@ -316,6 +325,11 @@ class TestInputContracts:
         ["hf1", "--l-max", "-1"],
         ["hf1", "--l-max", "2", "--tolerance", "-1"],
         ["hf1", "--l-max", "2", "--tolerance", "nan"],
+        ["fill", "--radius", "0.8", "--tolerance", "1"],
+        ["hf1", "--l-max", "2", "--tolerance", "1e300"],
+        ["fill", "--radius", "inf"],
+        ["fill", "--radius", "nan"],
+        ["fill", "--radius", "-1"],
     ])
     def test_rejected_before_work(self, tmp_path, ico_files, capsys, monkeypatch, extra):
         import fillbound.cli
@@ -340,6 +354,62 @@ class TestInputContracts:
         assert main(["fill", "--space", space_path, "--cycle", cycle_path,
                      "--radius", "0.8", "--tolerance", "0",
                      "--out", str(tmp_path / "out.json")]) == 0
+
+
+class TestDocumentContracts:
+    """A malformed document exits 2 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("which,edit,phrase", [
+        ("space", lambda d: b"\xff\xfe{", "not a JSON document"),
+        ("space", lambda d: b'{"ambient_dim": 3, "vertices": [', "not a JSON document"),
+        ("space", lambda d: b'{"ambient_dim": 1, "vertices": [[1e999], [0]], "edges": [[0, 1]]}',
+         "non-finite coordinate"),
+        ("space", lambda d: {**d, "triangles": [[0, 2, 4.5]]}, "must be int"),
+        ("space", lambda d: {**d, "triangles": 7}, "triangles must be list"),
+        ("space", lambda d: {**d, "vertices": [["x", 0, 0]] + d["vertices"][1:]}, "must be a number"),
+        ("space", lambda d: {**d, "vertices": [[10 ** 400, 0, 0]] + d["vertices"][1:]}, "beyond binary64"),
+        ("space", lambda d: {**d, "radial": 1.0}, "radial must be list"),
+        ("space", lambda d: {**d, "region": [1] * 6}, "region label must be str"),
+        ("space", lambda d: {k: v for k, v in d.items() if k != "ambient_dim"}, "ambient_dim must be int, got None"),
+        ("cycle", lambda d: {**d, "dim": "1"}, "chain dim must be int"),
+        ("cycle", lambda d: {**d, "entries": [[[0, 2], True]]}, "bad coefficient"),
+        ("cycle", lambda d: {**d, "entries": [[[0, 2.0], "1"]]}, "must be int"),
+        ("cycle", lambda d: {**d, "entries": [[[0, 9], "1"]]}, "not a 1-simplex"),
+        ("cycle", lambda d: {**d, "entries": [[5, "1"]]}, "must be list"),
+    ], ids=["bad-utf8", "truncated", "inf-literal", "float-vertex-id", "triangles-not-list",
+            "string-coordinate", "huge-int-coordinate", "radial-not-list", "int-region-label",
+            "missing-key", "string-dim", "bool-coefficient", "float-entry-vertex",
+            "out-of-range-vertex", "entry-vertices-not-list"])
+    def test_rejected(self, tmp_path, octa_files, capsys, which, edit, phrase):
+        _, space_path, cycle_path = octa_files
+        path = space_path if which == "space" else cycle_path
+        doc = edit(json.loads(open(path).read()))
+        bad_path = tmp_path / "bad.json"
+        if isinstance(doc, bytes):
+            bad_path.write_bytes(doc)
+        else:
+            bad_path.write_text(json.dumps(doc))
+        argv = ["fill", "--space", space_path, "--cycle", cycle_path, "--radius", "0.8"]
+        argv[argv.index(path)] = str(bad_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert phrase in err
+
+    def test_argument_error_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fill", "--space", "s.json", "--cycle", "c.json", "--radius", "abc"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fillbound fill: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("option,value", [
+        ("--trials", "-1"), ("--m-max", "0"), ("--n-max", "-2"), ("--max-entry", "-1"),
+    ])
+    def test_bfrt_sizes_checked(self, capsys, option, value):
+        assert main(["bfrt-check", option, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {option} must be at least {0 if option in ('--trials', '--max-entry') else 1}, got {value}\n"
 
 
 class TestNonFiniteGeometry:
@@ -368,6 +438,19 @@ class TestNonFiniteGeometry:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"vertex 2 has a {phrase}" in err
         assert "Traceback" not in err
+
+
+    def test_area_overflow_exits_2(self, tmp_path, octa_files, capsys):
+        _, space_path, cycle_path = octa_files
+        doc = json.loads(open(space_path).read())
+        doc["vertices"] = [[1e160 * x for x in p] for p in doc["vertices"]]
+        bad_path = tmp_path / "huge.json"
+        bad_path.write_text(json.dumps(doc))
+        code = main(["fill", "--space", str(bad_path), "--cycle", cycle_path,
+                     "--radius", "0.8", "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: area of triangle (0, 2, 4) overflows binary64\n"
 
 
 class TestInvariantExit:

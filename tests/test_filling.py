@@ -13,6 +13,7 @@ from fillbound.chains import (
     boundary_matrix,
     chain_from_simplices,
     mass,
+    path_chain,
 )
 from fillbound.errors import CapacityError, DomainError
 from fillbound.filling import (
@@ -22,7 +23,6 @@ from fillbound.filling import (
     fill_boundary,
     h1_is_trivial,
     hf1_profile,
-    loop_chain,
     min_mass_fill,
     rank_d1,
 )
@@ -333,7 +333,7 @@ class TestCycleEnumeration:
 
     def test_loop_chain_is_cycle(self):
         for loop in enumerate_simple_cycles(OCTA, max_edges=6, limit=50):
-            z = loop_chain(OCTA, loop)
+            z = path_chain(OCTA, loop + [loop[0]])
             assert boundary(OCTA, z).is_zero()
 
     def test_budget_respected(self):

@@ -60,6 +60,29 @@ class TestMetricComplex:
                 complex=k, coords=((0.0, 0.0), (1.0, 0.0), (2.0, 1e-15))
             )
 
+    def test_huge_scale_has_finite_exact_areas(self):
+        # Heron's product is about 1e400 here without the power-of-two scaling
+        big = octahedron(1e100)
+        assert all(math.isfinite(a) for a in big.triangle_areas)
+        assert all(a == pytest.approx(math.sqrt(3) / 2 * 1e200) for a in big.triangle_areas)
+
+    def test_power_of_two_scale_keeps_area_bits(self):
+        for space in (OCTA, icosphere(1, 1.0), capped_prism(6, 2, 1.0)):
+            for e in (-400, -3, 5, 300):
+                scaled = scale_coordinates(space, math.ldexp(1.0, e))
+                assert scaled.triangle_areas == tuple(
+                    math.ldexp(a, 2 * e) for a in space.triangle_areas
+                )
+
+    def test_area_overflow_rejected(self):
+        with pytest.raises(StructuralError, match=r"area of triangle \(0, 2, 4\) overflows"):
+            octahedron(1e160)
+
+    def test_edge_length_overflow_rejected(self):
+        k = SimplicialComplex.from_simplices([(0, 1)])
+        with pytest.raises(StructuralError, match=r"overflow in the length of edge \(0, 1\)"):
+            MetricComplex(complex=k, coords=((1e308, 0.0), (-1e308, 0.0)))
+
     def test_region_validation(self):
         # a neck meeting only one body is rejected
         k = SimplicialComplex.from_simplices([(0, 1, 2)])

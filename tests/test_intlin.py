@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from fillbound.errors import CapacityError, DomainError, StructuralError
 from fillbound.intlin import (
     IntMatrix,
+    _greedy_reduce_maxnorm,
     bfrt_bound,
     bfrt_bound_ceiling,
     certify_small_solution,
     max_minor_abs,
     rank,
     smith_decomposition,
-    smith_normal_form,
-    solve_integer,
     solve_integer_small,
 )
 
@@ -21,6 +20,17 @@ from fillbound.geom import ball_cover, nerve
 from fillbound.shapes import capped_prism, icosphere, octahedron
 
 from conftest import box_search_best, det_laplace, squared_norm
+
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V) with U @ A @ V = D in Smith normal form."""
+    snf = smith_decomposition(a)
+    return snf.u, snf.d, snf.v
+
+
+def solve_integer(a: IntMatrix, b) -> list[int] | None:
+    """Some integer x with A x = b, or None when no integer solution exists."""
+    return smith_decomposition(a).solve_with_obstruction(b)[0]
 
 
 def random_matrix(rng, max_rows=6, max_cols=6, max_entry=5):
@@ -398,6 +408,157 @@ class TestSparseSolveDifferential:
             assert snf.kernel_basis() is kernel
             for col in kernel:
                 assert not any(a.mul_vec(col))
+
+    def test_kernel_columns_are_sparse_kernel_basis(self, rng):
+        for _ in range(50):
+            a = random_matrix(rng, max_rows=4, max_cols=6, max_entry=3)
+            snf = smith_decomposition(a)
+            kernel = snf.kernel_columns()
+            assert len(kernel) == snf.cols - snf.rank
+            assert [dense_column(col, snf.cols) for col in kernel] == snf.kernel_basis()
+            for rows, vals in kernel:
+                assert rows == sorted(rows) and all(vals)
+
+
+def dense_column(col, n: int) -> list[int]:
+    rows, vals = col
+    out = [0] * n
+    for i, x in zip(rows, vals):
+        out[i] = x
+    return out
+
+
+def greedy_maxnorm_oracle(x: list[int], cols: list[list[int]]) -> list[int]:
+    """The greedy max-norm reduction that the delta-scored one replaced.
+
+    Columns are dense and every trial shift rescans the whole vector.
+    """
+    x = x[:]
+    if not cols:
+        return x
+
+    def score(v):
+        return (max(abs(c) for c in v), sum(abs(c) for c in v))
+
+    best = score(x)
+    improved = True
+    while improved:
+        improved = False
+        for col in cols:
+            candidates = {0}
+            for xi, ci in zip(x, col):
+                if ci:
+                    q = round(xi / ci)
+                    candidates.update((q - 1, q, q + 1))
+            best_q = 0
+            best_s = best
+            for q in sorted(candidates):
+                if q == 0:
+                    continue
+                trial = [xi - q * ci for xi, ci in zip(x, col)]
+                s = score(trial)
+                if s < best_s:
+                    best_s = s
+                    best_q = q
+            if best_q:
+                x = [xi - best_q * ci for xi, ci in zip(x, col)]
+                best = best_s
+                improved = True
+    return x
+
+
+class CountedPasses(list):
+    """Columns that count the passes made over them and stop a runaway loop.
+
+    Every pass but the last strictly lowers (max |x_i|, sum |x_i|), which
+    stays within [0, M] x [0, n M] for M = max |x0_i|; more passes than
+    those pairs means the greedy cycles.
+    """
+
+    def __init__(self, cols, x0):
+        super().__init__(cols)
+        m = max(map(abs, x0), default=0)
+        self.limit = (m + 1) * (len(x0) * m + 1) + 1
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        assert self.passes <= self.limit, "greedy reduction does not terminate"
+        return super().__iter__()
+
+
+def greedy(x: list[int], cols: list) -> list[int]:
+    return _greedy_reduce_maxnorm(x, CountedPasses(cols, x))
+
+
+@st.composite
+def greedy_cases(draw):
+    """A vector with entries in [-5, 5] and sparse columns of its length.
+
+    A column may be zero or repeat an earlier one up to sign; the others
+    have up to four unit or non-unit entries.
+    """
+    n = draw(st.integers(1, 10))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3, 4, -5, 5])
+    x = draw(st.lists(entry, min_size=n, max_size=n))
+    cols = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "zero", "repeat"]))
+        if kind == "zero":
+            cols.append(([], []))
+        elif kind == "repeat" and cols:
+            rows, vals = draw(st.sampled_from(cols))
+            sign = draw(st.sampled_from([1, -1]))
+            cols.append((rows, [sign * v for v in vals]))
+        else:
+            rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+            coeff = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -4])
+            cols.append((rows, [draw(coeff) for _ in rows]))
+    return x, cols
+
+
+class TestGreedyMaxnormDifferential:
+    """The delta-scored greedy makes the old full-rescan greedy's choices."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=greedy_cases())
+    def test_matches_oracle(self, case):
+        x, cols = case
+        expected = greedy_maxnorm_oracle(x, [dense_column(c, len(x)) for c in cols])
+        assert greedy(x, cols) == expected
+
+    @pytest.mark.parametrize("x,cols,expected", [
+        # q = -2 and q = -1 both reach (1, 2): the first in sorted order wins
+        ([-3, -3], [([0, 1], [2, 2])], [1, 1]),
+        # q = 1 only ties the current (1, 1), so x stays
+        ([1, 0], [([0, 1], [1, 1])], [1, 0]),
+        ([0, 0, 0], [([0, 2], [1, -1]), ([1], [3])], [0, 0, 0]),
+        ([4, -1, 2], [], [4, -1, 2]),
+    ], ids=["tie-between-shifts", "tie-with-current", "zero-vector", "empty-kernel"])
+    def test_fixed_cases(self, x, cols, expected):
+        dense = [dense_column(c, len(x)) for c in cols]
+        assert greedy_maxnorm_oracle(x, dense) == expected
+        assert greedy(x, cols) == expected
+
+    def test_does_not_mutate_input(self):
+        x = [-3, -3]
+        assert greedy(x, [([0, 1], [2, 2])]) == [1, 1]
+        assert x == [-3, -3]
+
+    def test_icosphere2_nerve_kernel(self, rng):
+        """Smith solutions on a nerve whose boundary kernel has dimension 298."""
+        k = nerve(ball_cover(icosphere(2), 0.8))
+        snf = smith_decomposition(boundary_matrix(k, 2))
+        kernel = snf.kernel_columns()
+        assert len(kernel) == 298
+        dense = snf.kernel_basis()
+        n2 = k.n_simplices(2)
+        for _ in range(2):
+            w = [0] * n2
+            for t in rng.sample(range(n2), 3):
+                w[t] = rng.choice((1, -1))
+            x0, _ = snf.solve_with_obstruction(boundary_matrix(k, 2).mul_vec(w))
+            assert greedy(x0, kernel) == greedy_maxnorm_oracle(x0, dense)
 
 
 def _boundary_cases():
