@@ -20,6 +20,7 @@ from .intlin import (
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
     column_echelon_basis,
+    coset_min,
     smith_decomposition,
 )
 
@@ -210,83 +211,6 @@ def _greedy_reduce_weighted(x: list[int], cols: list[list[int]],
     return x
 
 
-def _weighted_coset_min(
-    x0: list[int],
-    kernel: list[list[int]],
-    weights: Sequence[float],
-    rel_tol: float,
-    node_budget: int,
-) -> tuple[list[int], float]:
-    """Exact minimum of sum_i w_i |x_i| over x0 + lattice; ties lexicographic.
-
-    Raises CapacityError (carrying the incumbent) if the node budget runs out.
-    """
-    n = len(x0)
-    xr = _greedy_reduce_weighted(x0, kernel, weights)
-    best_vec = tuple(xr)
-    best_cost = _cost(xr, weights)
-    if not kernel:
-        return list(best_vec), best_cost
-
-    cols, pivots = column_echelon_basis(kernel, n)
-    r = len(cols)
-    next_pivot = pivots[1:] + [n]
-    first_pivot = pivots[0]
-    fixed_cost = sum(abs(xr[i]) * weights[i] for i in range(first_pivot))
-    nodes = 0
-
-    def tol(val: float) -> float:
-        return rel_tol * (1.0 + abs(val))
-
-    def dfs(j: int, cur: list[int], partial: float):
-        nonlocal best_vec, best_cost, nodes
-        if j == r:
-            if partial < best_cost - tol(best_cost):
-                best_cost = partial
-                best_vec = tuple(cur)
-            elif abs(partial - best_cost) <= tol(best_cost) and tuple(cur) < best_vec:
-                best_vec = tuple(cur)
-            return
-        col = cols[j]
-        p = pivots[j]
-        hp = col[p]
-        base = cur[p]
-        stop = next_pivot[j]
-        budget = best_cost + tol(best_cost) - partial
-        if budget < 0:
-            return
-        # |x_p| may not exceed budget / w_p; enumerate t outward from the
-        # value minimizing |x_p| so pruning bites early
-        limit = budget / weights[p]
-        t_center = round(-base / hp)
-        for direction in (0, 1, -1):
-            t = t_center + direction
-            step = 0 if direction == 0 else direction
-            while True:
-                xp = base + t * hp
-                if abs(xp) > limit + 1e-15:
-                    break
-                nodes += 1
-                if nodes > node_budget:
-                    raise CapacityError(
-                        f"mass minimization exceeded node budget {node_budget}",
-                        incumbent=list(best_vec),
-                        incumbent_cost=best_cost,
-                    )
-                nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, n)]
-                seg = partial + sum(
-                    abs(nxt[i]) * weights[i] for i in range(p, stop)
-                )
-                if seg <= best_cost + tol(best_cost):
-                    dfs(j + 1, nxt, seg)
-                if step == 0:
-                    break
-                t += step
-
-    dfs(0, xr, fixed_cost)
-    return list(best_vec), best_cost
-
-
 def min_mass_fill(
     complex: SimplicialComplex,
     weights: Mapping[int, Sequence[float]],
@@ -314,15 +238,19 @@ def min_mass_fill(
     if x0 is None:
         raise DomainError(f"cycle does not bound: {obstruction}")
     kernel = snf.kernel_basis()
+    xr = _greedy_reduce_weighted(x0, kernel, w2)
+    cost, best = _cost(xr, w2), tuple(xr)
     if len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
-        xr = _greedy_reduce_weighted(x0, kernel, w2)
         raise CapacityError(
             f"homogeneous lattice dimension {len(kernel)} exceeds "
             f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
             incumbent=Chain.from_vector(2, xr),
-            incumbent_cost=_cost(xr, w2),
+            incumbent_cost=cost,
         )
-    best, cost = _weighted_coset_min(x0, kernel, w2, rel_tol, node_budget)
+    if kernel:
+        cols, pivots = column_echelon_basis(kernel, n2)
+        cost, best, _ = coset_min(xr, cols, pivots, w2, rel_tol, node_budget,
+                                  incumbent=(cost, best))
     return Chain.from_vector(2, best), cost
 
 

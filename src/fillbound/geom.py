@@ -382,17 +382,14 @@ class GeodesicGraph:
 
     centers: tuple[int, ...]
     edges: tuple[GraphEdge, ...]
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def edge_index(self, i: int, j: int) -> Optional[int]:
-        a, b = min(i, j), max(i, j)
-        return self._index().get((a, b))
-
-    def _index(self):
-        if not hasattr(self, "_idx"):
-            object.__setattr__(
-                self, "_idx", {(e.a, e.b): n for n, e in enumerate(self.edges)}
-            )
-        return self._idx
+        index = self._memo.get("index")
+        if index is None:
+            index = {(e.a, e.b): n for n, e in enumerate(self.edges)}
+            self._memo["index"] = index
+        return index.get((min(i, j), max(i, j)))
 
     def realize(self, space: MetricComplex, graph_chain: Chain) -> Chain:
         """Skeleton 1-chain realizing a chain on graph edges."""
@@ -445,12 +442,14 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
 # chains as closed walks, and local fills by face reduction
 
 
-def chain_content(c: Chain) -> int:
-    """Gcd of the coefficient magnitudes (1 for the zero chain)."""
+def peel_content(c: Chain) -> tuple[int, Chain]:
+    """(content, c / content): the gcd of the coefficient magnitudes (1 for
+    the zero chain) and the primitive chain left after dividing it out."""
     g = 0
     for _, a in c.items():
         g = math.gcd(g, abs(a))
-    return g if g else 1
+    content = g if g else 1
+    return content, Chain(c.dim, {i: a // content for i, a in c.items()})
 
 
 def chain_to_closed_walks(complex: SimplicialComplex, c: Chain) -> list[list[int]]:
@@ -459,7 +458,7 @@ def chain_to_closed_walks(complex: SimplicialComplex, c: Chain) -> list[list[int
     Each walk is a vertex list [v0, ..., vL] with vL = v0, traversed
     edge-by-edge; summed as chains, the walks reproduce c exactly.  Walk
     length scales with the l1 norm of the coefficients, so callers working
-    with large coefficients should divide out ``chain_content`` first.
+    with large coefficients should peel off their content first (``peel_content``).
     """
     succ: dict[int, dict[int, int]] = {}
     edges = complex.simplices(1)
@@ -824,8 +823,7 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
         return [(labels[0], c)]
 
     # junction pairing expands multiplicities, so peel the content first
-    content = chain_content(c)
-    c_red = Chain(1, {i: a // content for i, a in c.items()})
+    content, c_red = peel_content(c)
 
     pieces: list[tuple[str, Chain]] = []
     remainder = c_red
@@ -914,8 +912,7 @@ def project_cycle_to_graph(
         return Chain.zero(1), Chain.zero(2), zero_report
 
     # work on the primitive cycle; scale everything back at the end
-    content = chain_content(c)
-    c_red = Chain(1, {i: a // content for i, a in c.items()})
+    content, c_red = peel_content(c)
 
     k = space.complex
     edges = k.simplices(1)

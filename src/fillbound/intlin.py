@@ -14,8 +14,16 @@ columns and D as its diagonal, so a solve against a cached decomposition
 costs the nonzeros on the right-hand side's support.  The H1 verdict built
 on these decompositions is memoized per complex in ``filling``.
 
-Floating point appears only in ``bfrt_bound`` (a reporting convenience);
-every certificate comparison has an exact integer path.
+``coset_min`` is the one exact search over a solution coset x0 + ker(A):
+a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
+The minimum-mass fills in ``filling`` run it with float weights (triangle
+areas) and a relative tie tolerance; the max-norm searches here deepen its
+cap with unit integer weights and zero tolerance, so their comparisons are
+exact while costs stay below 2^53.
+
+Floating point appears in ``bfrt_bound`` (a reporting convenience) and
+through ``coset_min``'s weights; every certificate comparison has an exact
+integer path.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Optional, Sequence
 
 from .errors import CapacityError, DomainError, StructuralError
 
-DEFAULT_MINOR_BUDGET = 10 ** 6
+DEFAULT_MINOR_BUDGET = 27 * 10 ** 6  # multiply-adds: 10^6 minors of order 3
 DEFAULT_NODE_BUDGET = 2 * 10 ** 6
 
 
@@ -113,27 +121,7 @@ class IntMatrix:
         """Exact determinant by Bareiss fraction-free elimination."""
         if self.rows != self.cols:
             raise StructuralError("determinant of a non-square matrix")
-        n = self.rows
-        m = [row[:] for row in self._m]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            pkk = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
-                row_i[k] = 0
-            prev = pkk
-        return sign * m[n - 1][n - 1]
+        return _bareiss_det([row[:] for row in self._m])
 
     def __eq__(self, other) -> bool:
         return (
@@ -145,6 +133,30 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self._m!r})"
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of the square matrix m by Bareiss elimination; m is overwritten."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        pkk = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i = m[i]
+            for j in range(k + 1, n):
+                row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pkk
+    return sign * m[n - 1][n - 1]
 
 
 def rank(a: IntMatrix) -> int:
@@ -408,17 +420,19 @@ def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
 def max_minor_abs(a: IntMatrix, m: int, budget: int = DEFAULT_MINOR_BUDGET) -> int:
     """Exact max |det S| over all m x m submatrices S of ``a``.
 
-    Raises CapacityError when the number of submatrices exceeds ``budget``;
-    callers should then fall back to the Hadamard estimate.
+    The cost is counted as C(rows, m) * C(cols, m) * m^3, the multiply-adds
+    of one Bareiss elimination per minor.  Raises CapacityError when it
+    exceeds ``budget``; callers should then fall back to the Hadamard
+    estimate.
     """
     if m < 0 or m > min(a.rows, a.cols):
         raise DomainError(f"minor order {m} out of range for {a.rows}x{a.cols} matrix")
     if m == 0:
         return 1  # empty determinant
-    count = math.comb(a.rows, m) * math.comb(a.cols, m)
-    if count > budget:
+    cost = math.comb(a.rows, m) * math.comb(a.cols, m) * m ** 3
+    if cost > budget:
         raise CapacityError(
-            f"minor enumeration needs {count} determinants (budget {budget}); "
+            f"minor enumeration costs {cost} multiply-adds (budget {budget}); "
             "use the Hadamard estimate instead"
         )
     if m == 1:
@@ -428,8 +442,7 @@ def max_minor_abs(a: IntMatrix, m: int, budget: int = DEFAULT_MINOR_BUDGET) -> i
     for ris in itertools.combinations(range(a.rows), m):
         picked = [rows[i] for i in ris]
         for cjs in itertools.combinations(range(a.cols), m):
-            sub = IntMatrix.from_rows([[r[j] for j in cjs] for r in picked])
-            val = abs(sub.det())
+            val = abs(_bareiss_det([[r[j] for j in cjs] for r in picked]))
             if val > best:
                 best = val
     return best
@@ -629,8 +642,89 @@ def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
     return x
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def coset_min(
+    x: list[int],
+    cols: list[list[int]],
+    pivots: list[int],
+    weights: Sequence,
+    rel_tol: float,
+    node_budget: int,
+    cap: Optional[int] = None,
+    incumbent: Optional[tuple] = None,
+) -> tuple:
+    """Minimum of sum_i w_i |y_i| over y in x + span(cols), ties lexicographic.
+
+    Branch and bound over a column-echelon basis (``column_echelon_basis``):
+    once the shifts of columns 0..j are fixed, rows pivots[j] up to the next
+    pivot are final, so their cost is charged at depth j.  Each shift t is
+    tried outward from the one minimizing |y_p|, so pruning bites early.
+    Costs within rel_tol * (1 + |cost|) of the best tie and the smaller
+    tuple wins; with integer weights and rel_tol = 0 every comparison is
+    exact while costs stay below 2^53.  With ``cap`` set, every |y_i| must be
+    at most cap; rows above the first pivot, which no shift changes, are the
+    caller's to check.  ``incumbent`` is a known (cost, tuple) to beat; one of
+    ``cap`` and ``incumbent`` must be given.
+
+    Returns (cost, tuple, nodes): the best candidate, or the incumbent (or
+    (None, None)) when nothing beats it, and the number of nodes visited.
+    Raises CapacityError carrying the incumbent after ``node_budget`` nodes.
+    """
+    n = len(x)
+    r = len(cols)
+    next_pivot = pivots[1:] + [n]
+    best_cost, best_vec = incumbent if incumbent is not None else (None, None)
+    nodes = 0
+
+    def dfs(j: int, cur: list[int], partial):
+        nonlocal best_cost, best_vec, nodes
+        if j == r:
+            if best_cost is None or partial < best_cost - rel_tol * (1 + abs(best_cost)):
+                best_cost = partial
+                best_vec = tuple(cur)
+            elif (abs(partial - best_cost) <= rel_tol * (1 + abs(best_cost))
+                  and tuple(cur) < best_vec):
+                best_vec = tuple(cur)
+            return
+        col = cols[j]
+        p = pivots[j]
+        hp = col[p]
+        base = cur[p]
+        stop = next_pivot[j]
+        limit = cap
+        if best_cost is not None:
+            budget = best_cost + rel_tol * (1 + abs(best_cost)) - partial
+            if budget < 0:
+                return
+            # |x_p| may not exceed budget / w_p
+            limit = budget / weights[p] + 1e-15
+            if cap is not None and cap < limit:
+                limit = cap
+        # the t minimizing |x_p| = |base + t * hp|, halves to even as round()
+        t_center, rem = divmod(-base, hp)
+        if 2 * rem > hp or (2 * rem == hp and t_center & 1):
+            t_center += 1
+        for step in (0, 1, -1):
+            t = t_center + step
+            while abs(base + t * hp) <= limit:
+                nodes += 1
+                if nodes > node_budget:
+                    raise CapacityError(
+                        f"mass minimization exceeded node budget {node_budget}",
+                        incumbent=None if best_vec is None else list(best_vec),
+                        incumbent_cost=best_cost,
+                    )
+                nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, n)]
+                if cap is None or all(abs(nxt[i]) <= cap for i in range(p, stop)):
+                    seg = partial + sum(abs(nxt[i]) * weights[i] for i in range(p, stop))
+                    if best_cost is None or seg <= best_cost + rel_tol * (1 + abs(best_cost)):
+                        dfs(j + 1, nxt, seg)
+                if step == 0:
+                    break
+                t += step
+
+    fixed_cost = sum(abs(x[i]) * weights[i] for i in range(pivots[0]))
+    dfs(0, x, fixed_cost)
+    return best_cost, best_vec, nodes
 
 
 def _maxnorm_coset_min(
@@ -640,81 +734,26 @@ def _maxnorm_coset_min(
     node_budget: int,
 ) -> Optional[list[int]]:
     """Minimal (max-norm, l1, lexicographic) element of x0 + ker(A), if any
-    lies in the box [-box, box]^n.  Exact by iterative deepening."""
+    lies in the box [-box, box]^n.  Exact by iterative deepening on the cap
+    of ``coset_min``, with unit weights, which share one node budget."""
     n = len(x0)
     xr = _greedy_reduce_maxnorm(x0, snf.kernel_columns())
     if not snf.kernel_columns():
         return xr if max(map(abs, xr), default=0) <= box else None
     cols, pivots = column_echelon_basis(snf.kernel_basis(), n)
-    r = len(cols)
-    first_pivot = pivots[0]
     # rows above the first pivot cannot be changed by any lattice shift
-    fixed_norm = max((abs(xr[i]) for i in range(first_pivot)), default=0)
-    b_hi = min(box, max(map(abs, xr), default=0))
-    if fixed_norm > box:
-        return None
-
-    nodes = 0
-    next_pivot = pivots[1:] + [n]
-
-    def search(bound: int) -> Optional[tuple[int, tuple[int, ...]]]:
-        nonlocal nodes
-        best: Optional[tuple[int, tuple[int, ...]]] = None
-
-        def dfs(j: int, cur: list[int]):
-            nonlocal best, nodes
-            if j == r:
-                cand = (sum(map(abs, cur)), tuple(cur))
-                if best is None or cand < best:
-                    best = cand
-                return
-            col = cols[j]
-            p = pivots[j]
-            hp = col[p]
-            base = cur[p]
-            t_lo = _ceil_div(-bound - base, hp)
-            t_hi = (bound - base) // hp
-            stop = next_pivot[j]
-            for t in range(t_lo, t_hi + 1):
-                nodes += 1
-                if nodes > node_budget:
-                    raise CapacityError(
-                        f"coset search exceeded node budget {node_budget}"
-                    )
-                if t == 0:
-                    nxt = cur
-                else:
-                    nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, len(cur))]
-                if any(abs(nxt[i]) > bound for i in range(p, stop)):
-                    continue
-                dfs(j + 1, nxt)
-
-        dfs(0, xr)
-        return best
-
-    for bound in range(fixed_norm, b_hi + 1):
-        found = search(bound)
+    fixed_norm = max((abs(xr[i]) for i in range(pivots[0])), default=0)
+    unit = [1] * n
+    used = 0
+    for cap in range(fixed_norm, min(box, max(map(abs, xr), default=0)) + 1):
+        try:
+            _, found, nodes = coset_min(xr, cols, pivots, unit, 0, node_budget - used, cap=cap)
+        except CapacityError:
+            raise CapacityError(f"coset search exceeded node budget {node_budget}") from None
         if found is not None:
-            return list(found[1])
+            return list(found)
+        used += nodes
     return None
-
-
-def solve_integer_small(
-    a: IntMatrix,
-    b: Sequence[int],
-    budget_box: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Optional[list[int]]:
-    """Integer solution of A x = b minimizing max-norm, then l1, then
-    lexicographic order; None iff no solution lies in [-budget_box, budget_box]^n.
-    """
-    if budget_box < 0:
-        raise DomainError("budget_box must be nonnegative")
-    snf = smith_decomposition(a)
-    x0, _ = snf.solve_with_obstruction(list(b))
-    if x0 is None:
-        return None
-    return _small_solution(a, b, snf, x0, budget_box, node_budget)
 
 
 def _small_solution(
@@ -725,7 +764,9 @@ def _small_solution(
     budget_box: int,
     node_budget: int,
 ) -> Optional[list[int]]:
-    """``solve_integer_small`` given the Smith form of ``a`` and one solution x0."""
+    """Integer solution of A x = b minimizing max-norm, then l1, then
+    lexicographic order, given the Smith form of ``a`` and one solution x0;
+    None iff no solution lies in [-budget_box, budget_box]^n."""
     kernel_dim = len(snf.kernel_columns())
     if kernel_dim > 8:
         # fall back to direct box enumeration when it fits the budget

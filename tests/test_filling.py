@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fillbound.filling
 import fillbound.intlin
@@ -17,6 +19,8 @@ from fillbound.chains import (
 )
 from fillbound.errors import CapacityError, DomainError
 from fillbound.filling import (
+    _cost,
+    _greedy_reduce_weighted,
     amin_upper_bound,
     boundary_smith,
     enumerate_simple_cycles,
@@ -26,11 +30,12 @@ from fillbound.filling import (
     min_mass_fill,
     rank_d1,
 )
-from fillbound.intlin import rank
+from fillbound.intlin import column_echelon_basis, coset_min, rank, smith_decomposition
 from fillbound.shapes import icosphere
 
 from conftest import random_boundary, random_complex
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
+from test_intlin import smith_matrices
 
 
 def heron(p, q, r):
@@ -215,6 +220,129 @@ class TestMinMassFill:
         chain, m = min_mass_fill(TRIANGLE, w, z)
         fb_chain, _ = fill_boundary(TRIANGLE, z)
         assert mass(w[2], fb_chain) == pytest.approx(m, rel=1e-12)
+
+
+def weighted_coset_oracle(x0, kernel, weights, rel_tol, node_budget):
+    """The branch and bound that min_mass_fill ran before coset_min, counting nodes.
+
+    Returns (vector, cost, nodes); raises CapacityError carrying the
+    incumbent, as min_mass_fill does, once ``node_budget`` nodes are used.
+    """
+    n = len(x0)
+    xr = _greedy_reduce_weighted(x0, kernel, weights)
+    best_vec = tuple(xr)
+    best_cost = _cost(xr, weights)
+    if not kernel:
+        return list(best_vec), best_cost, 0
+    cols, pivots = column_echelon_basis(kernel, n)
+    r = len(cols)
+    next_pivot = pivots[1:] + [n]
+    fixed_cost = sum(abs(xr[i]) * weights[i] for i in range(pivots[0]))
+    nodes = 0
+
+    def tol(val):
+        return rel_tol * (1.0 + abs(val))
+
+    def dfs(j, cur, partial):
+        nonlocal best_vec, best_cost, nodes
+        if j == r:
+            if partial < best_cost - tol(best_cost):
+                best_cost = partial
+                best_vec = tuple(cur)
+            elif abs(partial - best_cost) <= tol(best_cost) and tuple(cur) < best_vec:
+                best_vec = tuple(cur)
+            return
+        col, p = cols[j], pivots[j]
+        hp, base = col[p], cur[p]
+        budget = best_cost + tol(best_cost) - partial
+        if budget < 0:
+            return
+        limit = budget / weights[p]
+        t_center = round(-base / hp)
+        for direction in (0, 1, -1):
+            t = t_center + direction
+            while abs(base + t * hp) <= limit + 1e-15:
+                nodes += 1
+                if nodes > node_budget:
+                    raise CapacityError(
+                        f"mass minimization exceeded node budget {node_budget}",
+                        incumbent=list(best_vec),
+                        incumbent_cost=best_cost,
+                    )
+                nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, n)]
+                seg = partial + sum(abs(nxt[i]) * weights[i] for i in range(p, next_pivot[j]))
+                if seg <= best_cost + tol(best_cost):
+                    dfs(j + 1, nxt, seg)
+                if direction == 0:
+                    break
+                t += direction
+
+    dfs(0, xr, fixed_cost)
+    return list(best_vec), best_cost, nodes
+
+
+def weighted_coset_min(x0, kernel, weights, rel_tol, node_budget):
+    """min_mass_fill's search on any lattice: the greedy start, then coset_min."""
+    xr = _greedy_reduce_weighted(x0, kernel, weights)
+    cost, best = _cost(xr, weights), tuple(xr)
+    nodes = 0
+    if kernel:
+        cols, pivots = column_echelon_basis(kernel, len(x0))
+        cost, best, nodes = coset_min(xr, cols, pivots, weights, rel_tol, node_budget,
+                                      incumbent=(cost, best))
+    return list(best), cost, nodes
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except CapacityError as err:
+        return str(err), err.incumbent, err.incumbent_cost
+
+
+# weights within 1e-9 relative of each other tie at the default tolerance
+NEAR_TIE_WEIGHTS = [1.0, 1.0, 1.0 + 1e-12, 1.0 - 4e-10, 1.0 + 3e-9, 2.0, 2.0 - 1e-11,
+                    0.5, 0.5 + 2e-10, math.sqrt(2), math.sqrt(3) / 4]
+
+
+@st.composite
+def weighted_coset_cases(draw):
+    """A point of a small lattice coset, float weights with near-ties, a tolerance."""
+    a = draw(smith_matrices())
+    snf = smith_decomposition(a)
+    x = draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+    if draw(st.booleans()):
+        x = snf.solve_with_obstruction(a.mul_vec(x))[0]
+    weight = st.sampled_from(NEAR_TIE_WEIGHTS) | st.floats(0.5, 3.0)
+    weights = draw(st.lists(weight, min_size=a.cols, max_size=a.cols))
+    rel_tol = draw(st.sampled_from([fillbound.filling.DEFAULT_REL_TOL, 0.0, 1e-6]))
+    budget = draw(st.sampled_from([10 ** 5, 10 ** 5, 20, 1]))
+    return x, snf.kernel_basis(), weights, rel_tol, budget
+
+
+class TestWeightedCosetDifferential:
+    """coset_min makes the old branch and bound's choices, node for node."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=weighted_coset_cases())
+    def test_matches_oracle(self, case):
+        assert outcome(weighted_coset_min, *case) == outcome(weighted_coset_oracle, *case)
+
+    def test_min_mass_fill_matches_oracle(self, rng):
+        checked = 0
+        while checked < 40:
+            k = random_complex(rng, max_vertices=8, max_faces=14)
+            if k.dimension < 2:
+                continue
+            n2 = k.n_simplices(2)
+            z = random_boundary(rng, k, max_coeff=2)
+            w = {1: [1.0] * k.n_simplices(1), 2: [rng.choice(NEAR_TIE_WEIGHTS) for _ in range(n2)]}
+            snf = boundary_smith(k, 2)
+            x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+            vec, cost, _ = weighted_coset_oracle(x0, snf.kernel_basis(), w[2],
+                                                 fillbound.filling.DEFAULT_REL_TOL, 10 ** 6)
+            assert min_mass_fill(k, w, z) == (Chain.from_vector(2, vec), cost)
+            checked += 1
 
 
 class TestH1Check:

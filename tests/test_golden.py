@@ -64,6 +64,9 @@ FILL_DIGESTS = {
 
 HF1_DIGEST = "2a4a8c8b8b107074163d3af107f80cb727eb33fd629dc6fb3628044fb1aab138"
 
+# capped_prism(6, 2): 41 cycles, each filled by min_mass_fill's branch and bound
+HF1_CAPPED_DIGEST = "3c977976385e62cea0c7f6e5e396f22d9f385a5cc657ac4f10cea453ac600471"
+
 
 def seeded_cycle(space, seed: int) -> Chain:
     """Sum of 1-3 signed fundamental cycles of the BFS tree rooted at 0."""
@@ -135,3 +138,13 @@ def test_hf1_report_byte_identical(workdir):
     got = digest(workdir / "hf1.json")
     print(f"digest hf1 {got}")
     assert got == HF1_DIGEST
+
+
+def test_hf1_capped_prism_report_byte_identical(workdir):
+    save_space("space.json", capped_prism(6, 2, 1.0))
+    code = main(["hf1", "--space", "space.json", "--l-max", "4.0", "--steps", "5",
+                 "--cycle-budget", "60", "--out", "hf1.json"])
+    assert code == 0
+    got = digest(workdir / "hf1.json")
+    print(f"digest hf1 capped_prism {got}")
+    assert got == HF1_CAPPED_DIGEST

@@ -4,15 +4,18 @@ from hypothesis import strategies as st
 
 from fillbound.errors import CapacityError, DomainError, StructuralError
 from fillbound.intlin import (
+    DEFAULT_NODE_BUDGET,
     IntMatrix,
     _greedy_reduce_maxnorm,
+    _maxnorm_coset_min,
+    _small_solution,
     bfrt_bound,
     bfrt_bound_ceiling,
     certify_small_solution,
+    column_echelon_basis,
     max_minor_abs,
     rank,
     smith_decomposition,
-    solve_integer_small,
 )
 
 from fillbound.chains import boundary_matrix
@@ -31,6 +34,17 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def solve_integer(a: IntMatrix, b) -> list[int] | None:
     """Some integer x with A x = b, or None when no integer solution exists."""
     return smith_decomposition(a).solve_with_obstruction(b)[0]
+
+
+def solve_integer_small(a: IntMatrix, b, budget_box: int,
+                        node_budget: int = DEFAULT_NODE_BUDGET) -> list[int] | None:
+    """Integer solution of A x = b minimizing max-norm, then l1, then
+    lexicographic order; None iff no solution lies in the box."""
+    snf = smith_decomposition(a)
+    x0, _ = snf.solve_with_obstruction(list(b))
+    if x0 is None:
+        return None
+    return _small_solution(a, b, snf, x0, budget_box, node_budget)
 
 
 def random_matrix(rng, max_rows=6, max_cols=6, max_entry=5):
@@ -623,6 +637,15 @@ class TestMaxMinor:
         with pytest.raises(DomainError):
             max_minor_abs(IntMatrix.identity(2), 3)
 
+    def test_budget_counts_elimination_cost(self):
+        # 393,822 minors of order 8 cost 201,636,864 multiply-adds
+        with pytest.raises(CapacityError, match="costs 201636864 multiply-adds"):
+            max_minor_abs(IntMatrix.zeros(18, 9), 8)
+        a = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [2, 0, 5]])
+        assert max_minor_abs(a, 2, budget=3 * 3 * 2 ** 3) == 15
+        with pytest.raises(CapacityError):
+            max_minor_abs(a, 2, budget=3 * 3 * 2 ** 3 - 1)
+
 
 class TestBfrtBound:
     @pytest.mark.parametrize(
@@ -695,6 +718,109 @@ class TestSolveIntegerSmall:
             got = solve_integer_small(a, b, 4)
             want = box_search_best(a, b, 4)
             assert got == want
+
+
+def maxnorm_coset_oracle(x0, snf, box: int, node_budget: int):
+    """The iterative-deepening search that ``coset_min`` replaced, counting nodes.
+
+    Each bound from the fixed rows' norm up runs a depth-first search that
+    tries every shift keeping |x_p| within the bound and takes the least
+    (l1, tuple) in the box.  Returns (result, nodes).
+    """
+    n = len(x0)
+    xr = _greedy_reduce_maxnorm(x0, snf.kernel_columns())
+    if not snf.kernel_columns():
+        return (xr if max(map(abs, xr), default=0) <= box else None), 0
+    cols, pivots = column_echelon_basis(snf.kernel_basis(), n)
+    r = len(cols)
+    fixed_norm = max((abs(xr[i]) for i in range(pivots[0])), default=0)
+    b_hi = min(box, max(map(abs, xr), default=0))
+    if fixed_norm > box:
+        return None, 0
+    nodes = 0
+    next_pivot = pivots[1:] + [n]
+
+    def search(bound):
+        nonlocal nodes
+        best = None
+
+        def dfs(j, cur):
+            nonlocal best, nodes
+            if j == r:
+                cand = (sum(map(abs, cur)), tuple(cur))
+                if best is None or cand < best:
+                    best = cand
+                return
+            col, p = cols[j], pivots[j]
+            hp, base = col[p], cur[p]
+            t_lo = -((bound + base) // hp)
+            t_hi = (bound - base) // hp
+            for t in range(t_lo, t_hi + 1):
+                nodes += 1
+                if nodes > node_budget:
+                    raise CapacityError(f"coset search exceeded node budget {node_budget}")
+                nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, n)]
+                if any(abs(nxt[i]) > bound for i in range(p, next_pivot[j])):
+                    continue
+                dfs(j + 1, nxt)
+
+        dfs(0, xr)
+        return best
+
+    for bound in range(fixed_norm, b_hi + 1):
+        found = search(bound)
+        if found is not None:
+            return list(found[1]), nodes
+    return None, nodes
+
+
+@st.composite
+def coset_cases(draw):
+    """A small system's Smith form, a point of its solution coset and a box.
+
+    The point is the drawn solution or the Smith solution; small entries
+    make ties in (l1, tuple) common.
+    """
+    a = draw(smith_matrices())
+    x = draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+    snf = smith_decomposition(a)
+    if draw(st.booleans()):
+        x = snf.solve_with_obstruction(a.mul_vec(x))[0]
+    return x, snf, draw(st.integers(0, 6))
+
+
+class TestMaxnormCosetDifferential:
+    """Deepening over coset_min's cap gives the old search's answers, in no more nodes."""
+
+    def check(self, x, snf, box):
+        expected, nodes = maxnorm_coset_oracle(x, snf, box, 10 ** 6)
+        # the search raises as soon as it passes its budget, so succeeding on
+        # the oracle's node count shows it visits no more nodes
+        assert _maxnorm_coset_min(x, snf, box, nodes) == expected
+        return expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=coset_cases())
+    def test_matches_oracle(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("rows,x,box,expected", [
+        # x1 - x2 = 3: (1, -2) and (2, -1) tie on (max, l1) = (2, 3)
+        ([[1, -1]], [3, 0], 3, [1, -2]),
+        ([[1, -1]], [3, 0], 1, None),
+        ([[1, 1, 1]], [2, -1, 2], 0, None),
+        ([[1, 1, 1]], [2, -1, 2], 6, [1, 1, 1]),
+        # full column rank: the kernel is empty and x is the only solution
+        ([[1, 2], [3, 4]], [-1, 1], 0, None),
+        ([[1, 2], [3, 4]], [-1, 1], 1, [-1, 1]),
+    ], ids=["tie", "tie-box-too-small", "box-0", "box-6", "empty-kernel-box-0", "empty-kernel"])
+    def test_fixed_cases(self, rows, x, box, expected):
+        assert self.check(x, smith_decomposition(IntMatrix.from_rows(rows)), box) == expected
+
+    def test_budget_message(self):
+        snf = smith_decomposition(IntMatrix.from_rows([[1, -1]]))
+        with pytest.raises(CapacityError, match="^coset search exceeded node budget 0$"):
+            _maxnorm_coset_min([3, 0], snf, 3, 0)
 
 
 class TestHadamard:
