@@ -347,14 +347,12 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> IntMatrix:
     """Matrix of the boundary operator from k-chains to (k-1)-chains.
 
     Shape n_{k-1} x n_k, entries in {0, +-1}; column j is the boundary of
-    the j-th k-simplex in the canonical (lexicographic) bases.
+    the j-th k-simplex in the canonical (lexicographic) bases.  Built as
+    sparse rows on every call, uncached: ``filling.boundary_smith`` caches
+    the Smith form, which is all the pipeline reads.
     """
     if k < 1 or k > complex.dimension:
         raise DomainError(f"boundary matrix order {k} out of range")
-    key = ("bmat", k)
-    cached = complex._memo.get(key)
-    if cached is not None:
-        return cached
     n_rows = complex.n_simplices(k - 1)
     n_cols = complex.n_simplices(k)
     mat = IntMatrix.zeros(n_rows, n_cols)
@@ -363,9 +361,8 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> IntMatrix:
         for drop in range(len(s)):
             face = s[:drop] + s[drop + 1:]
             i = complex.index_of(k - 1, face)
-            mat._m[i][j] = sign
+            mat._r[i][j] = sign
             sign = -sign
-    complex._memo[key] = mat
     return mat
 
 

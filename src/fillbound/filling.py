@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .chains import Chain, SimplicialComplex, boundary_matrix, mass, path_chain
 from .errors import CapacityError, DomainError, InvariantError
@@ -223,6 +223,7 @@ def min_mass_fill(
     ``weights`` maps dimension -> per-simplex volumes (dimension 2 is the
     objective).  The optimum is certified by branch and bound over the
     solution coset; lexicographic tie-break on the coefficient vector.
+    A CapacityError's incumbent is an uncertified 2-chain with boundary z.
     """
     if z.dim != 1:
         raise DomainError("min_mass_fill expects a 1-chain")
@@ -249,8 +250,12 @@ def min_mass_fill(
         )
     if kernel:
         cols, pivots = column_echelon_basis(kernel, n2)
-        cost, best, _ = coset_min(xr, cols, pivots, w2, rel_tol, node_budget,
-                                  incumbent=(cost, best))
+        try:
+            cost, best, _ = coset_min(xr, cols, pivots, w2, rel_tol, node_budget,
+                                      incumbent=(cost, best))
+        except CapacityError as err:
+            err.incumbent = Chain.from_vector(2, err.incumbent)
+            raise
     return Chain.from_vector(2, best), cost
 
 
@@ -359,14 +364,13 @@ def hf1_profile(
     l_grid: Sequence[float],
     cycle_budget: int,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_cycle_edges: Optional[int] = None,
 ) -> Hf1Profile:
     """Lower estimate of HF1 on a grid of length thresholds.
 
     Requires trivial integer H1 (checked through the Smith forms of the two
     boundary operators).  The cycle family is every simple skeleton cycle up
     to an edge-count budget (derived from the grid, capped at
-    DEFAULT_MAX_CYCLE_EDGES unless overridden), plus integer multiples up to
+    DEFAULT_MAX_CYCLE_EDGES), plus integer multiples up to
     mass l (capped at x3).  A smaller family only lowers the estimate, which
     keeps its direction honest.
     """
@@ -378,11 +382,8 @@ def hf1_profile(
     w1 = weights[1]
     l_max = grid[-1]
     min_edge = min(w1) if len(w1) else 1.0
-    if max_cycle_edges is None:
-        derived = max(3, int(l_max / min_edge) + 1) if l_max > 0 else 3
-        max_edges = min(derived, DEFAULT_MAX_CYCLE_EDGES)
-    else:
-        max_edges = max(3, max_cycle_edges)
+    derived = max(3, int(l_max / min_edge) + 1) if l_max > 0 else 3
+    max_edges = min(derived, DEFAULT_MAX_CYCLE_EDGES)
     loops = enumerate_simple_cycles(complex, max_edges, cycle_budget)
 
     members: list[tuple[float, float]] = []  # (mass, exact fill mass)

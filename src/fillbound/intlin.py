@@ -6,13 +6,17 @@ form with unimodular transforms, integer solvability of ``A x = b``, exact
 minor enumeration, and the Borosh--Flahive--Rubin--Treybig / Hadamard
 small-solution bound used to certify fillings.
 
-The Smith form is computed by sparse elimination that replays the dense
-minimal-pivot rule exactly (same pivots, same row and column operations,
-same order), so its U, D and V are the dense routine's, which the tests
-keep as the differential oracle.  It is kept sparse: U and V as sparse
-columns and D as its diagonal, so a solve against a cached decomposition
-costs the nonzeros on the right-hand side's support.  The H1 verdict built
-on these decompositions is memoized per complex in ``filling``.
+``IntMatrix``, the one integer-matrix format, stores sparse rows (dicts of
+the nonzero entries); only rank, determinants and minors densify them.
+
+The Smith form is computed by sparse elimination on copies of those rows
+that replays the dense minimal-pivot rule exactly (same pivots, same row
+and column operations, same order), so its U, D and V are the dense
+routine's, which the tests keep as the differential oracle.  It is kept
+sparse: U and V as sparse columns and D as its diagonal, so a solve
+against a cached decomposition costs the nonzeros on the right-hand
+side's support.  The H1 verdict built on these decompositions is memoized
+per complex in ``filling``.
 
 ``coset_min`` is the one exact search over a solution coset x0 + ker(A):
 a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
@@ -41,9 +45,11 @@ DEFAULT_NODE_BUDGET = 2 * 10 ** 6
 
 
 class IntMatrix:
-    """Dense matrix of arbitrary-precision integers, row-major."""
+    """Integer matrix stored as sparse rows: row i is a dict {column: entry}
+    of its nonzero entries only, so equal matrices have equal rows.  Dense
+    algorithms (rank, determinants, minors) take ``to_rows()``."""
 
-    __slots__ = ("rows", "cols", "_m")
+    __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, rows: int, cols: int, entries: Optional[Sequence[int]] = None):
         if rows <= 0 or cols <= 0:
@@ -51,7 +57,7 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self._m = [[0] * cols for _ in range(rows)]
+            self._r = [{} for _ in range(rows)]
         else:
             entries = list(entries)
             if len(entries) != rows * cols:
@@ -61,7 +67,8 @@ class IntMatrix:
             for e in entries:
                 if not isinstance(e, int):
                     raise StructuralError(f"matrix entries must be int, got {type(e).__name__}")
-            self._m = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+            self._r = [{j: x for j, x in enumerate(entries[i:i + cols]) if x}
+                       for i in range(0, rows * cols, cols)]
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -78,7 +85,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         m = cls(n, n)
         for i in range(n):
-            m._m[i][i] = 1
+            m._r[i][i] = 1
         return m
 
     @classmethod
@@ -87,52 +94,49 @@ class IntMatrix:
 
     def __getitem__(self, ij) -> int:
         i, j = ij
-        return self._m[i][j]
+        return self._r[i].get(range(self.cols)[j], 0)  # j < 0 and IndexError as in a list
 
     def to_rows(self) -> list[list[int]]:
-        return [row[:] for row in self._m]
+        return [[row.get(j, 0) for j in range(self.cols)] for row in self._r]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise StructuralError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bt = list(zip(*other._m))
-        out = IntMatrix.__new__(IntMatrix)
-        out.rows, out.cols = self.rows, other.cols
-        out._m = [
-            [sum(a * b for a, b in zip(row, col) if a) for col in bt]
-            for row in self._m
-        ]
+        out = IntMatrix(self.rows, other.cols)
+        for row, acc in zip(self._r, out._r):
+            for k, a in row.items():
+                _axpy(acc, other._r[k], a)
         return out
 
     def mul_vec(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise StructuralError(f"vector length {len(vec)} != column count {self.cols}")
-        return [sum(a * b for a, b in zip(row, vec) if a) for row in self._m]
+        return [sum(a * vec[j] for j, a in row.items()) for row in self._r]
 
     def max_abs(self) -> int:
-        return max((abs(e) for row in self._m for e in row), default=0)
+        return max((abs(e) for row in self._r for e in row.values()), default=0)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for row in self._m for e in row)
+        return not any(self._r)
 
     def det(self) -> int:
         """Exact determinant by Bareiss fraction-free elimination."""
         if self.rows != self.cols:
             raise StructuralError("determinant of a non-square matrix")
-        return _bareiss_det([row[:] for row in self._m])
+        return _bareiss_det(self.to_rows())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._m == other._m
+            and self._r == other._r
         )
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self._m!r})"
+        return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()!r})"
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -161,7 +165,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 def rank(a: IntMatrix) -> int:
     """Exact rank over the rationals, by fraction-free elimination."""
-    m = [row[:] for row in a._m]
+    m = a.to_rows()
     nrows, ncols = a.rows, a.cols
     r = 0
     prev = 1
@@ -198,8 +202,8 @@ class SmithDecomposition:
 
     U and V are kept as sparse columns and D as its diagonal: on boundary
     matrices the transforms are a few percent nonzero, so a solve costs
-    what the right-hand side's support touches, not a dense product.  The
-    dense matrices are rebuilt on demand by ``u``, ``d`` and ``v``.
+    what the right-hand side's support touches, not a dense product.
+    ``u``, ``d`` and ``v`` rebuild the full matrices on demand.
 
     Each column is a pair of lists (row indices ascending, values).  Lists,
     not tuples: freed small tuples stay on CPython's per-size free lists,
@@ -219,26 +223,27 @@ class SmithDecomposition:
         self._kernel: Optional[list[list[int]]] = None
 
     @staticmethod
-    def _dense(n_rows: int, sparse_cols) -> IntMatrix:
+    def _from_columns(n_rows: int, sparse_cols) -> IntMatrix:
         m = IntMatrix(n_rows, len(sparse_cols))
         for j, (rows, vals) in enumerate(sparse_cols):
             for i, x in zip(rows, vals):
-                m._m[i][j] = x
+                m._r[i][j] = x
         return m
 
     @property
     def u(self) -> IntMatrix:
-        return self._dense(self.rows, self._u_cols)
+        return self._from_columns(self.rows, self._u_cols)
 
     @property
     def v(self) -> IntMatrix:
-        return self._dense(self.cols, self._v_cols)
+        return self._from_columns(self.cols, self._v_cols)
 
     @property
     def d(self) -> IntMatrix:
         m = IntMatrix(self.rows, self.cols)
         for i, x in enumerate(self.diagonal):
-            m._m[i][i] = x
+            if x:
+                m._r[i][i] = x
         return m
 
     def solve_with_obstruction(self, b: Sequence[int]):
@@ -314,15 +319,15 @@ def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
     order of the trailing block, of minimal |value|: per row, the minimum
     of (|x|, logical column), scanning rows in order until |x| = 1.
 
-    D's rows are dicts keyed by physical column, and a logical/physical
-    column permutation makes a column swap O(1); U is kept as sparse rows
-    and V as sparse columns.  Rows above the pivot are finished, so once
+    D starts as copies of ``a``'s rows, dicts keyed by physical column, and
+    a logical/physical column permutation makes a column swap O(1); U is
+    kept as sparse rows and V as sparse columns.  Rows above the pivot are finished, so once
     the pivot column is cleared below the pivot it is zero elsewhere, and a
     column operation changes only D[t][j]: its cost falls on V.  A unit
     pivot divides everything, so it skips the divisibility scan.
     """
     lrows, ncols = a.rows, a.cols
-    d = [{j: x for j, x in enumerate(row) if x} for row in a._m]
+    d = [dict(row) for row in a._r]
     u = [{i: 1} for i in range(lrows)]
     v = [{j: 1} for j in range(ncols)]
     phys = list(range(ncols))  # physical column at each logical position
@@ -438,7 +443,7 @@ def max_minor_abs(a: IntMatrix, m: int, budget: int = DEFAULT_MINOR_BUDGET) -> i
     if m == 1:
         return a.max_abs()
     best = 0
-    rows = a._m
+    rows = a.to_rows()
     for ris in itertools.combinations(range(a.rows), m):
         picked = [rows[i] for i in ris]
         for cjs in itertools.combinations(range(a.cols), m):
@@ -509,12 +514,7 @@ class BoundCertificate:
         return True
 
 
-def certify_small_solution(
-    a: IntMatrix,
-    b: Sequence[int],
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Optional[BoundCertificate]:
+def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCertificate]:
     """Build a BoundCertificate for a solvable system; None if unsolvable."""
     max_a = a.max_abs()
     max_b = max((abs(x) for x in b), default=0)
@@ -537,11 +537,11 @@ def certify_small_solution(
     bound_ceiling = bfrt_bound_ceiling(m, max_a, max_b)
     aug = IntMatrix.from_rows([row + [bi] for row, bi in zip(a.to_rows(), b)])
     try:
-        minor_max: Optional[int] = max_minor_abs(aug, m, budget=minor_budget)
+        minor_max: Optional[int] = max_minor_abs(aug, m)
     except CapacityError:
         minor_max = None
     box = minor_max if minor_max is not None else bound_ceiling
-    solution = _small_solution(a, b, snf, x0, box, node_budget)
+    solution = _small_solution(a, b, snf, x0, box, DEFAULT_NODE_BUDGET)
     return BoundCertificate(
         m=m,
         max_a=max_a,

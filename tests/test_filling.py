@@ -14,6 +14,7 @@ from fillbound.chains import (
     boundary,
     boundary_matrix,
     chain_from_simplices,
+    complete_complex,
     mass,
     path_chain,
 )
@@ -213,6 +214,26 @@ class TestMinMassFill:
             assert boundary(k, chain) == z
             assert m <= mass(w[2], fb_chain) + 1e-9
             checked += 1
+
+    def test_capacity_incumbent_is_a_fill(self):
+        # one case per raise: the coset search's node budget, and a kernel
+        # past MIN_MASS_MAX_KERNEL_DIM (complete_complex(8, 2): dimension 35)
+        ico = icosphere(1)
+        k8 = complete_complex(8, 2)
+        cases = [
+            (ico.complex, ico.volumes, Chain(2, {0: 1, 5: -1, 9: 2}).scale(3), 0),
+            (k8, {1: [1.0] * k8.n_simplices(1),
+                  2: [1.0 + 0.25 * (i % 4) for i in range(k8.n_simplices(2))]},
+             Chain(2, {0: 1, 7: -2, 30: 1}), 10 ** 6),
+        ]
+        for k, w, e, node_budget in cases:
+            z = boundary(k, e)
+            with pytest.raises(CapacityError) as info:
+                min_mass_fill(k, w, z, node_budget=node_budget)
+            incumbent = info.value.incumbent
+            assert isinstance(incumbent, Chain)
+            assert boundary(k, incumbent) == z
+            assert info.value.incumbent_cost == pytest.approx(mass(w[2], incumbent), rel=1e-12)
 
     def test_equality_on_single_triangle(self):
         w = {1: [1.0] * 3, 2: [2.5]}

@@ -82,6 +82,47 @@ class TestIntMatrix:
         assert a.det() == big * big
 
 
+def nested_rows(n_rows: int, n_cols: int):
+    """Plain nested lists, mostly zeros, with some entries beyond 64 bits."""
+    entry = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-10 ** 30, 10 ** 30))
+    return st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+class TestSparseRowsProperty:
+    """IntMatrix's sparse rows against the nested lists they stand for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_nested_lists(self, data):
+        r, c, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+        rows = data.draw(nested_rows(r, c))
+        other = data.draw(nested_rows(c, k))
+        vec = data.draw(st.lists(st.integers(-9, 9), min_size=c, max_size=c))
+        a, b = IntMatrix.from_rows(rows), IntMatrix.from_rows(other)
+        assert a.to_rows() == rows
+        assert [[a[i, j] for j in range(c)] for i in range(r)] == rows
+        assert a[-1, -1] == rows[-1][-1]
+        assert a.mul_vec(vec) == [sum(x * y for x, y in zip(row, vec)) for row in rows]
+        product = [[sum(rows[i][t] * other[t][j] for t in range(c)) for j in range(k)]
+                   for i in range(r)]
+        ab = a @ b
+        assert ab.to_rows() == product
+        assert ab == IntMatrix.from_rows(product)
+        assert a.max_abs() == max(abs(x) for row in rows for x in row)
+        zero = all(x == 0 for row in rows for x in row)
+        assert a.is_zero() == zero
+        assert (a == IntMatrix.zeros(r, c)) == zero
+        assert IntMatrix.from_rows([[0] * c for _ in range(r)]) == IntMatrix.zeros(r, c)
+        assert a == IntMatrix.from_rows([row[:] for row in rows])
+        assert a != IntMatrix.from_rows([row[:-1] + [row[-1] + 1] for row in rows])
+        for m in (a, ab, IntMatrix.zeros(r, c)):
+            assert all(0 not in row.values() for row in m._r)
+        n = min(r, c)
+        square = [row[:n] for row in rows[:n]]
+        assert IntMatrix.from_rows(square).det() == det_laplace(square)
+
+
 class TestRank:
     def test_identity(self):
         assert rank(IntMatrix.identity(3)) == 3
