@@ -63,6 +63,13 @@ def _require_nonnegative(option: str, value: float, below: float = math.inf):
         raise DomainError(f"{option} must be finite and in [0, {below:g}), got {value}")
 
 
+def _require_at_least(*checks: tuple[str, int, int]):
+    """Reject an integer option below its minimum, before any work."""
+    for option, value, low in checks:
+        if value < low:
+            raise DomainError(f"{option} must be at least {low}, got {value}")
+
+
 def _emit(path: Optional[str], text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -130,9 +137,9 @@ def cmd_fill(args) -> int:
 def cmd_hf1(args) -> int:
     _require_nonnegative("--l-max", args.l_max)
     _require_nonnegative("--tolerance", args.tolerance, below=1.0)
+    _require_at_least(("--steps", args.steps, 1), ("--cycle-budget", args.cycle_budget, 1))
     space = load_space(args.space)
-    steps = max(1, args.steps)
-    grid = [args.l_max * i / steps for i in range(steps + 1)]
+    grid = [args.l_max * i / args.steps for i in range(args.steps + 1)]
     diameter = skeleton_diameter(space)
     at_2d = 2.0 * diameter
     grid.append(at_2d)
@@ -173,10 +180,8 @@ def cmd_hf1(args) -> int:
 
 
 def cmd_bfrt_check(args) -> int:
-    for option, value, low in (("--trials", args.trials, 0), ("--m-max", args.m_max, 1),
-                               ("--n-max", args.n_max, 1), ("--max-entry", args.max_entry, 0)):
-        if value < low:
-            raise DomainError(f"{option} must be at least {low}, got {value}")
+    _require_at_least(("--trials", args.trials, 0), ("--m-max", args.m_max, 1),
+                      ("--n-max", args.n_max, 1), ("--max-entry", args.max_entry, 0))
     rng = random.Random(args.seed)
     results = []
     violations = 0
@@ -252,15 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_seed(p):
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="random seed (only bfrt-check draws randomness; accepted "
-                 "everywhere for interface uniformity)",
-        )
-
     gen = sub.add_parser("gen", help="write a generator space")
-    add_seed(gen)
     gen.add_argument(
         "--shape",
         required=True,
@@ -275,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     fill = sub.add_parser("fill", help="fill a cycle through the cover pipeline")
-    add_seed(fill)
     fill.add_argument("--space", required=True)
     fill.add_argument("--cycle", required=True)
     fill.add_argument("--radius", type=float, required=True)
@@ -289,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     fill.set_defaults(func=cmd_fill)
 
     hf1 = sub.add_parser("hf1", help="profile the filling function")
-    add_seed(hf1)
     hf1.add_argument("--space", required=True)
     hf1.add_argument("--l-max", type=float, required=True)
     hf1.add_argument("--steps", type=int, default=8)
@@ -304,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     bfrt.add_argument("--m-max", type=int, default=3)
     bfrt.add_argument("--n-max", type=int, default=8)
     bfrt.add_argument("--max-entry", type=int, default=3)
-    add_seed(bfrt)
+    bfrt.add_argument("--seed", type=int, default=0, help="seed of the random systems")
     bfrt.add_argument("--out", default=None)
     bfrt.add_argument("--verbose", action="store_true")
     bfrt.set_defaults(func=cmd_bfrt_check)

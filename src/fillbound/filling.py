@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 from .chains import Chain, SimplicialComplex, boundary_matrix, mass, path_chain
 from .errors import CapacityError, DomainError, InvariantError
 from .intlin import (
+    KERNEL_REDUCTION_MAX_DIM,
     SmithDecomposition,
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
@@ -24,7 +25,6 @@ from .intlin import (
     smith_decomposition,
 )
 
-KERNEL_REDUCTION_MAX_DIM = 8
 GREEDY_REDUCTION_MAX_WORK = 200_000
 MIN_MASS_MAX_KERNEL_DIM = 20
 DEFAULT_REL_TOL = 1e-9
@@ -134,8 +134,8 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
 
     Solvability is decided by the Smith form of the boundary matrix; the
     returned chain is the minimal max-norm solution of the system whenever
-    the homogeneous lattice has dimension <= 8, otherwise the Smith solution
-    after greedy lattice reduction.
+    the homogeneous lattice has dimension <= KERNEL_REDUCTION_MAX_DIM (8),
+    otherwise the Smith solution after greedy lattice reduction.
     """
     k = c_k.dim
     if k < 1:
@@ -182,8 +182,24 @@ def _cost(vec: Sequence[int], weights: Sequence[float]) -> float:
     return sum(abs(a) * weights[i] for i, a in enumerate(vec) if a)
 
 
-def _greedy_reduce_weighted(x: list[int], cols: list[list[int]],
+def _shifted(x: list[int], rows: list[int], vals: list[int], q: int) -> list[int]:
+    """x - q * col for the sparse column (rows, vals), as a new list."""
+    y = x[:]
+    for i, ci in zip(rows, vals):
+        y[i] -= q * ci
+    return y
+
+
+def _greedy_reduce_weighted(x: list[int], cols: list,
                             weights: Sequence[float]) -> list[int]:
+    """Lower sum_i w_i |x_i| by integer shifts along sparse kernel columns.
+
+    Each column in turn, until a pass changes nothing, takes the shift that
+    lowers the cost most, among the rounded quotients on its support and
+    their neighbours; a shift must beat the best so far by a relative 1e-12.
+    Every cost is a full re-sum in index order, so the float bits do not
+    depend on the column's support.
+    """
     x = x[:]
     if not cols:
         return x
@@ -191,22 +207,20 @@ def _greedy_reduce_weighted(x: list[int], cols: list[list[int]],
     improved = True
     while improved:
         improved = False
-        for col in cols:
-            candidates = {0}
-            for xi, ci in zip(x, col):
-                if ci:
-                    q = round(xi / ci)
-                    candidates.update((q - 1, q, q + 1))
+        for rows, vals in cols:
+            quotients = {round(x[i] / ci) for i, ci in zip(rows, vals)}
+            candidates = {q + d for q in quotients for d in (-1, 0, 1)}
+            candidates.add(0)
             best_q = 0
             for q in sorted(candidates):
                 if q == 0:
                     continue
-                trial_cost = _cost([xi - q * ci for xi, ci in zip(x, col)], weights)
+                trial_cost = _cost(_shifted(x, rows, vals, q), weights)
                 if trial_cost < best * (1 - 1e-12):
                     best = trial_cost
                     best_q = q
             if best_q:
-                x = [xi - best_q * ci for xi, ci in zip(x, col)]
+                x = _shifted(x, rows, vals, best_q)
                 improved = True
     return x
 
@@ -238,7 +252,7 @@ def min_mass_fill(
     x0, obstruction = snf.solve_with_obstruction(z.to_vector(n1))
     if x0 is None:
         raise DomainError(f"cycle does not bound: {obstruction}")
-    kernel = snf.kernel_basis()
+    kernel = snf.kernel_columns()
     xr = _greedy_reduce_weighted(x0, kernel, w2)
     cost, best = _cost(xr, w2), tuple(xr)
     if len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
@@ -249,9 +263,9 @@ def min_mass_fill(
             incumbent_cost=cost,
         )
     if kernel:
-        cols, pivots = column_echelon_basis(kernel, n2)
+        cols = column_echelon_basis(kernel)
         try:
-            cost, best, _ = coset_min(xr, cols, pivots, w2, rel_tol, node_budget,
+            cost, best, _ = coset_min(xr, cols, w2, rel_tol, node_budget,
                                       incumbent=(cost, best))
         except CapacityError as err:
             err.incumbent = Chain.from_vector(2, err.incumbent)

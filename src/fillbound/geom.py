@@ -280,11 +280,9 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
     centers: list[int] = []
     kinds: list[str] = []
 
-    def add_set(center: int, label: str, verts: list[int]):
-        members = set(verts)
-        allowed = frozenset(verts)
-        tree = shortest_path_tree(adj, center, allowed=allowed)
-        ball = {v for v in members if v in tree and tree[v][0] <= 2.0 * radius + 1e-12}
+    def add_set(center: int, label: str, tree: dict):
+        """The cover set of ``center``, from its shortest-path tree in its region."""
+        ball = {v for v, (d, _) in tree.items() if d <= 2.0 * radius + 1e-12}
         if (
             space.radial is not None
             and label
@@ -325,7 +323,7 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
             region_centers.append(far_v)
             relax(far_v)
         for c in region_centers:
-            add_set(c, label, verts)
+            add_set(c, label, trees[c])
 
     covered = set()
     for s in sets:
@@ -334,7 +332,7 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
     while missing:
         v = missing[0]
         label = space.region[v] if space.region is not None else ""
-        add_set(v, label, regions[label])
+        add_set(v, label, shortest_path_tree(adj, v, allowed=frozenset(regions[label])))
         covered.update(sets[-1])
         missing = sorted(u for u in range(k.n_vertices) if u not in covered)
 

@@ -7,7 +7,7 @@ minor enumeration, and the Borosh--Flahive--Rubin--Treybig / Hadamard
 small-solution bound used to certify fillings.
 
 ``IntMatrix``, the one integer-matrix format, stores sparse rows (dicts of
-the nonzero entries); only rank, determinants and minors densify them.
+the nonzero entries); only rank and minors densify them.
 
 The Smith form is computed by sparse elimination on copies of those rows
 that replays the dense minimal-pivot rule exactly (same pivots, same row
@@ -17,6 +17,10 @@ sparse: U and V as sparse columns and D as its diagonal, so a solve
 against a cached decomposition costs the nonzeros on the right-hand
 side's support.  The H1 verdict built on these decompositions is memoized
 per complex in ``filling``.
+
+A kernel has one format: sparse columns (rows ascending, values), as
+``SmithDecomposition.kernel_columns`` hands them out.  The greedy
+reductions, ``column_echelon_basis`` and ``coset_min`` all take it.
 
 ``coset_min`` is the one exact search over a solution coset x0 + ker(A):
 a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
@@ -42,12 +46,14 @@ from .errors import CapacityError, DomainError, StructuralError
 
 DEFAULT_MINOR_BUDGET = 27 * 10 ** 6  # multiply-adds: 10^6 minors of order 3
 DEFAULT_NODE_BUDGET = 2 * 10 ** 6
+# the largest kernel dimension that the exact max-norm coset search takes on
+KERNEL_REDUCTION_MAX_DIM = 8
 
 
 class IntMatrix:
     """Integer matrix stored as sparse rows: row i is a dict {column: entry}
     of its nonzero entries only, so equal matrices have equal rows.  Dense
-    algorithms (rank, determinants, minors) take ``to_rows()``."""
+    algorithms (rank, minors) take ``to_rows()``."""
 
     __slots__ = ("rows", "cols", "_r")
 
@@ -82,13 +88,6 @@ class IntMatrix:
         return cls(len(data), cols, flat)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m._r[i][i] = 1
-        return m
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols)
 
@@ -98,17 +97,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [[row.get(j, 0) for j in range(self.cols)] for row in self._r]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise StructuralError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out = IntMatrix(self.rows, other.cols)
-        for row, acc in zip(self._r, out._r):
-            for k, a in row.items():
-                _axpy(acc, other._r[k], a)
-        return out
 
     def mul_vec(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
@@ -120,12 +108,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._r)
-
-    def det(self) -> int:
-        """Exact determinant by Bareiss fraction-free elimination."""
-        if self.rows != self.cols:
-            raise StructuralError("determinant of a non-square matrix")
-        return _bareiss_det(self.to_rows())
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,8 +184,9 @@ class SmithDecomposition:
 
     U and V are kept as sparse columns and D as its diagonal: on boundary
     matrices the transforms are a few percent nonzero, so a solve costs
-    what the right-hand side's support touches, not a dense product.
-    ``u``, ``d`` and ``v`` rebuild the full matrices on demand.
+    what the right-hand side's support touches, not a dense product.  The
+    last columns of V, from ``rank`` on, are the kernel; ``kernel_columns``
+    is its only accessor, and nothing is cached on the object.
 
     Each column is a pair of lists (row indices ascending, values).  Lists,
     not tuples: freed small tuples stay on CPython's per-size free lists,
@@ -211,7 +194,7 @@ class SmithDecomposition:
     capped_prism(6, 2) rose by 1.2-1.6 MB.
     """
 
-    __slots__ = ("rows", "cols", "diagonal", "rank", "_u_cols", "_v_cols", "_kernel")
+    __slots__ = ("rows", "cols", "diagonal", "rank", "_u_cols", "_v_cols")
 
     def __init__(self, diagonal: Sequence[int], u_cols: list, v_cols: list):
         self.rows = len(u_cols)
@@ -220,31 +203,6 @@ class SmithDecomposition:
         self.rank = sum(1 for x in self.diagonal if x != 0)
         self._u_cols = u_cols
         self._v_cols = v_cols
-        self._kernel: Optional[list[list[int]]] = None
-
-    @staticmethod
-    def _from_columns(n_rows: int, sparse_cols) -> IntMatrix:
-        m = IntMatrix(n_rows, len(sparse_cols))
-        for j, (rows, vals) in enumerate(sparse_cols):
-            for i, x in zip(rows, vals):
-                m._r[i][j] = x
-        return m
-
-    @property
-    def u(self) -> IntMatrix:
-        return self._from_columns(self.rows, self._u_cols)
-
-    @property
-    def v(self) -> IntMatrix:
-        return self._from_columns(self.cols, self._v_cols)
-
-    @property
-    def d(self) -> IntMatrix:
-        m = IntMatrix(self.rows, self.cols)
-        for i, x in enumerate(self.diagonal):
-            if x:
-                m._r[i][i] = x
-        return m
 
     def solve_with_obstruction(self, b: Sequence[int]):
         """Solve A x = b; on failure return (None, reason string).
@@ -285,18 +243,6 @@ class SmithDecomposition:
     def kernel_columns(self) -> list:
         """Sparse columns (rows, values) of V spanning ker(A) over the integers."""
         return self._v_cols[self.rank:]
-
-    def kernel_basis(self) -> list[list[int]]:
-        """Dense columns of V spanning ker(A) over the integers (cached)."""
-        if self._kernel is None:
-            kernel = []
-            for rows, vals in self.kernel_columns():
-                col = [0] * self.cols
-                for i, x in zip(rows, vals):
-                    col[i] = x
-                kernel.append(col)
-            self._kernel = kernel
-        return self._kernel
 
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
@@ -559,40 +505,40 @@ def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCert
 # Coset search: minimal max-norm representatives of x0 + ker(A)
 
 
-def column_echelon_basis(cols: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
-    """Column-echelon form of a lattice basis via unimodular column ops.
+def column_echelon_basis(cols: list) -> list:
+    """Column-echelon form of a lattice basis of sparse columns.
 
-    Returns (columns, pivot_rows); column j has its first nonzero (positive)
-    entry at pivot_rows[j], strictly increasing.  The span is unchanged.
+    Unimodular column operations, in the dense routine's order (the tests
+    keep that routine as the oracle), leave each column's first row, its
+    pivot, positive and below the previous column's pivot.  The span is
+    unchanged.  Columns and result are (rows ascending, values); a column
+    that no operation touches is passed through, and ``_axpy`` rebuilds
+    one that a reduction changes.
     """
-    work = [c[:] for c in cols]
-    t = 0
-    for row in range(n):
-        if t == len(work):
-            break
-        live = [j for j in range(t, len(work)) if work[j][row] != 0]
-        if not live:
-            continue
+    work = list(cols)
+    for t in range(len(work)):
+        # columns t.. are zero above their least first row, the next pivot row
+        row = min(work[j][0][0] for j in range(t, len(work)))
+        live = [j for j in range(t, len(work)) if work[j][0][0] == row]
         while len(live) > 1:
-            live.sort(key=lambda j: (abs(work[j][row]), j))
+            live.sort(key=lambda j: (abs(work[j][1][0]), j))
             j0 = live[0]
-            base = work[j0]
-            pivot_val = base[row]
+            base = dict(zip(*work[j0]))
+            pivot_val = work[j0][1][0]
             for j in live[1:]:
-                q = work[j][row] // pivot_val
+                q = work[j][1][0] // pivot_val
                 if q:
-                    work[j] = [a - q * b for a, b in zip(work[j], base)]
-            live = [j for j in live if work[j][row] != 0]
+                    col = dict(zip(*work[j]))
+                    _axpy(col, base, -q)
+                    rows = sorted(col)
+                    work[j] = (rows, [col[i] for i in rows])
+            live = [j for j in live if work[j][0][0] == row]
         j0 = live[0]
         work[t], work[j0] = work[j0], work[t]
-        if work[t][row] < 0:
-            work[t] = [-x for x in work[t]]
-        t += 1
-    pivots = []
-    for col in work:
-        p = next(i for i, x in enumerate(col) if x != 0)
-        pivots.append(p)
-    return work, pivots
+        rows, vals = work[t]
+        if vals[0] < 0:
+            work[t] = (rows, [-x for x in vals])
+    return work
 
 
 def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
@@ -644,8 +590,7 @@ def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
 
 def coset_min(
     x: list[int],
-    cols: list[list[int]],
-    pivots: list[int],
+    cols: list,
     weights: Sequence,
     rel_tol: float,
     node_budget: int,
@@ -654,10 +599,11 @@ def coset_min(
 ) -> tuple:
     """Minimum of sum_i w_i |y_i| over y in x + span(cols), ties lexicographic.
 
-    Branch and bound over a column-echelon basis (``column_echelon_basis``):
-    once the shifts of columns 0..j are fixed, rows pivots[j] up to the next
-    pivot are final, so their cost is charged at depth j.  Each shift t is
-    tried outward from the one minimizing |y_p|, so pruning bites early.
+    Branch and bound over the sparse columns of a column-echelon basis
+    (``column_echelon_basis``), each pivoting on its first row: once the
+    shifts of columns 0..j are fixed, rows from column j's pivot up to the
+    next pivot are final, so their cost is charged at depth j.  Each shift t
+    is tried outward from the one minimizing |y_p|, so pruning bites early.
     Costs within rel_tol * (1 + |cost|) of the best tie and the smaller
     tuple wins; with integer weights and rel_tol = 0 every comparison is
     exact while costs stay below 2^53.  With ``cap`` set, every |y_i| must be
@@ -665,12 +611,24 @@ def coset_min(
     caller's to check.  ``incumbent`` is a known (cost, tuple) to beat; one of
     ``cap`` and ``incumbent`` must be given.
 
+    Each column is spread into a dense list once per call, so that a node is
+    rebuilt by one list comprehension: updating only the support, entry by
+    entry, is slower on the full-support fundamental class of a closed
+    surface, the kernel that most minimum-mass fills search.
+
     Returns (cost, tuple, nodes): the best candidate, or the incumbent (or
     (None, None)) when nothing beats it, and the number of nodes visited.
     Raises CapacityError carrying the incumbent after ``node_budget`` nodes.
     """
     n = len(x)
     r = len(cols)
+    pivots = [rows[0] for rows, _ in cols]
+    dense = []
+    for rows, vals in cols:
+        col = [0] * n
+        for i, v in zip(rows, vals):
+            col[i] = v
+        dense.append(col)
     next_pivot = pivots[1:] + [n]
     best_cost, best_vec = incumbent if incumbent is not None else (None, None)
     nodes = 0
@@ -685,7 +643,7 @@ def coset_min(
                   and tuple(cur) < best_vec):
                 best_vec = tuple(cur)
             return
-        col = cols[j]
+        col = dense[j]
         p = pivots[j]
         hp = col[p]
         base = cur[p]
@@ -736,18 +694,18 @@ def _maxnorm_coset_min(
     """Minimal (max-norm, l1, lexicographic) element of x0 + ker(A), if any
     lies in the box [-box, box]^n.  Exact by iterative deepening on the cap
     of ``coset_min``, with unit weights, which share one node budget."""
-    n = len(x0)
-    xr = _greedy_reduce_maxnorm(x0, snf.kernel_columns())
-    if not snf.kernel_columns():
+    kernel = snf.kernel_columns()
+    xr = _greedy_reduce_maxnorm(x0, kernel)
+    if not kernel:
         return xr if max(map(abs, xr), default=0) <= box else None
-    cols, pivots = column_echelon_basis(snf.kernel_basis(), n)
+    cols = column_echelon_basis(kernel)
     # rows above the first pivot cannot be changed by any lattice shift
-    fixed_norm = max((abs(xr[i]) for i in range(pivots[0])), default=0)
-    unit = [1] * n
+    fixed_norm = max((abs(xr[i]) for i in range(cols[0][0][0])), default=0)
+    unit = [1] * len(xr)
     used = 0
     for cap in range(fixed_norm, min(box, max(map(abs, xr), default=0)) + 1):
         try:
-            _, found, nodes = coset_min(xr, cols, pivots, unit, 0, node_budget - used, cap=cap)
+            _, found, nodes = coset_min(xr, cols, unit, 0, node_budget - used, cap=cap)
         except CapacityError:
             raise CapacityError(f"coset search exceeded node budget {node_budget}") from None
         if found is not None:
@@ -768,12 +726,12 @@ def _small_solution(
     lexicographic order, given the Smith form of ``a`` and one solution x0;
     None iff no solution lies in [-budget_box, budget_box]^n."""
     kernel_dim = len(snf.kernel_columns())
-    if kernel_dim > 8:
+    if kernel_dim > KERNEL_REDUCTION_MAX_DIM:
         # fall back to direct box enumeration when it fits the budget
         width = 2 * budget_box + 1
         if width ** a.cols > node_budget:
             raise CapacityError(
-                f"kernel dimension {kernel_dim} > 8 and box of size "
+                f"kernel dimension {kernel_dim} > {KERNEL_REDUCTION_MAX_DIM} and box of size "
                 f"{width}^{a.cols} exceeds the enumeration budget"
             )
         return _box_enumerate(a, list(b), budget_box)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fillbound.chains import Chain, SimplicialComplex, boundary
-from fillbound.intlin import IntMatrix
+from fillbound.intlin import IntMatrix, _axpy, _bareiss_det
 
 
 def random_complex(rng: random.Random, max_vertices: int = 10, min_vertices: int = 4,
@@ -51,6 +51,26 @@ def det_laplace(rows) -> int:
             total += sign * rows[0][j] * det_laplace(minor)
         sign = -sign
     return total
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a @ b, accumulated on the sparse rows."""
+    assert a.cols == b.rows
+    out = IntMatrix(a.rows, b.cols)
+    for row, acc in zip(a._r, out._r):
+        for k, x in row.items():
+            _axpy(acc, b._r[k], x)
+    return out
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant of a square matrix, by the library's Bareiss elimination."""
+    assert m.rows == m.cols
+    return _bareiss_det(m.to_rows())
 
 
 def box_search_best(a: IntMatrix, b, radius: int):

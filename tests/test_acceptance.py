@@ -29,7 +29,7 @@ from fillbound.geom import (
 from fillbound.intlin import IntMatrix, certify_small_solution
 from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, tetra_boundary
 
-from conftest import random_boundary, random_complex
+from conftest import det, random_boundary, random_complex
 from test_geom import _random_cycle, cycle_from_loop
 
 sys.setrecursionlimit(100000)
@@ -98,7 +98,7 @@ def test_criterion_3_hadamard_inequality():
     for _ in range(1000):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        d = IntMatrix.from_rows(rows).det()
+        d = det(IntMatrix.from_rows(rows))
         prod = 1
         for col in zip(*rows):
             prod *= sum(x * x for x in col)

@@ -1,8 +1,9 @@
 """The benchmark's per-layer tracer still finds what it wraps in the library.
 
 ``perfbench/tracer.py`` looks its functions up by name and reads the
-``rows``/``cols`` of the Smith form's argument, so a renamed function or a
-changed matrix type would break ``perfbench/run.py --trace 1`` without any
+``rows``/``cols`` of the Smith form's argument and the ``rank_used`` of a
+fill's certificate, so a renamed function, a changed matrix type or a
+changed certificate would break ``perfbench/run.py --trace 1`` without any
 other test noticing.
 """
 
@@ -10,6 +11,8 @@ import importlib.util
 from pathlib import Path
 
 from fillbound import filling
+from fillbound.chains import Chain, boundary
+from fillbound.geom import ball_cover, nerve
 from fillbound.shapes import octahedron
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -35,3 +38,21 @@ def test_tracer_counts_smith_shape_of_h1_check():
     assert tracer.counters["intlin.smith_decomposition.max_cols"] == 8
     assert [span[0] for span in tracer.spans][:2] == [
         "filling.h1_is_trivial", "intlin.smith_decomposition"]
+
+
+def test_tracer_counts_kernel_dim_of_nerve_fill():
+    k = nerve(ball_cover(octahedron(), 0.8))
+    z = boundary(k, Chain(2, {0: 1, 7: -2}))
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        tracer.enabled = True
+        filled, _ = filling.fill_boundary(k, z)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    assert boundary(k, filled) == z
+    kernel_dim = len(filling.boundary_smith(k, 2).kernel_columns())
+    assert kernel_dim == 10
+    assert tracer.counters["intlin.kernel_dim"] == kernel_dim
+    assert "filling.fill_boundary" in [span[0] for span in tracer.spans]

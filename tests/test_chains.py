@@ -19,7 +19,7 @@ from fillbound.chains import (
 from fillbound.errors import DomainError, StructuralError
 from fillbound.shapes import icosphere
 
-from conftest import random_chain, random_complex
+from conftest import matmul, random_chain, random_complex
 
 
 TRIANGLE = SimplicialComplex.from_simplices([(0, 1, 2)])
@@ -211,7 +211,7 @@ class TestInvariants:
             k = random_complex(rng, max_vertices=9)
             if k.dimension < 2:
                 continue
-            prod = boundary_matrix(k, 1) @ boundary_matrix(k, 2)
+            prod = matmul(boundary_matrix(k, 1), boundary_matrix(k, 2))
             assert prod.is_zero()
 
     def test_chain_traversal_matches_matrix(self):

@@ -330,6 +330,10 @@ class TestInputContracts:
         ["fill", "--radius", "inf"],
         ["fill", "--radius", "nan"],
         ["fill", "--radius", "-1"],
+        ["hf1", "--l-max", "2", "--steps", "0"],
+        ["hf1", "--l-max", "2", "--steps", "-3"],
+        ["hf1", "--l-max", "2", "--cycle-budget", "0"],
+        ["hf1", "--l-max", "2", "--cycle-budget", "-5"],
     ])
     def test_rejected_before_work(self, tmp_path, ico_files, capsys, monkeypatch, extra):
         import fillbound.cli
@@ -348,6 +352,25 @@ class TestInputContracts:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_hf1_limits_of_one_accepted(self, octa_files, capsys):
+        _, space_path, _ = octa_files
+        assert main(["hf1", "--space", space_path, "--l-max", "2",
+                     "--steps", "1", "--cycle-budget", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [l for l, _ in doc["samples"]][:2] == [0.0, 2.0]
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--shape", "octahedron"],
+        ["fill", "--space", "s.json", "--cycle", "c.json", "--radius", "0.8"],
+        ["hf1", "--space", "s.json", "--l-max", "2"],
+    ], ids=["gen", "fill", "hf1"])
+    def test_seed_only_on_bfrt_check(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "error: fillbound: unrecognized arguments: --seed 1\n"
 
     def test_zero_tolerance_accepted(self, tmp_path, ico_files):
         space_path, cycle_path = ico_files

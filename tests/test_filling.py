@@ -36,7 +36,7 @@ from fillbound.shapes import icosphere
 
 from conftest import random_boundary, random_complex
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
-from test_intlin import smith_matrices
+from test_intlin import dense_column, dense_echelon_oracle, smith_matrices
 
 
 def heron(p, q, r):
@@ -243,19 +243,51 @@ class TestMinMassFill:
         assert mass(w[2], fb_chain) == pytest.approx(m, rel=1e-12)
 
 
+def greedy_weighted_oracle(x, cols, weights):
+    """The weighted greedy reduction on dense columns, as it ran before they were sparse."""
+    x = x[:]
+    if not cols:
+        return x
+    best = _cost(x, weights)
+    improved = True
+    while improved:
+        improved = False
+        for col in cols:
+            candidates = {0}
+            for xi, ci in zip(x, col):
+                if ci:
+                    q = round(xi / ci)
+                    candidates.update((q - 1, q, q + 1))
+            best_q = 0
+            for q in sorted(candidates):
+                if q == 0:
+                    continue
+                trial_cost = _cost([xi - q * ci for xi, ci in zip(x, col)], weights)
+                if trial_cost < best * (1 - 1e-12):
+                    best = trial_cost
+                    best_q = q
+            if best_q:
+                x = [xi - best_q * ci for xi, ci in zip(x, col)]
+                improved = True
+    return x
+
+
 def weighted_coset_oracle(x0, kernel, weights, rel_tol, node_budget):
     """The branch and bound that min_mass_fill ran before coset_min, counting nodes.
 
-    Returns (vector, cost, nodes); raises CapacityError carrying the
-    incumbent, as min_mass_fill does, once ``node_budget`` nodes are used.
+    Takes sparse kernel columns and works on dense copies of them, with the
+    dense greedy start and echelon form.  Returns (vector, cost, nodes);
+    raises CapacityError carrying the incumbent, as min_mass_fill does, once
+    ``node_budget`` nodes are used.
     """
     n = len(x0)
-    xr = _greedy_reduce_weighted(x0, kernel, weights)
+    kernel = [dense_column(col, n) for col in kernel]
+    xr = greedy_weighted_oracle(x0, kernel, weights)
     best_vec = tuple(xr)
     best_cost = _cost(xr, weights)
     if not kernel:
         return list(best_vec), best_cost, 0
-    cols, pivots = column_echelon_basis(kernel, n)
+    cols, pivots = dense_echelon_oracle(kernel, n)
     r = len(cols)
     next_pivot = pivots[1:] + [n]
     fixed_cost = sum(abs(xr[i]) * weights[i] for i in range(pivots[0]))
@@ -308,9 +340,8 @@ def weighted_coset_min(x0, kernel, weights, rel_tol, node_budget):
     cost, best = _cost(xr, weights), tuple(xr)
     nodes = 0
     if kernel:
-        cols, pivots = column_echelon_basis(kernel, len(x0))
-        cost, best, nodes = coset_min(xr, cols, pivots, weights, rel_tol, node_budget,
-                                      incumbent=(cost, best))
+        cost, best, nodes = coset_min(xr, column_echelon_basis(kernel), weights, rel_tol,
+                                      node_budget, incumbent=(cost, best))
     return list(best), cost, nodes
 
 
@@ -338,7 +369,7 @@ def weighted_coset_cases(draw):
     weights = draw(st.lists(weight, min_size=a.cols, max_size=a.cols))
     rel_tol = draw(st.sampled_from([fillbound.filling.DEFAULT_REL_TOL, 0.0, 1e-6]))
     budget = draw(st.sampled_from([10 ** 5, 10 ** 5, 20, 1]))
-    return x, snf.kernel_basis(), weights, rel_tol, budget
+    return x, snf.kernel_columns(), weights, rel_tol, budget
 
 
 class TestWeightedCosetDifferential:
@@ -360,7 +391,7 @@ class TestWeightedCosetDifferential:
             w = {1: [1.0] * k.n_simplices(1), 2: [rng.choice(NEAR_TIE_WEIGHTS) for _ in range(n2)]}
             snf = boundary_smith(k, 2)
             x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
-            vec, cost, _ = weighted_coset_oracle(x0, snf.kernel_basis(), w[2],
+            vec, cost, _ = weighted_coset_oracle(x0, snf.kernel_columns(), w[2],
                                                  fillbound.filling.DEFAULT_REL_TOL, 10 ** 6)
             assert min_mass_fill(k, w, z) == (Chain.from_vector(2, vec), cost)
             checked += 1

@@ -150,6 +150,30 @@ class TestBallCover:
         with pytest.raises(DomainError):
             ball_cover(OCTA, 0.0)
 
+    @pytest.mark.parametrize("space,radius,n_centers", [
+        (icosphere(2), 0.8, 15), (capped_prism(6, 2), 1.2, 9), (OCTA, 0.8, 6),
+        # a neck path 0 - 1 - 2 - 3 - 4 whose middle vertex is radially far away:
+        # the slab trims it from the sets of centers 1 and 3, so it is a leftover
+        (MetricComplex(
+            complex=SimplicialComplex.from_simplices([(0, 1), (1, 2), (2, 3), (3, 4)]),
+            coords=tuple((float(i),) for i in range(5)),
+            radial=(0.0, 0.0, 10.0, 0.0, 0.0),
+            region=("a", "neck", "neck", "neck", "b")), 1.0, 5),
+    ], ids=["icosphere2", "capped_prism", "octahedron", "leftover-center"])
+    def test_one_shortest_path_tree_per_center(self, monkeypatch, space, radius, n_centers):
+        import fillbound.geom
+
+        calls = []
+
+        def counted(adj, source, allowed=None):
+            calls.append(source)
+            return shortest_path_tree(adj, source, allowed=allowed)
+
+        monkeypatch.setattr(fillbound.geom, "shortest_path_tree", counted)
+        cover = ball_cover(space, radius)
+        assert len(cover.centers) == n_centers
+        assert sorted(calls) == sorted(cover.centers)
+
 
 class TestNerve:
     def test_disjoint_sets(self):

@@ -22,13 +22,29 @@ from fillbound.chains import boundary_matrix
 from fillbound.geom import ball_cover, nerve
 from fillbound.shapes import capped_prism, icosphere, octahedron
 
-from conftest import box_search_best, det_laplace, squared_norm
+from conftest import box_search_best, det, det_laplace, identity, matmul, squared_norm
+
+
+def dense_transforms(snf) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V) of a SmithDecomposition as full matrices, from its sparse columns."""
+
+    def from_columns(n_rows, cols):
+        m = IntMatrix(n_rows, len(cols))
+        for j, (rows, vals) in enumerate(cols):
+            for i, x in zip(rows, vals):
+                m._r[i][j] = x
+        return m
+
+    d = IntMatrix(snf.rows, snf.cols)
+    for i, x in enumerate(snf.diagonal):
+        if x:
+            d._r[i][i] = x
+    return from_columns(snf.rows, snf._u_cols), d, from_columns(snf.cols, snf._v_cols)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U @ A @ V = D in Smith normal form."""
-    snf = smith_decomposition(a)
-    return snf.u, snf.d, snf.v
+    return dense_transforms(smith_decomposition(a))
 
 
 def solve_integer(a: IntMatrix, b) -> list[int] | None:
@@ -67,19 +83,19 @@ class TestIntMatrix:
     def test_matmul_and_vec(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert (a @ b) == IntMatrix.from_rows([[2, 1], [4, 3]])
+        assert matmul(a, b) == IntMatrix.from_rows([[2, 1], [4, 3]])
         assert a.mul_vec([1, -1]) == [-1, -1]
 
     def test_det_against_laplace(self, rng):
         for _ in range(150):
             n = rng.randint(1, 5)
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            assert IntMatrix.from_rows(rows).det() == det_laplace(rows)
+            assert det(IntMatrix.from_rows(rows)) == det_laplace(rows)
 
     def test_big_integers_survive(self):
         big = 10 ** 40
         a = IntMatrix.from_rows([[big, 1], [0, big]])
-        assert a.det() == big * big
+        assert det(a) == big * big
 
 
 def nested_rows(n_rows: int, n_cols: int):
@@ -106,7 +122,7 @@ class TestSparseRowsProperty:
         assert a.mul_vec(vec) == [sum(x * y for x, y in zip(row, vec)) for row in rows]
         product = [[sum(rows[i][t] * other[t][j] for t in range(c)) for j in range(k)]
                    for i in range(r)]
-        ab = a @ b
+        ab = matmul(a, b)
         assert ab.to_rows() == product
         assert ab == IntMatrix.from_rows(product)
         assert a.max_abs() == max(abs(x) for row in rows for x in row)
@@ -120,12 +136,12 @@ class TestSparseRowsProperty:
             assert all(0 not in row.values() for row in m._r)
         n = min(r, c)
         square = [row[:n] for row in rows[:n]]
-        assert IntMatrix.from_rows(square).det() == det_laplace(square)
+        assert det(IntMatrix.from_rows(square)) == det_laplace(square)
 
 
 class TestRank:
     def test_identity(self):
-        assert rank(IntMatrix.identity(3)) == 3
+        assert rank(identity(3)) == 3
 
     def test_zero(self):
         assert rank(IntMatrix.zeros(3, 4)) == 0
@@ -158,42 +174,43 @@ class TestSmithNormalForm:
         a = IntMatrix.from_rows([[2, 0], [0, 3]])
         u, d, v = smith_normal_form(a)
         assert d == IntMatrix.from_rows([[1, 0], [0, 6]])
-        assert u @ a @ v == d
+        assert matmul(matmul(u, a), v) == d
         assert abs(det_laplace(u.to_rows())) == 1
         assert abs(det_laplace(v.to_rows())) == 1
 
     def test_identity(self):
-        a = IntMatrix.identity(3)
+        a = identity(3)
         u, d, v = smith_normal_form(a)
-        assert d == IntMatrix.identity(3)
-        assert u @ a @ v == d
+        assert d == identity(3)
+        assert matmul(matmul(u, a), v) == d
 
     def test_zero_1x1(self):
         u, d, v = smith_normal_form(IntMatrix.from_rows([[0]]))
         assert d == IntMatrix.from_rows([[0]])
-        assert u @ IntMatrix.from_rows([[0]]) @ v == d
+        assert matmul(matmul(u, IntMatrix.from_rows([[0]])), v) == d
 
     def test_validity_randomized(self, rng):
         for _ in range(200):
             a = random_matrix(rng)
             snf = smith_decomposition(a)
-            assert snf.u @ a @ snf.v == snf.d
-            assert abs(snf.u.det()) == 1
-            assert abs(snf.v.det()) == 1
+            u, d, v = dense_transforms(snf)
+            assert matmul(matmul(u, a), v) == d
+            assert abs(det(u)) == 1
+            assert abs(det(v)) == 1
             diag = snf.diagonal
             for i in range(len(diag)):
                 assert diag[i] >= 0
                 if i + 1 < len(diag) and diag[i + 1] != 0:
                     assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            for i in range(snf.d.rows):
-                for j in range(snf.d.cols):
+            for i in range(d.rows):
+                for j in range(d.cols):
                     if i != j:
-                        assert snf.d[i, j] == 0
+                        assert d[i, j] == 0
 
 
 class TestSolveInteger:
     def test_identity(self):
-        assert solve_integer(IntMatrix.identity(2), [3, -5]) == [3, -5]
+        assert solve_integer(identity(2), [3, -5]) == [3, -5]
 
     def test_parity_obstruction(self):
         assert solve_integer(IntMatrix.from_rows([[2]]), [1]) is None
@@ -209,7 +226,7 @@ class TestSolveInteger:
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
-            solve_integer(IntMatrix.identity(2), [1, 2, 3])
+            solve_integer(identity(2), [1, 2, 3])
 
     def test_round_trip_randomized(self, rng):
         for _ in range(500):
@@ -249,7 +266,7 @@ class TestSolveInteger:
                 else:
                     continue  # surjective onto Z^l, every b solvable
             # b = U^{-1} c makes the transformed rhs exactly c
-            uinv = _unimodular_inverse(snf.u)
+            uinv = _unimodular_inverse(dense_transforms(snf)[0])
             b = uinv.mul_vec(c)
             assert solve_integer(a, b) is None
             assert box_search_best(a, b, 10) is None
@@ -258,7 +275,7 @@ class TestSolveInteger:
 
 def dense_solve_oracle(snf, b):
     """The dense U b / V y solve that the sparse transforms replaced."""
-    u, d, v = snf.u, snf.d, snf.v
+    u, d, v = dense_transforms(snf)
     lrows, ncols = u.rows, v.rows
     c = u.mul_vec(list(b))
     y = [0] * ncols
@@ -452,27 +469,18 @@ class TestSparseSolveDifferential:
             assert x is None and phrase in reason
             assert (x, reason) == dense_solve_oracle(snf, b)
 
-    def test_kernel_basis_is_cached_dense_v_columns(self, rng):
-        for _ in range(50):
-            a = random_matrix(rng, max_rows=4, max_cols=6, max_entry=3)
-            snf = smith_decomposition(a)
-            v = snf.v
-            kernel = snf.kernel_basis()
-            assert kernel == [[v[i, j] for i in range(v.rows)]
-                              for j in range(snf.rank, v.cols)]
-            assert snf.kernel_basis() is kernel
-            for col in kernel:
-                assert not any(a.mul_vec(col))
-
     def test_kernel_columns_are_sparse_kernel_basis(self, rng):
         for _ in range(50):
             a = random_matrix(rng, max_rows=4, max_cols=6, max_entry=3)
             snf = smith_decomposition(a)
+            v = dense_transforms(snf)[2]
             kernel = snf.kernel_columns()
             assert len(kernel) == snf.cols - snf.rank
-            assert [dense_column(col, snf.cols) for col in kernel] == snf.kernel_basis()
-            for rows, vals in kernel:
+            dense = [dense_column(col, snf.cols) for col in kernel]
+            assert dense == [[v[i, j] for i in range(v.rows)] for j in range(snf.rank, v.cols)]
+            for (rows, vals), col in zip(kernel, dense):
                 assert rows == sorted(rows) and all(vals)
+                assert not any(a.mul_vec(col))
 
 
 def dense_column(col, n: int) -> list[int]:
@@ -606,7 +614,7 @@ class TestGreedyMaxnormDifferential:
         snf = smith_decomposition(boundary_matrix(k, 2))
         kernel = snf.kernel_columns()
         assert len(kernel) == 298
-        dense = snf.kernel_basis()
+        dense = [dense_column(col, snf.cols) for col in kernel]
         n2 = k.n_simplices(2)
         for _ in range(2):
             w = [0] * n2
@@ -639,6 +647,83 @@ class TestSmithReplayDifferential:
         a = boundary_matrix(cx, k)
         snf = smith_decomposition(a)
         assert (snf.diagonal, snf._u_cols, snf._v_cols) == dense_smith_oracle(a)
+
+
+def dense_echelon_oracle(cols: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """The dense column-echelon routine that the sparse one replaced.
+
+    Returns (columns, pivot_rows); column j has its first nonzero (positive)
+    entry at pivot_rows[j], strictly increasing.  The span is unchanged.
+    """
+    work = [c[:] for c in cols]
+    t = 0
+    for row in range(n):
+        if t == len(work):
+            break
+        live = [j for j in range(t, len(work)) if work[j][row] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda j: (abs(work[j][row]), j))
+            j0 = live[0]
+            base = work[j0]
+            pivot_val = base[row]
+            for j in live[1:]:
+                q = work[j][row] // pivot_val
+                if q:
+                    work[j] = [a - q * b for a, b in zip(work[j], base)]
+            live = [j for j in live if work[j][row] != 0]
+        j0 = live[0]
+        work[t], work[j0] = work[j0], work[t]
+        if work[t][row] < 0:
+            work[t] = [-x for x in work[t]]
+        t += 1
+    pivots = []
+    for col in work:
+        p = next(i for i, x in enumerate(col) if x != 0)
+        pivots.append(p)
+    return work, pivots
+
+
+@st.composite
+def lattice_bases(draw):
+    """A drawn matrix's kernel columns, mixed by unimodular column additions.
+
+    Returns (sparse columns, length); the mixing keeps a basis of the same
+    lattice but gives the echelon reduction more to do.
+    """
+    snf = smith_decomposition(draw(smith_matrices()))
+    n = snf.cols
+    cols = [dense_column(col, n) for col in snf.kernel_columns()]
+    if len(cols) > 1:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.lists(st.integers(0, len(cols) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            q = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+            cols[i] = [a + q * b for a, b in zip(cols[i], cols[j])]
+    return [([i for i, x in enumerate(c) if x], [x for x in c if x]) for c in cols], n
+
+
+class TestEchelonDifferential:
+    """The sparse column-echelon form makes the dense routine's column operations."""
+
+    def check(self, cols, n):
+        got = column_echelon_basis(cols)
+        want, pivots = dense_echelon_oracle([dense_column(col, n) for col in cols], n)
+        assert [dense_column(col, n) for col in got] == want
+        assert [rows[0] for rows, _ in got] == pivots
+        for rows, vals in got:
+            assert rows == sorted(rows) and all(vals)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=lattice_bases())
+    def test_matches_dense_oracle(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("cx,k", list(_boundary_cases()))
+    def test_boundary_kernels(self, cx, k):
+        snf = smith_decomposition(boundary_matrix(cx, k))
+        self.check(snf.kernel_columns(), snf.cols)
 
 
 def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
@@ -676,7 +761,7 @@ class TestMaxMinor:
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            max_minor_abs(IntMatrix.identity(2), 3)
+            max_minor_abs(identity(2), 3)
 
     def test_budget_counts_elimination_cost(self):
         # 393,822 minors of order 8 cost 201,636,864 multiply-adds
@@ -769,10 +854,11 @@ def maxnorm_coset_oracle(x0, snf, box: int, node_budget: int):
     (l1, tuple) in the box.  Returns (result, nodes).
     """
     n = len(x0)
-    xr = _greedy_reduce_maxnorm(x0, snf.kernel_columns())
-    if not snf.kernel_columns():
+    kernel = snf.kernel_columns()
+    xr = _greedy_reduce_maxnorm(x0, kernel)
+    if not kernel:
         return (xr if max(map(abs, xr), default=0) <= box else None), 0
-    cols, pivots = column_echelon_basis(snf.kernel_basis(), n)
+    cols, pivots = dense_echelon_oracle([dense_column(col, n) for col in kernel], n)
     r = len(cols)
     fixed_norm = max((abs(xr[i]) for i in range(pivots[0])), default=0)
     b_hi = min(box, max(map(abs, xr), default=0))
