@@ -5,16 +5,13 @@ pipeline end to end, ``hf1`` profiles the filling function, ``bfrt-check``
 stress-tests the small-solution certificate chain on random systems.
 
 Exit codes: 0 success, 2 domain or structural problem, 3 capacity budget
-exceeded, 4 I/O failure, 5 internal invariant violated.  The
-FILLBOUND_THREADS variable caps worker counts (the current implementation
-runs single-threaded and records the setting).
+exceeded, 4 I/O failure, 5 internal invariant violated.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import random
 import sys
 from typing import Optional
@@ -45,16 +42,6 @@ EXIT_DOMAIN = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 EXIT_INVARIANT = 5
-
-
-def _thread_cap() -> Optional[int]:
-    raw = os.environ.get("FILLBOUND_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def _require_nonnegative(option: str, value: float, below: float = math.inf):
@@ -112,7 +99,6 @@ def cmd_fill(args) -> int:
         "space": args.space,
         "cycle": args.cycle,
         "radius": args.radius,
-        "threads": _thread_cap(),
     }
     try:
         cover = ball_cover(space, args.radius)
@@ -163,7 +149,6 @@ def cmd_hf1(args) -> int:
         "diameter": diameter,
         "hf1_at_2_diameter": hf_at_2d,
         "amin_upper_bound": amin,
-        "threads": _thread_cap(),
     }
     _emit(args.out, canonical_json(doc))
     if args.csv:

@@ -29,43 +29,43 @@ SPACES = {
 
 FILL_DIGESTS = {
     ("capped_prism", 0):
-        "cb10adc7e98544254b164ffc1ce45dec4fc354f67c2cfcfcb30daee58c9e465e",
+        "75827e6478457b22f4a6d6d9d4825dd9f59bf22bb8a8364fa732201bb845df44",
     ("capped_prism", 1):
-        "e139e3775748dece5f61d468c21dad641366904ba300a83d879ae19bda73b60d",
+        "932105d310ec7552c85d2a0d238c4b1442a3364eeedc5025529478f4bbc16c05",
     ("capped_prism", 2):
-        "e25193ffaee52c204893c3a897705b058494ea29fcd531f7d2324b5ef90d0cd7",
+        "464b24e8cfd4052a97e6642198bd604cde3f9496cc56fafcd3b8cc407d1dbfed",
     ("capped_prism", 3):
-        "0855e226f63c8a3afd09fbb2ee231e9a0b2d802068a9ff9b3cc6c13c4e0dfd8c",
+        "94902defcec7b58b423138400164aa8ffa47d2ebacc05c06ba73e0779589e2c8",
     ("icosphere1", 0):
-        "1ecff0f919522f925acab78268af0c26b6fe64c4602c98d264f3c4830b90d09e",
+        "18296cfe836561d742c383dc7654e84a30be24e70456372e91052d8ecab05b42",
     ("icosphere1", 1):
-        "d792e8ec92f557450f9d7844f7c1a35384eec42871fc49457f6ba8959691c5b8",
+        "1d4b7bb3c1b119b827e2b921c17e0ba41790d59381b21343beb9a98d90c9ecaf",
     ("icosphere1", 2):
-        "db00e4008278aefb4453fefc7488c5bcd9f106ac4d67f24148a881a9dda59b09",
+        "781b7e4d664a43e66eb7a8b32cabdc70cd83b7a942eae676936a4e0fb79cdfb2",
     ("icosphere1", 3):
-        "c7fae777049d2507231824772e7de2ccf0bb389351d3fe45b5cae4f85f7ff705",
+        "8acdad57042995c1e066cb7846492a47bd6944d156c5534c7e579c92c0151463",
     # the nerve's boundary kernel has dimension 298 here, so these fills take
     # the greedy max-norm reduction, which changes each Smith solution
     ("icosphere2", 0):
-        "199b53eebc3b64e0ef570ef2549bd00e0035ed07da0ab8047eb245703d3de41b",
+        "c80fd3919e6036083d36ea4e622fccffcbf6a816a6fbc7cedbe4a77dbd84f009",
     ("icosphere2", 6):
-        "da169afa0cb1f470b35c06fe7c03ce66d3252733099514ec8d95307a5a1add3e",
+        "d5a75a012668a3e5b27d439d8805dc7041806d28a56be745cffcfbee12d8182a",
     ("icosphere2", 15):
-        "6ed0c2e4859a450827978508f58a6dd8e191928e625b29a256bc095398b93806",
+        "cc74110ee215376cb1d9d09a3ca28ec0bb058047e53013b804f2ce8b3a3cac47",
     ("octahedron", 0):
-        "883348a436267c6f58872073226db6561159958ce7a47f25ce652fddb4b32c97",
+        "327da5c2a571a0b86c8de5feff4290a3d61c3a52a1c432dc1f9735c30212a7a3",
     ("octahedron", 1):
-        "e6c931670711da1cb98e083fe39451d5b1777fdaf3e9bae51c7fb0cd0af75f80",
+        "48bff8ec878ec69e32bef56617bb9b1753e53862930a3e0e00a325f6b08a128a",
     ("octahedron", 2):
-        "dad091d8e5d7d1da0fc0f8a937734c53dc056ae4662b3f4ae1dc1f5f5273c191",
+        "ee787bc6f1eb253712ca512cd41359c636a659d4db767fc2fc2174619e6b12ae",
     ("octahedron", 4):
-        "19acd649eae2841e5dc93aa8bd85c6824ecd1d7c1cf867a15e55640bcc1dd840",
+        "eba8b1c6aff5d7b82f391539dcd683f7916e1584f882884f125225d41ef9c83b",
 }
 
-HF1_DIGEST = "2a4a8c8b8b107074163d3af107f80cb727eb33fd629dc6fb3628044fb1aab138"
+HF1_DIGEST = "e32036e7a0ba3109b6781005d70a847f4fa4e11c6041df9b5faf077d62b755b1"
 
 # capped_prism(6, 2): 41 cycles, each filled by min_mass_fill's branch and bound
-HF1_CAPPED_DIGEST = "3c977976385e62cea0c7f6e5e396f22d9f385a5cc657ac4f10cea453ac600471"
+HF1_CAPPED_DIGEST = "9616bc3d30bc9f061eb76d13e4aebcc6ca62b9e8fcf4f30da7fe8be2e9771bcd"
 
 
 def seeded_cycle(space, seed: int) -> Chain:
@@ -112,7 +112,6 @@ def digest(path) -> str:
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("FILLBOUND_THREADS", raising=False)
     return tmp_path
 
 
