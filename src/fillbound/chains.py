@@ -13,10 +13,25 @@ the integer algebra.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import DomainError, StructuralError
 from .intlin import IntMatrix
+
+T = TypeVar("T")
+
+
+def cached(owner, key: Hashable, build: Callable[[], T]) -> T:
+    """``owner._memo[key]``, stored from ``build()`` on the first request.
+
+    The package's one caching idiom: every lazily derived value lives in the
+    ``_memo`` dict of the object it is derived from.  Entries are never
+    invalidated, so ``build`` may read only what the owner holds fixed.
+    """
+    memo = owner._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def sort_with_sign(vertices: Sequence[int]) -> tuple[tuple[int, ...], int]:

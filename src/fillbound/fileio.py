@@ -16,7 +16,7 @@ import reprlib
 import tempfile
 from typing import Optional
 
-from .chains import Chain, SimplicialComplex, sort_with_sign
+from .chains import Chain, SimplicialComplex, chain_from_simplices
 from .errors import StructuralError
 from .geom import MetricComplex
 
@@ -180,12 +180,9 @@ def chain_to_dict(space: MetricComplex, chain: Chain) -> dict:
     return {"dim": chain.dim, "entries": entries}
 
 
-def chain_from_dict(space: MetricComplex, doc: dict) -> Chain:
-    if not isinstance(doc, dict):
-        raise StructuralError("chain document must be a JSON object")
-    dim = _expect(doc.get("dim"), int, "chain dim")
-    acc: dict[int, int] = {}
-    for item in _expect(doc.get("entries"), list, "chain entries"):
+def _chain_terms(entries: list):
+    """(vertices, coefficient) of each checked entry, lazily, in document order."""
+    for item in entries:
         if not (isinstance(item, list) and len(item) == 2):
             raise StructuralError(f"malformed chain entry {reprlib.repr(item)}")
         verts, coeff_str = item
@@ -197,10 +194,15 @@ def chain_from_dict(space: MetricComplex, doc: dict) -> Chain:
             raise StructuralError(f"bad coefficient {reprlib.repr(coeff_str)}") from None
         if coeff == 0:
             raise StructuralError("chain entries must have nonzero coefficients")
-        canon, sign = sort_with_sign(_simplex(verts, "chain entry"))
-        idx = space.complex.index_of(dim, canon)
-        acc[idx] = acc.get(idx, 0) + sign * coeff
-    return Chain(dim, acc)
+        yield _simplex(verts, "chain entry"), coeff
+
+
+def chain_from_dict(space: MetricComplex, doc: dict) -> Chain:
+    if not isinstance(doc, dict):
+        raise StructuralError("chain document must be a JSON object")
+    dim = _expect(doc.get("dim"), int, "chain dim")
+    entries = _expect(doc.get("entries"), list, "chain entries")
+    return chain_from_simplices(space.complex, dim, _chain_terms(entries))
 
 
 def load_chain(path: str, space: MetricComplex) -> Chain:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chains import Chain, SimplicialComplex, boundary_matrix, mass, path_chain
+from .chains import Chain, SimplicialComplex, boundary_matrix, cached, mass, path_chain
 from .errors import CapacityError, DomainError, InvariantError
 from .intlin import (
     KERNEL_REDUCTION_MAX_DIM,
@@ -28,17 +28,13 @@ from .intlin import (
 GREEDY_REDUCTION_MAX_WORK = 200_000
 MIN_MASS_MAX_KERNEL_DIM = 20
 DEFAULT_REL_TOL = 1e-9
+ABS_TOL = 1e-12  # absolute slack when comparing lengths and masses
 DEFAULT_NODE_BUDGET = 4 * 10 ** 6
 
 
 def boundary_smith(complex: SimplicialComplex, k: int) -> SmithDecomposition:
     """Smith decomposition of the k-th boundary matrix, cached per complex."""
-    key = ("snf", k)
-    cached = complex._memo.get(key)
-    if cached is None:
-        cached = smith_decomposition(boundary_matrix(complex, k))
-        complex._memo[key] = cached
-    return cached
+    return cached(complex, ("snf", k), lambda: smith_decomposition(boundary_matrix(complex, k)))
 
 
 def rank_d1(complex: SimplicialComplex) -> int:
@@ -69,11 +65,7 @@ def h1_is_trivial(complex: SimplicialComplex) -> bool:
 
     The verdict is cached per complex.
     """
-    cached = complex._memo.get("h1_trivial")
-    if cached is None:
-        cached = _h1_is_trivial(complex)
-        complex._memo["h1_trivial"] = cached
-    return cached
+    return cached(complex, "h1_trivial", lambda: _h1_is_trivial(complex))
 
 
 def _h1_is_trivial(complex: SimplicialComplex) -> bool:
@@ -296,7 +288,7 @@ class Hf1Profile:
     def estimate_at(self, l: float) -> float:
         best = 0.0
         for li, ei in self.samples:
-            if li <= l + 1e-12:
+            if li <= l + ABS_TOL:
                 best = max(best, ei)
         return best
 
@@ -357,12 +349,12 @@ def enumerate_simple_cycles(
                 on_path.discard(nxt)
                 path.pop()
 
-    hops_cache = [hop_distances(root) for root in range(n)]
+    root_hops = [hop_distances(root) for root in range(n)]
     for length in range(3, max_edges + 1):
         for root in range(n):
             if len(out) >= limit:
                 return out
-            dfs(root, hops_cache[root], length, [root], {root})
+            dfs(root, root_hops[root], length, [root], {root})
     return out
 
 
@@ -406,10 +398,10 @@ def hf1_profile(
         if z.is_zero():
             continue
         m1 = mass(w1, z)
-        if m1 > l_max + 1e-12:
+        if m1 > l_max + ABS_TOL:
             continue
         q = 1
-        while q <= MAX_CYCLE_MULTIPLE and q * m1 <= l_max + 1e-12:
+        while q <= MAX_CYCLE_MULTIPLE and q * m1 <= l_max + ABS_TOL:
             _, fill_mass = min_mass_fill(
                 complex, weights, z.scale(q), rel_tol=rel_tol
             )
@@ -422,7 +414,7 @@ def hf1_profile(
         est = 0.0
         count = 0
         for m1, fm in members:
-            if m1 <= l + 1e-12:
+            if m1 <= l + ABS_TOL:
                 count += 1
                 est = max(est, fm)
         samples.append((l, est))

@@ -20,9 +20,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .chains import Chain, SimplicialComplex, boundary, mass, path_chain
+from .chains import Chain, SimplicialComplex, boundary, cached, mass, path_chain
 from .errors import DomainError, FillboundError, InvariantError, StructuralError
 from .filling import (
+    ABS_TOL,
     DEFAULT_REL_TOL,
     FillCertificate,
     amin_upper_bound,
@@ -152,8 +153,7 @@ class MetricComplex:
 
     def adjacency(self) -> list[list[tuple[int, float]]]:
         """Sorted neighbor lists (vertex, edge length) of the 1-skeleton."""
-        cached = self._memo.get("adj")
-        if cached is None:
+        def build():
             adj: list[list[tuple[int, float]]] = [[] for _ in range(self.complex.n_vertices)]
             for idx, (u, v) in enumerate(self.complex.simplices(1)):
                 l = self.edge_lengths[idx]
@@ -161,9 +161,8 @@ class MetricComplex:
                 adj[v].append((u, l))
             for lst in adj:
                 lst.sort()
-            cached = adj
-            self._memo["adj"] = cached
-        return cached
+            return adj
+        return cached(self, "adj", build)
 
 
 def scale_coordinates(space: MetricComplex, t: float) -> MetricComplex:
@@ -227,7 +226,9 @@ class Cover:
     """Vertex-set cover with designated centers.
 
     ``kinds[i]`` is "body-ball" or "neck-trapezoid" according to the region
-    of the i-th center.
+    of the i-th center.  The memo holds the geodesic graph, the nerve and
+    each set's shortest-path tree from its center (key ``("set_tree", i)``);
+    they assume the cover is used with the space it was built from.
     """
 
     sets: tuple[tuple[int, ...], ...]
@@ -282,14 +283,14 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
 
     def add_set(center: int, label: str, tree: dict):
         """The cover set of ``center``, from its shortest-path tree in its region."""
-        ball = {v for v, (d, _) in tree.items() if d <= 2.0 * radius + 1e-12}
+        ball = {v for v, (d, _) in tree.items() if d <= 2.0 * radius + ABS_TOL}
         if (
             space.radial is not None
             and label
             and is_neck_label(label)
         ):
             rc = space.radial[center]
-            ball = {v for v in ball if abs(space.radial[v] - rc) <= 2.0 * radius + 1e-12}
+            ball = {v for v in ball if abs(space.radial[v] - rc) <= 2.0 * radius + ABS_TOL}
         ball = _connected_component(ball, center, adj) & ball
         sets.append(tuple(sorted(ball)))
         centers.append(center)
@@ -315,10 +316,10 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
             far_v = None
             far_d = -1.0
             for v in verts:  # ascending ids: first vertex wins ties
-                if mindist[v] > far_d + 1e-12:
+                if mindist[v] > far_d + ABS_TOL:
                     far_d = mindist[v]
                     far_v = v
-            if far_v is None or far_d <= radius + 1e-12:
+            if far_v is None or far_d <= radius + ABS_TOL:
                 break
             region_centers.append(far_v)
             relax(far_v)
@@ -383,10 +384,7 @@ class GeodesicGraph:
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def edge_index(self, i: int, j: int) -> Optional[int]:
-        index = self._memo.get("index")
-        if index is None:
-            index = {(e.a, e.b): n for n, e in enumerate(self.edges)}
-            self._memo["index"] = index
+        index = cached(self, "index", lambda: {(e.a, e.b): n for n, e in enumerate(self.edges)})
         return index.get((min(i, j), max(i, j)))
 
     def realize(self, space: MetricComplex, graph_chain: Chain) -> Chain:
@@ -406,17 +404,6 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
     and flagged.
     """
     adj = space.adjacency()
-    n_all = space.complex.n_vertices
-    global_tree_cache: dict[int, dict] = {}
-
-    def global_tree(v):
-        if v not in global_tree_cache:
-            tree = shortest_path_tree(adj, v)
-            if len(tree) != n_all:
-                raise StructuralError("1-skeleton is disconnected")
-            global_tree_cache[v] = tree
-        return global_tree_cache[v]
-
     member = [set(s) for s in cover.sets]
     edges = []
     for i in range(len(cover.sets)):
@@ -430,7 +417,10 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
                 d, path = tree[cj]
                 flagged = False
             else:
-                d, path = global_tree(ci)[cj]
+                tree = shortest_path_tree(adj, ci)
+                if len(tree) != space.complex.n_vertices:
+                    raise StructuralError("1-skeleton is disconnected")
+                d, path = tree[cj]
                 flagged = True
             edges.append(GraphEdge(a=i, b=j, path=path, length=d, used_global_path=flagged))
     return GeodesicGraph(centers=cover.centers, edges=tuple(edges))
@@ -601,21 +591,16 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int,
     tree = shortest_path_tree(adj, apex)
     edges = space.complex.simplices(1)
     total = Chain.zero(2)
-    wedge_cache: dict[int, Chain] = {}
     for idx, a in sorted(loop.items()):
         u, v = edges[idx]
         if u not in tree or v not in tree:
             raise DomainError(f"no path from {(u, v)} to apex {apex}")
-        part = wedge_cache.get(idx)
+        su = path_chain(space.complex, tree[u][1])
+        sv = path_chain(space.complex, tree[v][1])
+        wedge = Chain(1, {idx: 1}) + su - sv
+        part = fill_loop_locally(space, wedge)
         if part is None:
-            su = path_chain(space.complex, tree[u][1])
-            sv = path_chain(space.complex, tree[v][1])
-            wedge = Chain(1, {idx: 1}) + su - sv
-            part = fill_loop_locally(space, wedge)
-            if part is None:
-                part, _ = min_mass_fill(space.complex, space.volumes, wedge,
-                                        rel_tol=rel_tol)
-            wedge_cache[idx] = part
+            part, _ = min_mass_fill(space.complex, space.volumes, wedge, rel_tol=rel_tol)
         total = total + part.scale(a)
     if boundary(space.complex, total) != loop:
         raise InvariantError("cone fill has the wrong boundary")
@@ -661,7 +646,7 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
         raise DomainError("neck_contract input is not a cycle")
     radial = space.radial
     lo, hi = min(radial), max(radial)
-    if not (lo - 1e-12 <= target_level <= hi + 1e-12):
+    if not (lo - ABS_TOL <= target_level <= hi + ABS_TOL):
         raise DomainError(
             f"target level {target_level} outside radial range [{lo}, {hi}]"
         )
@@ -917,14 +902,9 @@ def project_cycle_to_graph(
     member = [set(s) for s in cover.sets]
     adj = space.adjacency()
 
-    set_trees: dict[int, dict] = {}
-
     def set_tree(si: int) -> dict:
-        if si not in set_trees:
-            set_trees[si] = shortest_path_tree(
-                adj, cover.centers[si], allowed=frozenset(cover.sets[si])
-            )
-        return set_trees[si]
+        return cached(cover, ("set_tree", si), lambda: shortest_path_tree(
+            adj, cover.centers[si], allowed=frozenset(cover.sets[si])))
 
     def assign(u: int, v: int) -> int:
         """Cover set carrying the directed step u -> v."""
@@ -1152,10 +1132,7 @@ def pipeline_fill(
     # stage E1: reroute through the geodesic graph (cached per cover)
     t0 = time.perf_counter()
     try:
-        graph = cover._memo.get("graph")
-        if graph is None:
-            graph = geodesic_graph(space, cover)
-            cover._memo["graph"] = graph
+        graph = cached(cover, "graph", lambda: geodesic_graph(space, cover))
         c_graph, e1, proj = project_cycle_to_graph(
             space, cover, graph, c_body, rel_tol=rel_tol
         )
@@ -1168,10 +1145,7 @@ def pipeline_fill(
 
     # stage E2: combinatorial fill on the nerve plus geodesic-triangle lifts
     t0 = time.perf_counter()
-    nerve_complex = cover._memo.get("nerve")
-    if nerve_complex is None:
-        nerve_complex = nerve(cover)
-        cover._memo["nerve"] = nerve_complex
+    nerve_complex = cached(cover, "nerve", lambda: nerve(cover))
     certificate: Optional[FillCertificate] = None
     e2 = Chain.zero(2)
     if not c_graph.is_zero():
@@ -1194,17 +1168,12 @@ def pipeline_fill(
                 chain = path_chain(space.complex, e.path)
                 return chain if e.a == i else -chain
 
-            tri_cache: dict[int, Chain] = {}
             for tidx, coeff in sorted(nerve_fill.items()):
-                part = tri_cache.get(tidx)
-                if part is None:
-                    i, j, l = nerve_complex.simplices(2)[tidx]
-                    # lift of the simplex boundary (j,l) - (i,l) + (i,j)
-                    loop = realized_side(j, l) - realized_side(i, l) + realized_side(i, j)
-                    apex = graph.centers[min(i, j, l)]
-                    part = cone_fill(space, loop, apex, rel_tol=rel_tol)
-                    tri_cache[tidx] = part
-                e2 = e2 + part.scale(coeff)
+                i, j, l = nerve_complex.simplices(2)[tidx]
+                # lift of the simplex boundary (j,l) - (i,l) + (i,j)
+                loop = realized_side(j, l) - realized_side(i, l) + realized_side(i, j)
+                apex = graph.centers[min(i, j, l)]
+                e2 = e2 + cone_fill(space, loop, apex, rel_tol=rel_tol).scale(coeff)
         except FillboundError as err:
             raise _tagged("E2/nerve-fill", err) from err
     timing["e2"] = time.perf_counter() - t0

@@ -10,10 +10,10 @@ other test noticing.
 import importlib.util
 from pathlib import Path
 
-from fillbound import filling
+from fillbound import filling, geom
 from fillbound.chains import Chain, boundary
 from fillbound.geom import ball_cover, nerve
-from fillbound.shapes import octahedron
+from fillbound.shapes import icosphere, octahedron
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -56,3 +56,28 @@ def test_tracer_counts_kernel_dim_of_nerve_fill():
     assert kernel_dim == 10
     assert tracer.counters["intlin.kernel_dim"] == kernel_dim
     assert "filling.fill_boundary" in [span[0] for span in tracer.spans]
+
+
+def test_tracer_sees_cover_graph_and_nerve_built_once():
+    space = icosphere(1)
+    cover = ball_cover(space, 0.8)
+    k = space.complex
+    # the boundary of the cap above z = 0.3 reaches the nerve fill (E2)
+    cap = [i for i, t in enumerate(k.simplices(2)) if all(space.coords[v][2] > 0.3 for v in t)]
+    z = boundary(k, Chain(2, dict.fromkeys(cap, 1)))
+    tracer = load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        tracer.enabled = True
+        _, first = geom.pipeline_fill(space, cover, z)
+        n_first = len(tracer.spans)
+        _, second = geom.pipeline_fill(space, cover, z)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    assert first.certificate is not None and second.certificate is not None
+    names = [span[0] for span in tracer.spans]
+    assert names[:n_first].count("geom.geodesic_graph") == 1
+    assert names[:n_first].count("geom.nerve") == 1
+    assert "geom.geodesic_graph" not in names[n_first:]
+    assert "geom.nerve" not in names[n_first:]

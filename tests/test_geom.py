@@ -237,6 +237,18 @@ class TestGeodesicGraph:
         assert e.length == pytest.approx(2.0)
         assert not e.used_global_path
 
+    def test_disconnected_union_takes_global_path(self):
+        # vertices 0 and 1 are antipodal, so the union of the two intersecting
+        # sets is the disconnected pair {0, 1}
+        cover = Cover(sets=((0, 1), (1,)), centers=(0, 1), kinds=("body-ball",) * 2)
+        graph = geodesic_graph(OCTA, cover)
+        assert len(graph.edges) == 1
+        e = graph.edges[0]
+        assert e.used_global_path
+        d, path = shortest_path_tree(OCTA.adjacency(), 0)[1]
+        assert e.path == path == (0, 2, 1)
+        assert e.length == d == pytest.approx(2 * math.sqrt(2))
+
     def test_octahedron_skeleton_edges_present(self):
         cover = ball_cover(OCTA, 0.8)
         assert len(cover.sets) == 6
@@ -472,6 +484,28 @@ class TestProjection:
             z = _random_cycle(rng, space, parts=2)
             cg, e1, rep = project_cycle_to_graph(space, cover, graph, z)
             assert boundary(space.complex, e1) == z - graph.realize(space, cg)
+
+    def test_set_trees_cached_on_cover(self, monkeypatch, rng):
+        import fillbound.geom
+
+        space = icosphere(1)
+        cover = ball_cover(space, 0.6)
+        graph = geodesic_graph(space, cover)
+        restricted = []
+
+        def counted(adj, source, allowed=None):
+            if allowed is not None:
+                restricted.append(source)
+            return shortest_path_tree(adj, source, allowed=allowed)
+
+        monkeypatch.setattr(fillbound.geom, "shortest_path_tree", counted)
+        z = _random_cycle(rng, space, parts=2)
+        first = project_cycle_to_graph(space, cover, graph, z)
+        assert restricted
+        restricted.clear()
+        second = project_cycle_to_graph(space, cover, graph, z)
+        assert restricted == []
+        assert second[:2] == first[:2]
 
     def test_cover_too_fine(self):
         cover = ball_cover(OCTA, 0.1)  # singleton sets contain no edge
