@@ -26,7 +26,8 @@ def cached(owner, key: Hashable, build: Callable[[], T]) -> T:
 
     The package's one caching idiom: every lazily derived value lives in the
     ``_memo`` dict of the object it is derived from.  Entries are never
-    invalidated, so ``build`` may read only what the owner holds fixed.
+    invalidated, so a value may depend only on the owner and on inputs that
+    stay fixed for it (a cover's values assume the space it was built from).
     """
     memo = owner._memo
     if key not in memo:

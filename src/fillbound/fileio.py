@@ -180,9 +180,12 @@ def chain_to_dict(space: MetricComplex, chain: Chain) -> dict:
     return {"dim": chain.dim, "entries": entries}
 
 
-def _chain_terms(entries: list):
-    """(vertices, coefficient) of each checked entry, lazily, in document order."""
-    for item in entries:
+def chain_from_dict(space: MetricComplex, doc: dict) -> Chain:
+    if not isinstance(doc, dict):
+        raise StructuralError("chain document must be a JSON object")
+    dim = _expect(doc.get("dim"), int, "chain dim")
+    terms = []
+    for item in _expect(doc.get("entries"), list, "chain entries"):
         if not (isinstance(item, list) and len(item) == 2):
             raise StructuralError(f"malformed chain entry {reprlib.repr(item)}")
         verts, coeff_str = item
@@ -194,15 +197,8 @@ def _chain_terms(entries: list):
             raise StructuralError(f"bad coefficient {reprlib.repr(coeff_str)}") from None
         if coeff == 0:
             raise StructuralError("chain entries must have nonzero coefficients")
-        yield _simplex(verts, "chain entry"), coeff
-
-
-def chain_from_dict(space: MetricComplex, doc: dict) -> Chain:
-    if not isinstance(doc, dict):
-        raise StructuralError("chain document must be a JSON object")
-    dim = _expect(doc.get("dim"), int, "chain dim")
-    entries = _expect(doc.get("entries"), list, "chain entries")
-    return chain_from_simplices(space.complex, dim, _chain_terms(entries))
+        terms.append((_simplex(verts, "chain entry"), coeff))
+    return chain_from_simplices(space.complex, dim, terms)
 
 
 def load_chain(path: str, space: MetricComplex) -> Chain:
