@@ -225,15 +225,14 @@ def skeleton_diameter(space: MetricComplex) -> float:
 class Cover:
     """Vertex-set cover with designated centers.
 
-    ``kinds[i]`` is "body-ball" or "neck-trapezoid" according to the region
-    of the i-th center.  The memo holds the geodesic graph, the nerve and
-    each set's shortest-path tree from its center (key ``("set_tree", i)``);
-    they assume the cover is used with the space it was built from.
+    The memo holds the geodesic graph (key ``"graph"``), which carries the
+    nerve, and each set's shortest-path tree from its center (key
+    ``("set_tree", i)``); they assume the cover is used with the space it
+    was built from.
     """
 
     sets: tuple[tuple[int, ...], ...]
     centers: tuple[int, ...]
-    kinds: tuple[str, ...]
     warnings: tuple[str, ...] = ()
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -279,7 +278,6 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
 
     sets: list[tuple[int, ...]] = []
     centers: list[int] = []
-    kinds: list[str] = []
 
     def add_set(center: int, label: str, tree: dict):
         """The cover set of ``center``, from its shortest-path tree in its region."""
@@ -294,7 +292,6 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
         ball = _connected_component(ball, center, adj) & ball
         sets.append(tuple(sorted(ball)))
         centers.append(center)
-        kinds.append("neck-trapezoid" if label and is_neck_label(label) else "body-ball")
 
     for label in sorted(regions):
         verts = regions[label]
@@ -340,7 +337,6 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
     return Cover(
         sets=tuple(sets),
         centers=tuple(centers),
-        kinds=tuple(kinds),
         warnings=tuple(warnings),
     )
 
@@ -377,15 +373,15 @@ class GraphEdge:
 
 @dataclass(frozen=True)
 class GeodesicGraph:
-    """Graph on cover-set centers; one edge per intersecting pair of sets."""
+    """The cover nerve's 1-skeleton, realized by paths between set centers.
+
+    Edge n joins the sets of the nerve's n-th 1-simplex ``(a, b)``, so a
+    chain on graph edges is a 1-chain of ``nerve``.
+    """
 
     centers: tuple[int, ...]
     edges: tuple[GraphEdge, ...]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def edge_index(self, i: int, j: int) -> Optional[int]:
-        index = cached(self, "index", lambda: {(e.a, e.b): n for n, e in enumerate(self.edges)})
-        return index.get((min(i, j), max(i, j)))
+    nerve: SimplicialComplex = field(compare=False, repr=False)
 
     def realize(self, space: MetricComplex, graph_chain: Chain) -> Chain:
         """Skeleton 1-chain realizing a chain on graph edges."""
@@ -397,33 +393,30 @@ class GeodesicGraph:
 
 
 def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
-    """Connect centers of every intersecting pair of cover sets.
+    """Connect the centers of the sets of every 1-simplex of the cover's nerve.
 
     The connecting path is the shortest path inside the union of the two
     sets; if the union is disconnected, the global shortest path is used
     and flagged.
     """
     adj = space.adjacency()
-    member = [set(s) for s in cover.sets]
+    nerve_complex = nerve(cover)
     edges = []
-    for i in range(len(cover.sets)):
-        for j in range(i + 1, len(cover.sets)):
-            if not (member[i] & member[j]):
-                continue
-            ci, cj = cover.centers[i], cover.centers[j]
-            union = frozenset(member[i] | member[j])
-            tree = shortest_path_tree(adj, ci, allowed=union)
-            if cj in tree:
-                d, path = tree[cj]
-                flagged = False
-            else:
-                tree = shortest_path_tree(adj, ci)
-                if len(tree) != space.complex.n_vertices:
-                    raise StructuralError("1-skeleton is disconnected")
-                d, path = tree[cj]
-                flagged = True
-            edges.append(GraphEdge(a=i, b=j, path=path, length=d, used_global_path=flagged))
-    return GeodesicGraph(centers=cover.centers, edges=tuple(edges))
+    for (i, j) in nerve_complex.simplices(1):
+        ci, cj = cover.centers[i], cover.centers[j]
+        union = frozenset(cover.sets[i] + cover.sets[j])
+        tree = shortest_path_tree(adj, ci, allowed=union)
+        if cj in tree:
+            d, path = tree[cj]
+            flagged = False
+        else:
+            tree = shortest_path_tree(adj, ci)
+            if len(tree) != space.complex.n_vertices:
+                raise StructuralError("1-skeleton is disconnected")
+            d, path = tree[cj]
+            flagged = True
+        edges.append(GraphEdge(a=i, b=j, path=path, length=d, used_global_path=flagged))
+    return GeodesicGraph(centers=cover.centers, edges=tuple(edges), nerve=nerve_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +852,6 @@ class ProjectionReport:
     input_mass1: float
     rerouted_mass1: float
     wedge_mass2: float
-    arcs: int
-    walks: int
 
     @property
     def length_ratio(self) -> Optional[float]:
@@ -880,19 +871,19 @@ def project_cycle_to_graph(
 ) -> tuple[Chain, Chain, ProjectionReport]:
     """Reroute a skeleton cycle through cover-set centers.
 
-    Returns (C', E1, report): C' is a chain on graph edges, E1 a 2-chain
-    with boundary(E1) = c - realize(C') exactly.  Arcs are maximal runs of
-    consecutive cycle edges assigned to one cover set; each arc is traded
-    for the graph edge between the centers of consecutive arc sets, and the
-    difference loops are cone-filled inside the relevant sets.
+    Returns (C', E1, report): C' is a chain on graph edges, that is a
+    1-chain of ``graph.nerve``, and E1 a 2-chain with boundary(E1) =
+    c - realize(C') exactly.  Arcs are maximal runs of consecutive cycle
+    edges assigned to one cover set; each arc is traded for the graph edge
+    between the centers of consecutive arc sets, and the difference loops
+    are cone-filled inside the relevant sets.
     """
     if c.dim != 1:
         raise DomainError("project_cycle_to_graph expects a 1-chain")
     if not boundary(space.complex, c).is_zero():
         raise DomainError("projection input is not a cycle")
-    zero_report = ProjectionReport(0.0, 0.0, 0.0, 0, 0)
     if c.is_zero():
-        return Chain.zero(1), Chain.zero(2), zero_report
+        return Chain.zero(1), Chain.zero(2), ProjectionReport(0.0, 0.0, 0.0)
 
     # work on the primitive cycle; scale everything back at the end
     content, c_red = peel_content(c)
@@ -933,10 +924,8 @@ def project_cycle_to_graph(
 
     graph_acc: dict[int, int] = {}
     e1 = Chain.zero(2)
-    arc_count = 0
-    walks = chain_to_closed_walks(k, c_red)
 
-    for walk in walks:
+    for walk in chain_to_closed_walks(k, c_red):
         steps = list(zip(walk[:-1], walk[1:]))
         assigned = [assign(u, v) for (u, v) in steps]
         # maximal cyclic runs of one cover set
@@ -949,14 +938,10 @@ def project_cycle_to_graph(
         if len(runs) > 1 and runs[0][0] == runs[-1][0]:
             last = runs.pop()
             runs[0] = (runs[0][0], last[1] + runs[0][1])
-        arc_count += len(runs)
 
         if len(runs) == 1:
-            si, arc_steps = runs[0]
-            loop = Chain(1, {})
-            for (u, v) in arc_steps:
-                loop = loop + path_chain(k, [u, v])
-            e1 = e1 + cone_fill(space, loop, cover.centers[si], rel_tol=rel_tol)
+            e1 = e1 + cone_fill(space, path_chain(k, walk), cover.centers[runs[0][0]],
+                                rel_tol=rel_tol)
             continue
 
         p = len(runs)
@@ -966,24 +951,22 @@ def project_cycle_to_graph(
             sj = runs[(i + 1) % p][0]
             v_start = arc_steps[0][0]
             v_end = junctions[i]
-            arc_chain = Chain.zero(1)
-            for (u, v) in arc_steps:
-                arc_chain = arc_chain + path_chain(k, [u, v])
+            arc_chain = path_chain(k, [v_start] + [v for _, v in arc_steps])
             t_i = spoke(si, v_start)          # center_i -> start junction
             u_i = -spoke(si, v_end)           # end junction -> center_i
             loop_a = t_i + arc_chain + u_i
             e1 = e1 + cone_fill(space, loop_a, cover.centers[si], rel_tol=rel_tol)
 
-            eidx = graph.edge_index(si, sj)
-            if eidx is None:
+            pair = (min(si, sj), max(si, sj))
+            if not graph.nerve.has_simplex(1, pair):
                 raise InvariantError(
                     f"no geodesic-graph edge between cover sets {si} and {sj}, "
                     "which share a junction vertex"
                 )
-            edge = graph.edges[eidx]
-            sign = 1 if si == edge.a else -1
+            eidx = graph.nerve.index_of(1, pair)
+            sign = 1 if si < sj else -1
             graph_acc[eidx] = graph_acc.get(eidx, 0) + sign
-            gamma = path_chain(k, edge.path).scale(sign)
+            gamma = graph.realize(space, Chain(1, {eidx: sign}))
             t_next = spoke(sj, v_end)
             # closed walk v_end -> center_i -> center_j -> v_end
             loop_b = u_i + gamma + t_next
@@ -998,8 +981,6 @@ def project_cycle_to_graph(
         input_mass1=space.mass1(c),
         rerouted_mass1=space.mass1(realized),
         wedge_mass2=space.mass2(e1),
-        arcs=arc_count,
-        walks=len(walks),
     )
     return c_graph, e1, report
 
@@ -1033,8 +1014,8 @@ class FillingReport:
                 "input_max_coeff": self.certificate.input_max_coeff,
                 "output_max_coeff": self.certificate.output_max_coeff,
                 "output_l1": self.certificate.output_l1,
-                "bound_max": self.certificate.bound_max,
-                "bound_l1": self.certificate.bound_l1,
+                "bound_max": _finite_or_none(self.certificate.bound_max),
+                "bound_l1": _finite_or_none(self.certificate.bound_l1),
                 "rank_used": self.certificate.rank_used,
                 "bounds_hold": self.certificate.bounds_hold(),
             }
@@ -1053,6 +1034,12 @@ class FillingReport:
             "measured_constants": dict(self.measured_constants),
             "warnings": list(self.warnings),
         }
+
+
+def _finite_or_none(bound: float) -> Optional[float]:
+    """A certificate bound for a report: null beyond binary64, where
+    ``bounds_hold`` still compares exactly."""
+    return bound if math.isfinite(bound) else None
 
 
 def _tagged(stage: str, err: FillboundError) -> FillboundError:
@@ -1085,9 +1072,10 @@ def pipeline_fill(
     """Fill a skeleton 1-cycle as E0 + E1 + E2 with an exact boundary check.
 
     E0 contracts neck-supported pieces radially into bodies, E1 trades the
-    remaining cycle for a cycle on the geodesic graph, and E2 fills that
-    cycle on the nerve and lifts each nerve triangle as a cone-filled
-    geodesic triangle.
+    remaining cycle for a cycle on the geodesic graph, which is a nerve
+    1-cycle, and E2 fills that cycle on the nerve and lifts each nerve
+    triangle, through the graph's realization of its boundary, as a
+    cone-filled geodesic triangle.
     """
     t_start = time.perf_counter()
     if c.dim != 1:
@@ -1145,34 +1133,19 @@ def pipeline_fill(
 
     # stage E2: combinatorial fill on the nerve plus geodesic-triangle lifts
     t0 = time.perf_counter()
-    nerve_complex = cached(cover, "nerve", lambda: nerve(cover))
     certificate: Optional[FillCertificate] = None
     e2 = Chain.zero(2)
     if not c_graph.is_zero():
         try:
-            nerve_chain = Chain(
-                1,
-                {
-                    nerve_complex.index_of(1, (graph.edges[i].a, graph.edges[i].b)): a
-                    for i, a in c_graph.items()
-                },
-            )
             mass1_c = space.mass1(c)
             if mass1_c > 0:
-                constants["nerve_coeff_per_length"] = nerve_chain.max_abs() / mass1_c
-            nerve_fill, certificate = fill_boundary(nerve_complex, nerve_chain)
-
-            def realized_side(i: int, j: int) -> Chain:
-                """Skeleton chain of the graph edge i -> j (i < j stored)."""
-                e = graph.edges[graph.edge_index(i, j)]
-                chain = path_chain(space.complex, e.path)
-                return chain if e.a == i else -chain
-
+                constants["nerve_coeff_per_length"] = c_graph.max_abs() / mass1_c
+            nerve_fill, certificate = fill_boundary(graph.nerve, c_graph)
+            triangles = graph.nerve.simplices(2)
             for tidx, coeff in sorted(nerve_fill.items()):
-                i, j, l = nerve_complex.simplices(2)[tidx]
-                # lift of the simplex boundary (j,l) - (i,l) + (i,j)
-                loop = realized_side(j, l) - realized_side(i, l) + realized_side(i, j)
-                apex = graph.centers[min(i, j, l)]
+                # the realized boundary (j,l) - (i,l) + (i,j), coned from set i
+                loop = graph.realize(space, boundary(graph.nerve, Chain(2, {tidx: 1})))
+                apex = graph.centers[triangles[tidx][0]]
                 e2 = e2 + cone_fill(space, loop, apex, rel_tol=rel_tol).scale(coeff)
         except FillboundError as err:
             raise _tagged("E2/nerve-fill", err) from err

@@ -1,8 +1,11 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import fillbound
 from fillbound.chains import Chain, boundary, chain_from_simplices
 from fillbound.cli import main
 from fillbound.errors import StructuralError
@@ -230,6 +233,25 @@ class TestFill:
         report = json.loads(out.read_text())["report"]
         assert report["boundary_verified"] is True
         assert report["mass_e0"] > 0  # the neck sweep did run
+
+    def test_bound_beyond_binary64_is_null(self, tmp_path):
+        # 42 cover sets: C(42, 2)^(C(42, 2)/2) overflows binary64
+        space = icosphere(1)
+        k = space.complex
+        cap = [i for i, t in enumerate(k.simplices(2))
+               if all(space.coords[v][2] > 0.3 for v in t)]
+        space_path, cycle_path = tmp_path / "ico1.json", tmp_path / "cap.json"
+        save_space(str(space_path), space)
+        save_chain(str(cycle_path), space, boundary(k, Chain(2, dict.fromkeys(cap, 1))))
+        out = tmp_path / "report.json"
+        code = main(["fill", "--space", str(space_path), "--cycle", str(cycle_path),
+                     "--radius", "0.45", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["nerve_vertices"] == 42
+        cert = report["certificate"]
+        assert cert["bound_max"] is None and cert["bound_l1"] is None
+        assert cert["bounds_hold"] is True
 
 
 class TestHf1Command:
@@ -477,6 +499,13 @@ class TestNonFiniteGeometry:
 
 
 class TestInvariantExit:
+    def test_no_assert_statement_in_src(self):
+        # python -O strips assert statements, and every check must survive it
+        for path in sorted(Path(fillbound.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
     def test_wrong_boundary_exits_5(self, tmp_path, octa_files, capsys, monkeypatch):
         import fillbound.geom
 

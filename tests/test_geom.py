@@ -28,6 +28,14 @@ from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, t
 
 OCTA = octahedron(1.0)
 
+# a single triangle, and hand-built covers of its vertices
+TRIANGLE = MetricComplex(complex=SimplicialComplex.from_simplices([(0, 1, 2)]),
+                         coords=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+DISJOINT_COVER = Cover(sets=((0,), (1,)), centers=(0, 1))
+FULL_TRIANGLE_COVER = Cover(sets=((0, 1), (1, 2), (0, 1, 2)), centers=(0, 2, 1))
+# three arcs, pairwise intersecting, empty triple intersection
+CIRCLE_COVER = Cover(sets=((0, 1), (1, 2), (2, 0)), centers=(0, 1, 2))
+
 
 def octa_equator():
     loop = [0, 2, 1, 3]
@@ -177,25 +185,17 @@ class TestBallCover:
 
 class TestNerve:
     def test_disjoint_sets(self):
-        cover = Cover(sets=((0,), (1,)), centers=(0, 1), kinds=("body-ball",) * 2)
-        n = nerve(cover)
+        n = nerve(DISJOINT_COVER)
         assert n.n_vertices == 2
         assert n.n_simplices(1) == 0
 
     def test_full_triangle(self):
-        cover = Cover(
-            sets=((0, 1), (1, 2), (0, 1, 2)), centers=(0, 2, 1), kinds=("body-ball",) * 3
-        )
-        n = nerve(cover)
+        n = nerve(FULL_TRIANGLE_COVER)
         assert n.n_simplices(1) == 3
         assert n.n_simplices(2) == 1
 
     def test_circle_cover_has_no_triangle(self):
-        # three arcs, pairwise intersecting, empty triple intersection
-        cover = Cover(
-            sets=((0, 1), (1, 2), (2, 0)), centers=(0, 1, 2), kinds=("body-ball",) * 3
-        )
-        n = nerve(cover)
+        n = nerve(CIRCLE_COVER)
         assert n.n_simplices(1) == 3
         assert n.n_simplices(2) == 0
 
@@ -209,8 +209,7 @@ class TestNerve:
                 tuple(sorted(rng.sample(universe, rng.randint(1, 6))))
                 for _ in range(n_sets)
             )
-            cover = Cover(sets=sets, centers=tuple(s[0] for s in sets),
-                          kinds=("body-ball",) * n_sets)
+            cover = Cover(sets=sets, centers=tuple(s[0] for s in sets))
             nv = nerve(cover)
             for i, j in itertools.combinations(range(n_sets), 2):
                 expect = bool(set(sets[i]) & set(sets[j]))
@@ -229,7 +228,7 @@ class TestGeodesicGraph:
     def test_two_sets_shared_vertex(self):
         k = SimplicialComplex.from_simplices([(0, 1), (1, 2)])
         space = MetricComplex(complex=k, coords=((0.0,), (1.0,), (2.0,)))
-        cover = Cover(sets=((0, 1), (1, 2)), centers=(0, 2), kinds=("body-ball",) * 2)
+        cover = Cover(sets=((0, 1), (1, 2)), centers=(0, 2))
         graph = geodesic_graph(space, cover)
         assert len(graph.edges) == 1
         e = graph.edges[0]
@@ -240,7 +239,7 @@ class TestGeodesicGraph:
     def test_disconnected_union_takes_global_path(self):
         # vertices 0 and 1 are antipodal, so the union of the two intersecting
         # sets is the disconnected pair {0, 1}
-        cover = Cover(sets=((0, 1), (1,)), centers=(0, 1), kinds=("body-ball",) * 2)
+        cover = Cover(sets=((0, 1), (1,)), centers=(0, 1))
         graph = geodesic_graph(OCTA, cover)
         assert len(graph.edges) == 1
         e = graph.edges[0]
@@ -260,6 +259,28 @@ class TestGeodesicGraph:
         assert len(direct) == 12
         for e in direct:
             assert e.length == pytest.approx(math.sqrt(2))
+
+    def test_edges_are_the_nerve_1_simplices(self, rng):
+        ico, capped = icosphere(1), capped_prism(6, 2)
+        octa_cover, ico_cover = ball_cover(OCTA, 0.8), ball_cover(ico, 0.8)
+        capped_cover = ball_cover(capped, 1.2)
+        cases = [(OCTA, octa_cover), (ico, ico_cover), (capped, capped_cover)]
+        cases += [(TRIANGLE, c) for c in (DISJOINT_COVER, FULL_TRIANGLE_COVER, CIRCLE_COVER)]
+        for space, cover in cases:
+            graph = geodesic_graph(space, cover)
+            assert [(e.a, e.b) for e in graph.edges] == list(graph.nerve.simplices(1))
+            assert graph.nerve.simplices(2) == nerve(cover).simplices(2)
+        # C' is a chain on graph edges, hence a nerve 1-chain, and a cycle there
+        inputs = [(OCTA, octa_cover, octa_equator()),
+                  (capped, capped_cover, cycle_from_loop(capped, [1, 2, 3, 4, 5, 6]))]
+        inputs += [(ico, ico_cover, _random_cycle(rng, ico, parts=2)) for _ in range(10)]
+        reached_nerve = 0
+        for space, cover, z in inputs:
+            graph = geodesic_graph(space, cover)
+            cg, _, _ = project_cycle_to_graph(space, cover, graph, z)
+            assert boundary(graph.nerve, cg).is_zero()
+            reached_nerve += not cg.is_zero()
+        assert reached_nerve >= 3
 
 
 class TestLocalFill:
