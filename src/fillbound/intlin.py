@@ -450,14 +450,12 @@ class BoundCertificate:
     degenerate_rank: bool = False
 
     def check(self) -> bool:
-        """Exact verification of max|x_i| <= Y <= ceil(bound) where present."""
-        if self.minor_max is not None and self.minor_max > self.hadamard_bound_ceiling:
+        """Exact verification of max|x_i| <= Y <= ceil(bound), where Y is
+        ``minor_max`` when present and ceil(bound) otherwise."""
+        box = self.hadamard_bound_ceiling if self.minor_max is None else self.minor_max
+        if box > self.hadamard_bound_ceiling:
             return False
-        if self.solution is not None and self.minor_max is not None:
-            sol_max = max((abs(x) for x in self.solution), default=0)
-            if sol_max > self.minor_max:
-                return False
-        return True
+        return self.solution is None or max(map(abs, self.solution), default=0) <= box
 
 
 def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCertificate]:
