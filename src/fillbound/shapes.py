@@ -114,15 +114,7 @@ def prism(n: int = 6, levels: int = 1, scale: float = 1.0) -> MetricComplex:
             radial.append(scale * j)
     faces = []
     for j in range(levels):
-        base = j * n
-        top = (j + 1) * n
-        for i in range(n):
-            a = base + i
-            b = base + (i + 1) % n
-            c = top + (i + 1) % n
-            d = top + i
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+        faces += _band(n, j * n, (j + 1) * n)
     return MetricComplex(
         complex=SimplicialComplex.from_simplices(faces, n_vertices=len(coords)),
         coords=tuple(coords),
@@ -142,21 +134,10 @@ def disk(n: int = 12, rings: int = 3, scale: float = 1.0) -> MetricComplex:
         for i in range(n):
             theta = 2.0 * math.pi * i / n
             coords.append((r * math.cos(theta), r * math.sin(theta)))
-    faces = []
-
-    def ring_vertex(j: int, i: int) -> int:
-        return 1 + (j - 1) * n + (i % n)
-
-    for i in range(n):
-        faces.append((0, ring_vertex(1, i), ring_vertex(1, i + 1)))
+    # ring j (from 1) starts at vertex 1 + (j - 1) * n
+    faces = _fan(n, 0, 1)
     for j in range(1, rings):
-        for i in range(n):
-            a = ring_vertex(j, i)
-            b = ring_vertex(j, i + 1)
-            c = ring_vertex(j + 1, i + 1)
-            d = ring_vertex(j + 1, i)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+        faces += _band(n, 1 + (j - 1) * n, 1 + j * n)
     return MetricComplex(
         complex=SimplicialComplex.from_simplices(faces, n_vertices=len(coords)),
         coords=tuple(coords),
@@ -198,29 +179,33 @@ def capped_prism(n: int = 6, neck_levels: int = 2, scale: float = 1.0) -> Metric
     coords.append((0.0, 0.0, scale * neck_levels + scale))
     radial.append(scale * neck_levels + scale)
     region.append("body:1")
-
-    def ring_vertex(j: int, i: int) -> int:
-        return 1 + j * n + (i % n)
-
-    faces = []
-    for i in range(n):
-        faces.append((0, ring_vertex(0, i), ring_vertex(0, i + 1)))
+    # ring j (from 0) starts at vertex 1 + j * n
+    faces = _fan(n, 0, 1)
     for j in range(neck_levels):
-        for i in range(n):
-            a = ring_vertex(j, i)
-            b = ring_vertex(j, i + 1)
-            c = ring_vertex(j + 1, i + 1)
-            d = ring_vertex(j + 1, i)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    for i in range(n):
-        faces.append((top_apex, ring_vertex(neck_levels, i), ring_vertex(neck_levels, i + 1)))
+        faces += _band(n, 1 + j * n, 1 + (j + 1) * n)
+    faces += _fan(n, top_apex, 1 + neck_levels * n)
     return MetricComplex(
         complex=SimplicialComplex.from_simplices(faces, n_vertices=len(coords)),
         coords=tuple(coords),
         radial=tuple(radial),
         region=tuple(region),
     )
+
+
+def _fan(n: int, apex: int, ring: int) -> list[tuple[int, int, int]]:
+    """Triangles joining ``apex`` to the n-gon ring of vertices ring..ring+n-1."""
+    return [(apex, ring + i, ring + (i + 1) % n) for i in range(n)]
+
+
+def _band(n: int, lower: int, upper: int) -> list[tuple[int, int, int]]:
+    """Triangles of the band between the n-gon rings starting at vertices
+    ``lower`` and ``upper``, each quad split along the same diagonal."""
+    faces = []
+    for i in range(n):
+        a, b = lower + i, lower + (i + 1) % n
+        c, d = upper + (i + 1) % n, upper + i
+        faces += [(a, b, c), (a, c, d)]
+    return faces
 
 
 def _normalize(p, scale: float):
