@@ -11,10 +11,15 @@ To re-derive a digest after an intended change of output, run this file with
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fillbound
 from fillbound.chains import Chain
 from fillbound.cli import main
 from fillbound.fileio import save_chain, save_space
@@ -115,18 +120,33 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
-@pytest.mark.parametrize("name,seed", sorted(FILL_DIGESTS))
-def test_fill_report_byte_identical(workdir, name, seed):
+def fill_args(name, seed) -> list[str]:
+    """Write the space and cycle documents of a fill case; its CLI arguments."""
     make, radius = SPACES[name]
     space = make()
     save_space("space.json", space)
     save_chain("cycle.json", space, seeded_cycle(space, seed))
-    code = main(["fill", "--space", "space.json", "--cycle", "cycle.json",
-                 "--radius", radius, "--out", "report.json"])
+    return ["fill", "--space", "space.json", "--cycle", "cycle.json",
+            "--radius", radius, "--out", "report.json"]
+
+
+@pytest.mark.parametrize("name,seed", sorted(FILL_DIGESTS))
+def test_fill_report_byte_identical(workdir, name, seed):
+    code = main(fill_args(name, seed))
     assert code == 0
     got = digest(workdir / "report.json")
     print(f"digest fill {name} {seed} {got}")
     assert got == FILL_DIGESTS[(name, seed)]
+
+
+def test_fill_report_byte_identical_under_optimize(workdir):
+    # every check raises instead of asserting, so python -O runs them all
+    package_root = str(Path(fillbound.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    args = fill_args("capped_prism", 0)
+    subprocess.run([sys.executable, "-O", "-m", "fillbound.cli", *args], check=True,
+                   env=dict(os.environ, PYTHONPATH=path))
+    assert digest(workdir / "report.json") == FILL_DIGESTS[("capped_prism", 0)]
 
 
 def test_hf1_report_byte_identical(workdir):
