@@ -12,7 +12,6 @@ the integer algebra.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import DomainError, StructuralError
@@ -398,15 +397,3 @@ def mass(weights: Sequence[float], c: Chain) -> float:
         total += abs(a) * w
     return total
 
-
-def is_cycle(complex: SimplicialComplex, c: Chain) -> bool:
-    """True iff the boundary of c vanishes; requires c.dim >= 1."""
-    return boundary(complex, c).is_zero()
-
-
-def complete_complex(n_vertices: int, dim: int) -> SimplicialComplex:
-    """All simplices on n_vertices up to the given dimension."""
-    simps = []
-    for k in range(1, dim + 1):
-        simps.extend(itertools.combinations(range(n_vertices), k + 1))
-    return SimplicialComplex.from_simplices(simps, n_vertices=n_vertices)

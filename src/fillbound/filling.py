@@ -155,14 +155,14 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
         x = x0
     filled = Chain.from_vector(k + 1, x)
     input_max = c_k.max_abs()
+    # a zero input has zero bounds, even where the binomial bound is inf
+    growth = _binomial_bound(complex.n_vertices, k) if input_max else 0.0
     cert = FillCertificate(
         input_max_coeff=input_max,
         output_max_coeff=filled.max_abs(),
         output_l1=filled.l1(),
-        bound_max=_binomial_bound(complex.n_vertices, k) * input_max,
-        bound_l1=math.comb(complex.n_vertices, k + 2)
-        * _binomial_bound(complex.n_vertices, k)
-        * input_max,
+        bound_max=growth * input_max,
+        bound_l1=math.comb(complex.n_vertices, k + 2) * growth * input_max,
         rank_used=snf.rank,
         n_vertices=complex.n_vertices,
         k=k,

@@ -225,6 +225,10 @@ def skeleton_diameter(space: MetricComplex) -> float:
 class Cover:
     """Vertex-set cover with designated centers.
 
+    Each set must hold its center and be connected in the 1-skeleton, so
+    two sets that intersect have a connected union.  ``ball_cover`` builds
+    its sets that way, and ``geodesic_graph`` checks it.
+
     The memo holds the geodesic graph (key ``"graph"``), which carries the
     nerve, and each set's shortest-path tree from its center (key
     ``("set_tree", i)``); they assume the cover is used with the space it
@@ -368,7 +372,6 @@ class GraphEdge:
     b: int
     path: tuple[int, ...]  # vertex walk from centers[a] to centers[b]
     length: float
-    used_global_path: bool
 
 
 @dataclass(frozen=True)
@@ -396,26 +399,26 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
     """Connect the centers of the sets of every 1-simplex of the cover's nerve.
 
     The connecting path is the shortest path inside the union of the two
-    sets; if the union is disconnected, the global shortest path is used
-    and flagged.
+    sets.  This is where a cover meets its space, so here each set is
+    checked to hold its center and to be connected in the 1-skeleton; a
+    ``StructuralError`` names the first set that does not.  The union of two
+    intersecting sets is then connected and holds both centers.
     """
     adj = space.adjacency()
+    for i, (s, center) in enumerate(zip(cover.sets, cover.centers)):
+        members = set(s)
+        if center not in members or _connected_component(members, center, adj) != members:
+            raise StructuralError(
+                f"cover set {i} must hold its center {center} and be connected "
+                "in the 1-skeleton"
+            )
     nerve_complex = nerve(cover)
     edges = []
     for (i, j) in nerve_complex.simplices(1):
         ci, cj = cover.centers[i], cover.centers[j]
         union = frozenset(cover.sets[i] + cover.sets[j])
-        tree = shortest_path_tree(adj, ci, allowed=union)
-        if cj in tree:
-            d, path = tree[cj]
-            flagged = False
-        else:
-            tree = shortest_path_tree(adj, ci)
-            if len(tree) != space.complex.n_vertices:
-                raise StructuralError("1-skeleton is disconnected")
-            d, path = tree[cj]
-            flagged = True
-        edges.append(GraphEdge(a=i, b=j, path=path, length=d, used_global_path=flagged))
+        d, path = shortest_path_tree(adj, ci, allowed=union)[cj]
+        edges.append(GraphEdge(a=i, b=j, path=path, length=d))
     return GeodesicGraph(centers=cover.centers, edges=tuple(edges), nerve=nerve_complex)
 
 
@@ -876,7 +879,9 @@ def project_cycle_to_graph(
     c - realize(C') exactly.  Arcs are maximal runs of consecutive cycle
     edges assigned to one cover set; each arc is traded for the graph edge
     between the centers of consecutive arc sets, and the difference loops
-    are cone-filled inside the relevant sets.
+    are cone-filled inside the relevant sets.  ``graph`` must come from
+    ``geodesic_graph(space, cover)``, which checks that every set is
+    connected and holds its center, so each set's tree reaches all of it.
     """
     if c.dim != 1:
         raise DomainError("project_cycle_to_graph expects a 1-chain")
@@ -906,21 +911,11 @@ def project_cycle_to_graph(
             raise DomainError(
                 f"edge {(u, v)} lies in no cover set: cover too fine"
             )
-        def key(si):
-            tree = set_tree(si)
-            d = tree[u][0] if u in tree else math.inf
-            return (d, si)
-        return min(candidates, key=key)
+        return min(candidates, key=lambda si: (set_tree(si)[u][0], si))
 
     def spoke(si: int, vertex: int) -> Chain:
-        """Path chain center(si) -> vertex inside the set (global fallback)."""
-        tree = set_tree(si)
-        if vertex in tree:
-            return path_chain(k, tree[vertex][1])
-        g = shortest_path_tree(adj, cover.centers[si])
-        if vertex not in g:
-            raise StructuralError("1-skeleton is disconnected")
-        return path_chain(k, g[vertex][1])
+        """Path chain center(si) -> vertex inside the set."""
+        return path_chain(k, set_tree(si)[vertex][1])
 
     graph_acc: dict[int, int] = {}
     e1 = Chain.zero(2)

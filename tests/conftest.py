@@ -9,6 +9,19 @@ from fillbound.chains import Chain, SimplicialComplex, boundary
 from fillbound.intlin import IntMatrix, _axpy, _bareiss_det
 
 
+def is_cycle(complex: SimplicialComplex, c: Chain) -> bool:
+    """True iff the boundary of c vanishes; requires c.dim >= 1."""
+    return boundary(complex, c).is_zero()
+
+
+def complete_complex(n_vertices: int, dim: int) -> SimplicialComplex:
+    """All simplices on n_vertices up to the given dimension."""
+    simps = []
+    for k in range(1, dim + 1):
+        simps.extend(itertools.combinations(range(n_vertices), k + 1))
+    return SimplicialComplex.from_simplices(simps, n_vertices=n_vertices)
+
+
 def random_complex(rng: random.Random, max_vertices: int = 10, min_vertices: int = 4,
                    max_faces: int = None) -> SimplicialComplex:
     """Random 2-dimensional complex, closed under faces by construction."""

@@ -12,14 +12,13 @@ from fillbound.chains import (
     boundary,
     boundary_matrix,
     chain_from_simplices,
-    is_cycle,
     mass,
     sort_with_sign,
 )
 from fillbound.errors import DomainError, StructuralError
 from fillbound.shapes import icosphere
 
-from conftest import matmul, random_chain, random_complex
+from conftest import is_cycle, matmul, random_chain, random_complex
 
 
 TRIANGLE = SimplicialComplex.from_simplices([(0, 1, 2)])

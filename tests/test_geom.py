@@ -35,6 +35,10 @@ DISJOINT_COVER = Cover(sets=((0,), (1,)), centers=(0, 1))
 FULL_TRIANGLE_COVER = Cover(sets=((0, 1), (1, 2), (0, 1, 2)), centers=(0, 2, 1))
 # three arcs, pairwise intersecting, empty triple intersection
 CIRCLE_COVER = Cover(sets=((0, 1), (1, 2), (2, 0)), centers=(0, 1, 2))
+# octahedron covers that break the invariant: set 1 misses its center 2, and
+# set 0 is the antipodal, so disconnected, pair {0, 1}
+CENTER_OUTSIDE_COVER = Cover(sets=((0, 2, 4), (1, 3, 5)), centers=(0, 2))
+DISCONNECTED_COVER = Cover(sets=((0, 1), (1,)), centers=(0, 1))
 
 
 def octa_equator():
@@ -42,6 +46,14 @@ def octa_equator():
     return chain_from_simplices(
         OCTA.complex, 1, [((loop[i], loop[(i + 1) % 4]), 1) for i in range(4)]
     )
+
+
+def assert_sets_connected_around_centers(space, cover):
+    """Each set holds its center and is reached from it inside the set."""
+    adj = space.adjacency()
+    for c, s in zip(cover.centers, cover.sets):
+        assert c in s
+        assert set(shortest_path_tree(adj, c, allowed=frozenset(s))) == set(s)
 
 
 def cycle_from_loop(space, loop):
@@ -153,6 +165,7 @@ class TestBallCover:
             for s in cover.sets:
                 covered.update(s)
             assert covered == set(range(space.complex.n_vertices))
+            assert_sets_connected_around_centers(space, cover)
 
     def test_radius_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -181,6 +194,7 @@ class TestBallCover:
         cover = ball_cover(space, radius)
         assert len(cover.centers) == n_centers
         assert sorted(calls) == sorted(cover.centers)
+        assert_sets_connected_around_centers(space, cover)
 
 
 class TestNerve:
@@ -234,19 +248,16 @@ class TestGeodesicGraph:
         e = graph.edges[0]
         assert e.path == (0, 1, 2)
         assert e.length == pytest.approx(2.0)
-        assert not e.used_global_path
 
-    def test_disconnected_union_takes_global_path(self):
-        # vertices 0 and 1 are antipodal, so the union of the two intersecting
-        # sets is the disconnected pair {0, 1}
-        cover = Cover(sets=((0, 1), (1,)), centers=(0, 1))
-        graph = geodesic_graph(OCTA, cover)
-        assert len(graph.edges) == 1
-        e = graph.edges[0]
-        assert e.used_global_path
-        d, path = shortest_path_tree(OCTA.adjacency(), 0)[1]
-        assert e.path == path == (0, 2, 1)
-        assert e.length == d == pytest.approx(2 * math.sqrt(2))
+    @pytest.mark.parametrize("cover,bad_set", [
+        (CENTER_OUTSIDE_COVER, 1), (DISCONNECTED_COVER, 0),
+    ], ids=["center-outside", "disconnected"])
+    def test_bad_cover_rejected(self, cover, bad_set):
+        message = rf"cover set {bad_set} must hold its center {cover.centers[bad_set]}"
+        with pytest.raises(StructuralError, match="^" + message):
+            geodesic_graph(OCTA, cover)
+        with pytest.raises(StructuralError, match="^E1/project: " + message):
+            pipeline_fill(OCTA, cover, octa_equator())
 
     def test_octahedron_skeleton_edges_present(self):
         cover = ball_cover(OCTA, 0.8)
