@@ -399,10 +399,9 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
     """Connect the centers of the sets of every 1-simplex of the cover's nerve.
 
     The connecting path is the shortest path inside the union of the two
-    sets.  This is where a cover meets its space, so here each set is
-    checked to hold its center and to be connected in the 1-skeleton; a
-    ``StructuralError`` names the first set that does not.  The union of two
-    intersecting sets is then connected and holds both centers.
+    sets.  Each set is first checked to hold its center and be connected in
+    the 1-skeleton (a ``StructuralError`` names the first that does not), so
+    that union is connected and holds both centers.
     """
     adj = space.adjacency()
     for i, (s, center) in enumerate(zip(cover.sets, cover.centers)):
