@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 from .chains import Chain, SimplicialComplex, boundary_matrix, cached, mass, path_chain
 from .errors import CapacityError, DomainError, InvariantError
 from .intlin import (
-    KERNEL_REDUCTION_MAX_DIM,
     SmithDecomposition,
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
@@ -25,6 +24,7 @@ from .intlin import (
     smith_decomposition,
 )
 
+KERNEL_REDUCTION_MAX_DIM = 8  # the largest kernel fill_boundary searches exactly
 GREEDY_REDUCTION_MAX_WORK = 200_000
 MIN_MASS_MAX_KERNEL_DIM = 20
 DEFAULT_REL_TOL = 1e-9
@@ -127,7 +127,8 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
     Solvability is decided by the Smith form of the boundary matrix; the
     returned chain is the minimal max-norm solution of the system whenever
     the homogeneous lattice has dimension <= KERNEL_REDUCTION_MAX_DIM (8),
-    otherwise the Smith solution after greedy lattice reduction.
+    a limit of this function only, otherwise the Smith solution after
+    greedy lattice reduction.
     """
     k = c_k.dim
     if k < 1:
@@ -144,7 +145,7 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
         raise DomainError(f"chain is not a boundary: {obstruction}")
     kernel = snf.kernel_columns()
     if kernel and len(kernel) <= KERNEL_REDUCTION_MAX_DIM:
-        # the search starts from x0's greedy reduction, inside x0's max-norm box
+        # the search runs inside x0's max-norm box, which holds x0
         x = _maxnorm_coset_min(x0, snf, max(map(abs, x0)), DEFAULT_NODE_BUDGET)
         if x is None:
             raise InvariantError("coset search found nothing inside a box that holds its start")

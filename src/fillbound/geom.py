@@ -399,14 +399,17 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
     """Connect the centers of the sets of every 1-simplex of the cover's nerve.
 
     The connecting path is the shortest path inside the union of the two
-    sets.  Each set is first checked to hold its center and be connected in
-    the 1-skeleton (a ``StructuralError`` names the first that does not), so
-    that union is connected and holds both centers.
+    sets.  Each set is first checked to have a center, a vertex that it
+    holds, and be connected in the 1-skeleton (a ``StructuralError`` names
+    the first that does not), so that union is connected and holds both.
     """
     adj = space.adjacency()
+    if len(cover.centers) != len(cover.sets):
+        raise StructuralError(f"cover has {len(cover.sets)} sets but {len(cover.centers)} centers")
     for i, (s, center) in enumerate(zip(cover.sets, cover.centers)):
         members = set(s)
-        if center not in members or _connected_component(members, center, adj) != members:
+        if (center not in members or center not in range(len(adj))
+                or _connected_component(members, center, adj) != members):
             raise StructuralError(
                 f"cover set {i} must hold its center {center} and be connected "
                 "in the 1-skeleton"

@@ -25,9 +25,10 @@ reductions, ``column_echelon_basis`` and ``coset_min`` all take it.
 ``coset_min`` is the one exact search over a solution coset x0 + ker(A):
 a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
 The minimum-mass fills in ``filling`` run it with float weights (triangle
-areas) and a relative tie tolerance; the max-norm searches here deepen its
-cap with unit integer weights and zero tolerance, so their comparisons are
-exact while costs stay below 2^53.
+areas) and a relative tie tolerance; the max-norm search, the certificate's
+one small-solution search at every kernel dimension, deepens its cap with
+unit integer weights and zero tolerance, so its comparisons are exact while
+costs stay below 2^53.
 
 Floating point appears in ``bfrt_bound`` (a reporting convenience) and
 through ``coset_min``'s weights; every certificate comparison has an exact
@@ -46,8 +47,6 @@ from .errors import CapacityError, DomainError, StructuralError
 
 DEFAULT_MINOR_BUDGET = 27 * 10 ** 6  # multiply-adds: 10^6 minors of order 3
 DEFAULT_NODE_BUDGET = 2 * 10 ** 6
-# the largest kernel dimension that the exact max-norm coset search takes on
-KERNEL_REDUCTION_MAX_DIM = 8
 
 
 class IntMatrix:
@@ -485,7 +484,7 @@ def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCert
     except CapacityError:
         minor_max = None
     box = minor_max if minor_max is not None else bound_ceiling
-    solution = _small_solution(a, b, snf, x0, box, DEFAULT_NODE_BUDGET)
+    solution = _maxnorm_coset_min(x0, snf, box, DEFAULT_NODE_BUDGET)
     return BoundCertificate(
         m=m,
         max_a=max_a,
@@ -691,57 +690,24 @@ def _maxnorm_coset_min(
 ) -> Optional[list[int]]:
     """Minimal (max-norm, l1, lexicographic) element of x0 + ker(A), if any
     lies in the box [-box, box]^n.  Exact by iterative deepening on the cap
-    of ``coset_min``, with unit weights, which share one node budget."""
+    of ``coset_min``, with unit weights, which share one node budget.  It
+    starts from x0 as given: each pivot row's residue class, so every cap's
+    candidate set, is the same from any point of the coset."""
     kernel = snf.kernel_columns()
-    xr = _greedy_reduce_maxnorm(x0, kernel)
+    top = max(map(abs, x0), default=0)
     if not kernel:
-        return xr if max(map(abs, xr), default=0) <= box else None
+        return x0 if top <= box else None
     cols = column_echelon_basis(kernel)
     # rows above the first pivot cannot be changed by any lattice shift
-    fixed_norm = max((abs(xr[i]) for i in range(cols[0][0][0])), default=0)
-    unit = [1] * len(xr)
+    fixed_norm = max((abs(x0[i]) for i in range(cols[0][0][0])), default=0)
+    unit = [1] * len(x0)
     used = 0
-    for cap in range(fixed_norm, min(box, max(map(abs, xr), default=0)) + 1):
+    for cap in range(fixed_norm, min(box, top) + 1):
         try:
-            _, found, nodes = coset_min(xr, cols, unit, 0, node_budget - used, cap=cap)
+            _, found, nodes = coset_min(x0, cols, unit, 0, node_budget - used, cap=cap)
         except CapacityError:
             raise CapacityError(f"coset search exceeded node budget {node_budget}") from None
         if found is not None:
             return list(found)
         used += nodes
     return None
-
-
-def _small_solution(
-    a: IntMatrix,
-    b: Sequence[int],
-    snf: SmithDecomposition,
-    x0: list[int],
-    budget_box: int,
-    node_budget: int,
-) -> Optional[list[int]]:
-    """Integer solution of A x = b minimizing max-norm, then l1, then
-    lexicographic order, given the Smith form of ``a`` and one solution x0;
-    None iff no solution lies in [-budget_box, budget_box]^n."""
-    kernel_dim = len(snf.kernel_columns())
-    if kernel_dim > KERNEL_REDUCTION_MAX_DIM:
-        # fall back to direct box enumeration when it fits the budget
-        width = 2 * budget_box + 1
-        if width ** a.cols > node_budget:
-            raise CapacityError(
-                f"kernel dimension {kernel_dim} > {KERNEL_REDUCTION_MAX_DIM} and box of size "
-                f"{width}^{a.cols} exceeds the enumeration budget"
-            )
-        return _box_enumerate(a, list(b), budget_box)
-    return _maxnorm_coset_min(x0, snf, budget_box, node_budget)
-
-
-def _box_enumerate(a: IntMatrix, b: list[int], box: int) -> Optional[list[int]]:
-    best = None
-    rng = range(-box, box + 1)
-    for xs in itertools.product(rng, repeat=a.cols):
-        if a.mul_vec(list(xs)) == b:
-            cand = (max(map(abs, xs), default=0), sum(map(abs, xs)), xs)
-            if best is None or cand < best:
-                best = cand
-    return None if best is None else list(best[2])

@@ -545,6 +545,17 @@ class TestBfrtCommand:
         assert doc["violations"] == 0
         assert doc["max_tightness"] <= 1.0
 
+    def test_large_kernels_certified(self, capsys):
+        # up to 12 columns, so kernels up to dimension 11: all 10 systems are
+        # certified and none is skipped for capacity
+        code = main(["bfrt-check", "--trials", "10", "--n-max", "12", "--m-max", "2",
+                     "--max-entry", "1", "--seed", "4"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["capacity_skips"] == 0
+        assert doc["instances"] == 10
+        assert doc["violations"] == 0
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["bfrt-check", "--trials", "50", "--seed", "3", "--verbose"]

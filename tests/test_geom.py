@@ -35,10 +35,13 @@ DISJOINT_COVER = Cover(sets=((0,), (1,)), centers=(0, 1))
 FULL_TRIANGLE_COVER = Cover(sets=((0, 1), (1, 2), (0, 1, 2)), centers=(0, 2, 1))
 # three arcs, pairwise intersecting, empty triple intersection
 CIRCLE_COVER = Cover(sets=((0, 1), (1, 2), (2, 0)), centers=(0, 1, 2))
-# octahedron covers that break the invariant: set 1 misses its center 2, and
-# set 0 is the antipodal, so disconnected, pair {0, 1}
+# octahedron covers that break the invariant: set 1 misses its center 2;
+# set 0 is the antipodal, so disconnected, pair {0, 1}; the center 9 is not
+# a vertex; and set 1, which meets set 0, has no center
 CENTER_OUTSIDE_COVER = Cover(sets=((0, 2, 4), (1, 3, 5)), centers=(0, 2))
 DISCONNECTED_COVER = Cover(sets=((0, 1), (1,)), centers=(0, 1))
+NON_VERTEX_CENTER_COVER = Cover(sets=((9,),), centers=(9,))
+MISSING_CENTER_COVER = Cover(sets=((0, 2, 4), (1, 2, 3)), centers=(0,))
 
 
 def octa_equator():
@@ -249,11 +252,13 @@ class TestGeodesicGraph:
         assert e.path == (0, 1, 2)
         assert e.length == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("cover,bad_set", [
-        (CENTER_OUTSIDE_COVER, 1), (DISCONNECTED_COVER, 0),
-    ], ids=["center-outside", "disconnected"])
-    def test_bad_cover_rejected(self, cover, bad_set):
-        message = rf"cover set {bad_set} must hold its center {cover.centers[bad_set]}"
+    @pytest.mark.parametrize("cover,message", [
+        (CENTER_OUTSIDE_COVER, "cover set 1 must hold its center 2"),
+        (DISCONNECTED_COVER, "cover set 0 must hold its center 0"),
+        (NON_VERTEX_CENTER_COVER, "cover set 0 must hold its center 9"),
+        (MISSING_CENTER_COVER, "cover has 2 sets but 1 centers"),
+    ], ids=["center-outside", "disconnected", "center-not-a-vertex", "center-missing"])
+    def test_bad_cover_rejected(self, cover, message):
         with pytest.raises(StructuralError, match="^" + message):
             geodesic_graph(OCTA, cover)
         with pytest.raises(StructuralError, match="^E1/project: " + message):

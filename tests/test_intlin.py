@@ -8,7 +8,6 @@ from fillbound.intlin import (
     IntMatrix,
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
-    _small_solution,
     bfrt_bound,
     bfrt_bound_ceiling,
     certify_small_solution,
@@ -60,7 +59,7 @@ def solve_integer_small(a: IntMatrix, b, budget_box: int,
     x0, _ = snf.solve_with_obstruction(list(b))
     if x0 is None:
         return None
-    return _small_solution(a, b, snf, x0, budget_box, node_budget)
+    return _maxnorm_coset_min(x0, snf, budget_box, node_budget)
 
 
 def random_matrix(rng, max_rows=6, max_cols=6, max_entry=5):
@@ -828,9 +827,12 @@ class TestSolveIntegerSmall:
         assert solve_integer_small(IntMatrix.from_rows([[2]]), [1], 10) is None
 
     def test_capacity_when_lattice_and_box_both_large(self):
+        # kernel 11 in a box of 11^12 points: the search answers, and stops
+        # at its node budget
         a = IntMatrix.from_rows([[1] * 12])
-        with pytest.raises(CapacityError):
-            solve_integer_small(a, [0], 5)
+        assert solve_integer_small(a, [0], 5) == [0] * 12
+        with pytest.raises(CapacityError, match="^coset search exceeded node budget 5$"):
+            solve_integer_small(a, [7], 5, node_budget=5)
 
     def test_matches_box_oracle_randomized(self, rng):
         for _ in range(150):
@@ -844,6 +846,14 @@ class TestSolveIntegerSmall:
             got = solve_integer_small(a, b, 4)
             want = box_search_best(a, b, 4)
             assert got == want
+        # kernels of dimension 9 to 11, in the unit box
+        for l, n in ((1, 10), (1, 11), (1, 12)):
+            a = IntMatrix.from_rows(
+                [[rng.randint(-1, 1) for _ in range(n)] for _ in range(l)]
+            )
+            assert len(smith_decomposition(a).kernel_columns()) >= 9
+            b = a.mul_vec([rng.randint(-1, 1) for _ in range(n)])
+            assert solve_integer_small(a, b, 1) == box_search_best(a, b, 1)
 
 
 def maxnorm_coset_oracle(x0, snf, box: int, node_budget: int):
@@ -944,6 +954,22 @@ class TestMaxnormCosetDifferential:
     def test_fixed_cases(self, rows, x, box, expected):
         assert self.check(x, smith_decomposition(IntMatrix.from_rows(rows)), box) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=coset_cases(), data=st.data())
+    def test_start_independent(self, case, data):
+        """Any point of the coset gives the same answer: the reason no
+        reduction has to run before the search."""
+        x, snf, box = case
+        kernel = snf.kernel_columns()
+        qs = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                min_size=len(kernel), max_size=len(kernel)))
+        shifted = x[:]
+        for (rows, vals), q in zip(kernel, qs):
+            for i, v in zip(rows, vals):
+                shifted[i] += q * v
+        assert (_maxnorm_coset_min(shifted, snf, box, 10 ** 6)
+                == _maxnorm_coset_min(x, snf, box, 10 ** 6))
+
     def test_budget_message(self):
         snf = smith_decomposition(IntMatrix.from_rows([[1, -1]]))
         with pytest.raises(CapacityError, match="^coset search exceeded node budget 0$"):
@@ -993,6 +1019,22 @@ class TestCertificate:
                 assert cert.minor_max <= cert.hadamard_bound_ceiling
             else:
                 assert sol_max <= cert.hadamard_bound_ceiling
+
+    def test_nearly_parallel_kernel(self):
+        # the Smith solution reaches 5.7e7 and the four kernel columns, nearly
+        # parallel, 1.8e7: a greedy reduction one column at a time takes
+        # minutes here, so the search must start without one
+        a = IntMatrix.from_rows([
+            [-1, 1, -1, 3, 3, 2, 0, -2],
+            [-2, -3, 2, 2, -1, 3, -1, 3],
+            [-2, 1, 3, 2, 1, -1, 3, 3],
+            [2, 0, 0, 3, 3, 3, 1, 1],
+        ])
+        b = [8, -10, -8, 3]
+        cert = certify_small_solution(a, b)
+        assert cert.solution == (1, 1, -2, 2, 0, -1, -1, -1)
+        assert cert.check()
+        assert a.mul_vec(list(cert.solution)) == b
 
     def test_unsolvable_returns_none(self):
         assert certify_small_solution(IntMatrix.from_rows([[2]]), [1]) is None
