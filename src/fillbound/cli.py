@@ -24,7 +24,7 @@ from .errors import (
     InvariantError,
     StructuralError,
 )
-from .filling import DEFAULT_REL_TOL, amin_upper_bound, hf1_profile
+from .filling import amin_upper_bound, hf1_profile
 from .fileio import (
     canonical_json,
     chain_to_dict,
@@ -43,12 +43,6 @@ EXIT_DOMAIN = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 EXIT_INVARIANT = 5
-
-
-def _require_nonnegative(option: str, value: float, below: float = math.inf):
-    """Reject a numeric option that is not finite and in [0, below), before any work."""
-    if not (math.isfinite(value) and 0 <= value < below):
-        raise DomainError(f"{option} must be finite and in [0, {below:g}), got {value}")
 
 
 def _require_at_least(*checks: tuple[str, int, int]):
@@ -90,7 +84,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fill(args) -> int:
-    _require_nonnegative("--tolerance", args.tolerance, below=1.0)
     if not (math.isfinite(args.radius) and args.radius > 0):
         raise DomainError(f"--radius must be finite and positive, got {args.radius}")
     space = load_space(args.space)
@@ -103,7 +96,7 @@ def cmd_fill(args) -> int:
     }
     try:
         cover = ball_cover(space, args.radius)
-        chain, report = pipeline_fill(space, cover, cycle, rel_tol=args.tolerance)
+        chain, report = pipeline_fill(space, cover, cycle)
     except FillboundError as err:
         report_doc["error"] = str(err)
         _emit(args.out, canonical_json(report_doc))
@@ -120,21 +113,15 @@ def cmd_fill(args) -> int:
 
 
 def cmd_hf1(args) -> int:
-    _require_nonnegative("--l-max", args.l_max)
-    _require_nonnegative("--tolerance", args.tolerance, below=1.0)
+    if not (math.isfinite(args.l_max) and args.l_max >= 0):
+        raise DomainError(f"--l-max must be finite and in [0, inf), got {args.l_max}")
     _require_at_least(("--steps", args.steps, 1), ("--cycle-budget", args.cycle_budget, 1))
     space = load_space(args.space)
     grid = [args.l_max * i / args.steps for i in range(args.steps + 1)]
     diameter = skeleton_diameter(space)
     at_2d = 2.0 * diameter
     grid.append(at_2d)
-    profile = hf1_profile(
-        space.complex,
-        space.volumes,
-        grid,
-        cycle_budget=args.cycle_budget,
-        rel_tol=args.tolerance,
-    )
+    profile = hf1_profile(space.complex, space.volumes, grid, cycle_budget=args.cycle_budget)
     hf_at_2d = profile.estimate_at(at_2d)
     amin = amin_upper_bound(hf_at_2d, 4)
     doc = {
@@ -256,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     fill.add_argument("--radius", type=float, required=True)
     fill.add_argument("--out", default=None)
     fill.add_argument("--chain-out", default=None)
-    fill.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL)
     fill.add_argument(
         "--timing", action="store_true",
         help="include wall-clock stage timings (report is then not byte-stable)",
@@ -270,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     hf1.add_argument("--cycle-budget", type=int, default=200)
     hf1.add_argument("--out", default=None)
     hf1.add_argument("--csv", default=None)
-    hf1.add_argument("--tolerance", type=float, default=DEFAULT_REL_TOL)
     hf1.set_defaults(func=cmd_hf1)
 
     bfrt = sub.add_parser("bfrt-check", help="stress-test the coefficient bound")

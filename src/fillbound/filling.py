@@ -27,8 +27,8 @@ from .intlin import (
 KERNEL_REDUCTION_MAX_DIM = 8  # the largest kernel fill_boundary searches exactly
 GREEDY_REDUCTION_MAX_WORK = 200_000
 MIN_MASS_MAX_KERNEL_DIM = 20
-DEFAULT_REL_TOL = 1e-9
 ABS_TOL = 1e-12  # absolute slack when comparing lengths and masses
+REL_TOL = 1e-9  # relative slack at which two minimum-mass fills tie
 DEFAULT_NODE_BUDGET = 4 * 10 ** 6
 
 
@@ -222,14 +222,14 @@ def min_mass_fill(
     complex: SimplicialComplex,
     weights: Mapping[int, Sequence[float]],
     z: Chain,
-    rel_tol: float = DEFAULT_REL_TOL,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[Chain, float]:
     """Exact minimum-mass integer 2-chain E with boundary z.
 
     ``weights`` maps dimension -> per-simplex volumes (dimension 2 is the
     objective).  The optimum is certified by branch and bound over the
-    solution coset; lexicographic tie-break on the coefficient vector.
+    solution coset; masses within REL_TOL of each other tie, and the
+    lexicographically smaller coefficient vector wins.
     A CapacityError's incumbent is an uncertified 2-chain with boundary z.
     """
     if z.dim != 1:
@@ -258,7 +258,7 @@ def min_mass_fill(
     if kernel:
         cols = column_echelon_basis(kernel)
         try:
-            cost, best, _ = coset_min(xr, cols, w2, rel_tol, node_budget,
+            cost, best, _ = coset_min(xr, cols, w2, REL_TOL, node_budget,
                                       incumbent=(cost, best))
         except CapacityError as err:
             err.incumbent = Chain.from_vector(2, err.incumbent)
@@ -370,7 +370,6 @@ def hf1_profile(
     weights: Mapping[int, Sequence[float]],
     l_grid: Sequence[float],
     cycle_budget: int,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> Hf1Profile:
     """Lower estimate of HF1 on a grid of length thresholds.
 
@@ -396,16 +395,12 @@ def hf1_profile(
     members: list[tuple[float, float]] = []  # (mass, exact fill mass)
     for loop in loops:
         z = path_chain(complex, loop + [loop[0]])
-        if z.is_zero():
-            continue
         m1 = mass(w1, z)
         if m1 > l_max + ABS_TOL:
             continue
         q = 1
         while q <= MAX_CYCLE_MULTIPLE and q * m1 <= l_max + ABS_TOL:
-            _, fill_mass = min_mass_fill(
-                complex, weights, z.scale(q), rel_tol=rel_tol
-            )
+            _, fill_mass = min_mass_fill(complex, weights, z.scale(q))
             members.append((q * m1, fill_mass))
             q += 1
 

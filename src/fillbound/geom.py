@@ -24,7 +24,6 @@ from .chains import Chain, SimplicialComplex, boundary, cached, mass, path_chain
 from .errors import DomainError, FillboundError, InvariantError, StructuralError
 from .filling import (
     ABS_TOL,
-    DEFAULT_REL_TOL,
     FillCertificate,
     amin_upper_bound,
     fill_boundary,
@@ -569,8 +568,7 @@ def fill_loop_locally(space: MetricComplex, loop: Chain) -> Optional[Chain]:
 # cone fill
 
 
-def cone_fill(space: MetricComplex, loop: Chain, apex: int,
-              rel_tol: float = DEFAULT_REL_TOL) -> Chain:
+def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
     """Discrete cone over a 1-cycle: per loop edge, fill the wedge between
     the edge and the shortest paths of its endpoints to the apex.
 
@@ -598,7 +596,7 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int,
         wedge = Chain(1, {idx: 1}) + su - sv
         part = fill_loop_locally(space, wedge)
         if part is None:
-            part, _ = min_mass_fill(space.complex, space.volumes, wedge, rel_tol=rel_tol)
+            part, _ = min_mass_fill(space.complex, space.volumes, wedge)
         total = total + part.scale(a)
     if boundary(space.complex, total) != loop:
         raise InvariantError("cone fill has the wrong boundary")
@@ -609,13 +607,11 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int,
 # neck contraction
 
 
-def _successor_map(space: MetricComplex, vertices, target: float) -> dict[int, int]:
+def _successor_map(space: MetricComplex, vertices) -> dict[int, int]:
     adj = space.adjacency()
     radial = space.radial
     succ = {}
     for v in sorted(vertices):
-        if radial[v] <= target:
-            continue
         candidates = [
             (length, radial[w], w)
             for (w, length) in adj[v]
@@ -662,7 +658,7 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
         rounds += 1
         if rounds > space.complex.n_vertices + 1:
             raise StructuralError("radial projection does not terminate")
-        succ = _successor_map(space, above, target_level)
+        succ = _successor_map(space, above)
         next_acc: dict[int, int] = {}
         sweep = Chain.zero(2)
         for idx, a in sorted(cur.items()):
@@ -872,7 +868,6 @@ def project_cycle_to_graph(
     cover: Cover,
     graph: GeodesicGraph,
     c: Chain,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[Chain, Chain, ProjectionReport]:
     """Reroute a skeleton cycle through cover-set centers.
 
@@ -937,8 +932,7 @@ def project_cycle_to_graph(
             runs[0] = (runs[0][0], last[1] + runs[0][1])
 
         if len(runs) == 1:
-            e1 = e1 + cone_fill(space, path_chain(k, walk), cover.centers[runs[0][0]],
-                                rel_tol=rel_tol)
+            e1 = e1 + cone_fill(space, path_chain(k, walk), cover.centers[runs[0][0]])
             continue
 
         p = len(runs)
@@ -952,7 +946,7 @@ def project_cycle_to_graph(
             t_i = spoke(si, v_start)          # center_i -> start junction
             u_i = -spoke(si, v_end)           # end junction -> center_i
             loop_a = t_i + arc_chain + u_i
-            e1 = e1 + cone_fill(space, loop_a, cover.centers[si], rel_tol=rel_tol)
+            e1 = e1 + cone_fill(space, loop_a, cover.centers[si])
 
             pair = (min(si, sj), max(si, sj))
             if not graph.nerve.has_simplex(1, pair):
@@ -967,7 +961,7 @@ def project_cycle_to_graph(
             t_next = spoke(sj, v_end)
             # closed walk v_end -> center_i -> center_j -> v_end
             loop_b = u_i + gamma + t_next
-            e1 = e1 - cone_fill(space, loop_b, v_end, rel_tol=rel_tol)
+            e1 = e1 - cone_fill(space, loop_b, v_end)
 
     c_graph = Chain(1, graph_acc).scale(content)
     e1 = e1.scale(content)
@@ -1064,7 +1058,6 @@ def pipeline_fill(
     space: MetricComplex,
     cover: Cover,
     c: Chain,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[Chain, FillingReport]:
     """Fill a skeleton 1-cycle as E0 + E1 + E2 with an exact boundary check.
 
@@ -1118,9 +1111,7 @@ def pipeline_fill(
     t0 = time.perf_counter()
     try:
         graph = cached(cover, "graph", lambda: geodesic_graph(space, cover))
-        c_graph, e1, proj = project_cycle_to_graph(
-            space, cover, graph, c_body, rel_tol=rel_tol
-        )
+        c_graph, e1, proj = project_cycle_to_graph(space, cover, graph, c_body)
     except FillboundError as err:
         raise _tagged("E1/project", err) from err
     if proj.length_ratio is not None:
@@ -1143,7 +1134,7 @@ def pipeline_fill(
                 # the realized boundary (j,l) - (i,l) + (i,j), coned from set i
                 loop = graph.realize(space, boundary(graph.nerve, Chain(2, {tidx: 1})))
                 apex = graph.centers[triangles[tidx][0]]
-                e2 = e2 + cone_fill(space, loop, apex, rel_tol=rel_tol).scale(coeff)
+                e2 = e2 + cone_fill(space, loop, apex).scale(coeff)
         except FillboundError as err:
             raise _tagged("E2/nerve-fill", err) from err
     timing["e2"] = time.perf_counter() - t0

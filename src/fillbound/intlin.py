@@ -30,9 +30,9 @@ one small-solution search at every kernel dimension, deepens its cap with
 unit integer weights and zero tolerance, so its comparisons are exact while
 costs stay below 2^53.
 
-Floating point appears in ``bfrt_bound`` (a reporting convenience) and
-through ``coset_min``'s weights; every certificate comparison has an exact
-integer path.
+Floating point appears only through ``coset_min``'s weights; every
+certificate comparison, ``bfrt_bound_ceiling`` included, is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -398,24 +398,12 @@ def max_minor_abs(a: IntMatrix, m: int, budget: int = DEFAULT_MINOR_BUDGET) -> i
     return best
 
 
-def bfrt_bound(m: int, max_a: int, max_b: int) -> float:
-    """The small-solution bound m^{m/2} * M_A^{m-1} * max(M_A, M_b).
-
-    Evaluated in binary64 for reporting; use ``bfrt_bound_ceiling`` for the
-    exact integer comparison target.  By convention m = 0 (zero matrix)
-    yields max(M_A, M_b).
-    """
-    if m < 0:
-        raise DomainError("rank must be nonnegative")
-    if m == 0:
-        return float(max(max_a, max_b))
-    if max_a < 1 or max_b < 0:
-        raise DomainError("need M_A >= 1 and M_b >= 0")
-    return math.pow(m, m / 2.0) * max_a ** (m - 1) * max(max_a, max_b)
-
-
 def bfrt_bound_ceiling(m: int, max_a: int, max_b: int) -> int:
-    """Exact ceil of the small-solution bound, via integer square root."""
+    """Exact ceil of the small-solution bound m^{m/2} * M_A^{m-1} * max(M_A, M_b).
+
+    Computed with an integer square root.  By convention m = 0 (zero
+    matrix) yields max(M_A, M_b).
+    """
     if m < 0:
         raise DomainError("rank must be nonnegative")
     if m == 0:
@@ -432,6 +420,8 @@ def bfrt_bound_ceiling(m: int, max_a: int, max_b: int) -> int:
 class BoundCertificate:
     """Record of the small-solution guarantee for one system A x = b.
 
+    ``m`` is the rank of A (0 only for the zero matrix) and
+    ``hadamard_bound_ceiling`` the exact ``bfrt_bound_ceiling(m, M_A, M_b)``.
     ``minor_max`` is the exact maximum |m x m minor| of (A | b) when minor
     enumeration fit in budget, else None.  ``solution`` is a minimal
     max-norm integer solution when the bounded search succeeded.
@@ -441,12 +431,10 @@ class BoundCertificate:
     m: int
     max_a: int
     max_b: int
-    hadamard_bound: float
     hadamard_bound_ceiling: int
     minor_max: Optional[int] = None
     solution: Optional[tuple[int, ...]] = None
     hadamard_case: str = "A_columns"
-    degenerate_rank: bool = False
 
     def check(self) -> bool:
         """Exact verification of max|x_i| <= Y <= ceil(bound), where Y is
@@ -466,17 +454,14 @@ def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCert
         if any(b):
             return None
         return BoundCertificate(
-            m=0, max_a=0, max_b=max_b,
-            hadamard_bound=float(max_b), hadamard_bound_ceiling=max_b,
-            minor_max=None, solution=tuple([0] * a.cols),
-            hadamard_case="b_column", degenerate_rank=True,
+            m=0, max_a=0, max_b=max_b, hadamard_bound_ceiling=max_b,
+            minor_max=None, solution=tuple([0] * a.cols), hadamard_case="b_column",
         )
     snf = smith_decomposition(a)
     x0, _ = snf.solve_with_obstruction(list(b))
     if x0 is None:
         return None
     m = snf.rank
-    bound = bfrt_bound(m, max_a, max_b)
     bound_ceiling = bfrt_bound_ceiling(m, max_a, max_b)
     aug = IntMatrix.from_rows([row + [bi] for row, bi in zip(a.to_rows(), b)])
     try:
@@ -489,12 +474,10 @@ def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCert
         m=m,
         max_a=max_a,
         max_b=max_b,
-        hadamard_bound=bound,
         hadamard_bound_ceiling=bound_ceiling,
         minor_max=minor_max,
         solution=None if solution is None else tuple(solution),
         hadamard_case="A_columns" if max_a >= max_b else "b_column",
-        degenerate_rank=(m == 0),
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 
 import fillbound
 from fillbound.chains import Chain, boundary, chain_from_simplices
-from fillbound.cli import main
+from fillbound.cli import build_parser, main
 from fillbound.errors import StructuralError
 from fillbound.fileio import (
     canonical_json,
@@ -339,16 +340,9 @@ class TestInputContracts:
     """Bad numeric options exit 2 with one line, before any document is read."""
 
     @pytest.mark.parametrize("extra", [
-        ["fill", "--radius", "0.8", "--tolerance", "-1"],
-        ["fill", "--radius", "0.8", "--tolerance", "nan"],
-        ["fill", "--radius", "0.8", "--tolerance", "inf"],
         ["hf1", "--l-max", "inf"],
         ["hf1", "--l-max", "nan"],
         ["hf1", "--l-max", "-1"],
-        ["hf1", "--l-max", "2", "--tolerance", "-1"],
-        ["hf1", "--l-max", "2", "--tolerance", "nan"],
-        ["fill", "--radius", "0.8", "--tolerance", "1"],
-        ["hf1", "--l-max", "2", "--tolerance", "1e300"],
         ["fill", "--radius", "inf"],
         ["fill", "--radius", "nan"],
         ["fill", "--radius", "-1"],
@@ -394,11 +388,47 @@ class TestInputContracts:
         err = capsys.readouterr().err
         assert err == "error: fillbound: unrecognized arguments: --seed 1\n"
 
-    def test_zero_tolerance_accepted(self, tmp_path, ico_files):
-        space_path, cycle_path = ico_files
-        assert main(["fill", "--space", space_path, "--cycle", cycle_path,
-                     "--radius", "0.8", "--tolerance", "0",
-                     "--out", str(tmp_path / "out.json")]) == 0
+    @pytest.mark.parametrize("command", [
+        ["fill", "--space", "s.json", "--cycle", "c.json", "--radius", "0.8"],
+        ["hf1", "--space", "s.json", "--l-max", "2"],
+    ], ids=["fill", "hf1"])
+    def test_no_tolerance_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--tolerance", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "error: fillbound: unrecognized arguments: --tolerance 0\n"
+
+    def test_l_max_message(self, capsys):
+        assert main(["hf1", "--space", "s.json", "--l-max", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --l-max must be finite and in [0, inf), got -1.0\n"
+        )
+
+
+class TestOptionSurface:
+    """Every option of every subcommand, so that a new knob changes a test."""
+
+    EXPECTED = {
+        "gen": ["--shape", "--scale", "--level", "--n", "--levels", "--rings", "--out"],
+        "fill": ["--space", "--cycle", "--radius", "--out", "--chain-out", "--timing"],
+        "hf1": ["--space", "--l-max", "--steps", "--cycle-budget", "--out", "--csv"],
+        "bfrt-check": ["--trials", "--m-max", "--n-max", "--max-entry", "--seed", "--out",
+                       "--verbose"],
+    }
+
+    def test_options_pinned(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        found = {
+            name: [opt for action in sub._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")]
+            for name, sub in subparsers.choices.items()
+        }
+        assert found == self.EXPECTED
+        assert sum(len(opts) for opts in found.values()) == 26
 
 
 class TestDocumentContracts:

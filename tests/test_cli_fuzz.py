@@ -108,8 +108,6 @@ def invocations(draw):
         for opt in ("--steps", "--cycle-budget"):
             if draw(st.booleans()):
                 argv += [opt, draw(int_args | st.just("40"))]
-    if draw(st.booleans()):
-        argv += ["--tolerance", draw(float_args)]
     if draw(st.integers(0, 3)) == 0:
         argv += [draw(st.sampled_from(["--bogus", "--seed", "--radius"]))]
     return argv, draw(documents(space)), draw(documents(cycle))

@@ -354,7 +354,7 @@ def outcome(search, *args):
         return str(err), err.incumbent, err.incumbent_cost
 
 
-# weights within 1e-9 relative of each other tie at the default tolerance
+# weights within 1e-9 relative of each other tie at REL_TOL
 NEAR_TIE_WEIGHTS = [1.0, 1.0, 1.0 + 1e-12, 1.0 - 4e-10, 1.0 + 3e-9, 2.0, 2.0 - 1e-11,
                     0.5, 0.5 + 2e-10, math.sqrt(2), math.sqrt(3) / 4]
 
@@ -369,7 +369,7 @@ def weighted_coset_cases(draw):
         x = snf.solve_with_obstruction(a.mul_vec(x))[0]
     weight = st.sampled_from(NEAR_TIE_WEIGHTS) | st.floats(0.5, 3.0)
     weights = draw(st.lists(weight, min_size=a.cols, max_size=a.cols))
-    rel_tol = draw(st.sampled_from([fillbound.filling.DEFAULT_REL_TOL, 0.0, 1e-6]))
+    rel_tol = draw(st.sampled_from([fillbound.filling.REL_TOL, 0.0, 1e-6]))
     budget = draw(st.sampled_from([10 ** 5, 10 ** 5, 20, 1]))
     return x, snf.kernel_columns(), weights, rel_tol, budget
 
@@ -394,7 +394,7 @@ class TestWeightedCosetDifferential:
             snf = boundary_smith(k, 2)
             x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
             vec, cost, _ = weighted_coset_oracle(x0, snf.kernel_columns(), w[2],
-                                                 fillbound.filling.DEFAULT_REL_TOL, 10 ** 6)
+                                                 fillbound.filling.REL_TOL, 10 ** 6)
             assert min_mass_fill(k, w, z) == (Chain.from_vector(2, vec), cost)
             checked += 1
 

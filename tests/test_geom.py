@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fillbound.chains import Chain, SimplicialComplex, boundary, chain_from_simplices
 from fillbound.errors import DomainError, StructuralError
@@ -13,6 +15,7 @@ from fillbound.geom import (
     cone_fill,
     decompose_cycle,
     fill_loop_locally,
+    fill_walk_on_faces,
     geodesic_graph,
     neck_contract,
     nerve,
@@ -27,6 +30,7 @@ from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, t
 
 
 OCTA = octahedron(1.0)
+ICO1 = icosphere(1)
 
 # a single triangle, and hand-built covers of its vertices
 TRIANGLE = MetricComplex(complex=SimplicialComplex.from_simplices([(0, 1, 2)]),
@@ -299,6 +303,23 @@ class TestGeodesicGraph:
         assert reached_nerve >= 3
 
 
+@st.composite
+def backtracking_walks(draw):
+    """A closed skeleton walk with backtracks a -> b -> a inserted anywhere."""
+    space = draw(st.sampled_from([OCTA, ICO1]))
+    adj = space.adjacency()
+    start = draw(st.integers(0, space.complex.n_vertices - 1))
+    walk = [start]
+    for _ in range(draw(st.integers(0, 6))):
+        walk.append(draw(st.sampled_from([w for w, _ in adj[walk[-1]]])))
+    walk += reversed(shortest_path_tree(adj, start)[walk[-1]][1][:-1])
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(walk) - 1))
+        w = draw(st.sampled_from([u for u, _ in adj[walk[i]]]))
+        walk[i + 1:i + 1] = [w, walk[i]]
+    return space, walk
+
+
 class TestLocalFill:
     def test_walk_decomposition_reproduces_chain(self, rng):
         space = icosphere(1)
@@ -323,6 +344,28 @@ class TestLocalFill:
         # no two consecutive equator edges share a face, so the local
         # reduction reports failure instead of guessing
         assert fill_loop_locally(OCTA, octa_equator()) is None
+
+    def test_backtracks_cancel(self):
+        k = OCTA.complex
+        # 2 -> 0 -> 2 cancels, leaving the two-vertex walk 4 -> 2 -> 4
+        assert fill_walk_on_faces(k, [0, 2, 4, 2, 0]) == Chain.zero(2)
+        # the backtrack 0 -> 5 -> 0 closes the walk, so it wraps around
+        assert fill_walk_on_faces(k, [0, 2, 4, 0, 5, 0]) == Chain(2, {k.index_of(2, (0, 2, 4)): 1})
+        assert fill_walk_on_faces(k, [3]) == Chain.zero(2)
+
+    def test_backtrack_then_ears(self):
+        k = OCTA.complex
+        walk = [2, 0, 4, 0, 3, 4, 2]
+        filled = fill_walk_on_faces(k, walk)
+        assert filled is not None and not filled.is_zero()
+        assert boundary(k, filled) == path_chain(k, walk)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=backtracking_walks())
+    def test_backtracking_walk_fill(self, case):
+        space, walk = case
+        filled = fill_walk_on_faces(space.complex, walk)
+        assert filled is None or boundary(space.complex, filled) == path_chain(space.complex, walk)
 
 
 class TestConeFill:
