@@ -340,9 +340,16 @@ class TestInputContracts:
     """Bad numeric options exit 2 with one line, before any document is read."""
 
     @pytest.mark.parametrize("extra", [
+        ["fill", "--radius", "0"],
+        ["fill", "--radius", "-0.0"],
+        ["fill", "--radius", "1e400"],
         ["hf1", "--l-max", "inf"],
         ["hf1", "--l-max", "nan"],
         ["hf1", "--l-max", "-1"],
+        ["hf1", "--l-max", "-0.000001"],
+        ["hf1", "--l-max", "1e400"],
+        ["fill", "--radius", "-0.5"],
+        ["hf1", "--l-max", "-0.5"],
         ["fill", "--radius", "inf"],
         ["fill", "--radius", "nan"],
         ["fill", "--radius", "-1"],
