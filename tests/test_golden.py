@@ -72,6 +72,13 @@ HF1_DIGEST = "e32036e7a0ba3109b6781005d70a847f4fa4e11c6041df9b5faf077d62b755b1"
 # capped_prism(6, 2): 41 cycles, each filled by min_mass_fill's branch and bound
 HF1_CAPPED_DIGEST = "9616bc3d30bc9f061eb76d13e4aebcc6ca62b9e8fcf4f30da7fe8be2e9771bcd"
 
+# closed surfaces: every cycle is filled along the one-column kernel, the
+# fundamental class, with --l-max 3.0 --steps 6 --cycle-budget 150
+HF1_SURFACE_DIGESTS = {
+    "octahedron": "76d7466a79579f8a5813f1cc0baf3e26a0a680923c50ab7a6a6e088cfc7798f2",
+    "icosphere2": "1317d755a4fd39c929c940c1aee0edd6b195f89c6b137ae59d4a31888aa1cba9",
+}
+
 
 def seeded_cycle(space, seed: int) -> Chain:
     """Sum of 1-3 signed fundamental cycles of the BFS tree rooted at 0."""
@@ -167,3 +174,14 @@ def test_hf1_capped_prism_report_byte_identical(workdir):
     got = digest(workdir / "hf1.json")
     print(f"digest hf1 capped_prism {got}")
     assert got == HF1_CAPPED_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(HF1_SURFACE_DIGESTS))
+def test_hf1_surface_report_byte_identical(workdir, name):
+    save_space("space.json", SPACES[name][0]())
+    code = main(["hf1", "--space", "space.json", "--l-max", "3.0", "--steps", "6",
+                 "--cycle-budget", "150", "--out", "hf1.json"])
+    assert code == 0
+    got = digest(workdir / "hf1.json")
+    print(f"digest hf1 {name} {got}")
+    assert got == HF1_SURFACE_DIGESTS[name]
