@@ -3,8 +3,9 @@
 ``fill_boundary`` solves the boundary system exactly and certifies the
 coefficient growth against the binomial/Hadamard ceiling; ``min_mass_fill``
 finds the exact minimum-mass 2-chain filling a 1-boundary by branch and
-bound over the solution coset; ``hf1_profile`` turns a cycle census into a
-lower envelope for the first homological filling function.
+bound over the solution coset, starting from the Smith solution;
+``hf1_profile`` turns a cycle census into a lower envelope for the first
+homological filling function.
 """
 
 from __future__ import annotations
@@ -175,49 +176,6 @@ def _cost(vec: Sequence[int], weights: Sequence[float]) -> float:
     return sum(abs(a) * weights[i] for i, a in enumerate(vec) if a)
 
 
-def _shifted(x: list[int], rows: list[int], vals: list[int], q: int) -> list[int]:
-    """x - q * col for the sparse column (rows, vals), as a new list."""
-    y = x[:]
-    for i, ci in zip(rows, vals):
-        y[i] -= q * ci
-    return y
-
-
-def _greedy_reduce_weighted(x: list[int], cols: list,
-                            weights: Sequence[float]) -> list[int]:
-    """Lower sum_i w_i |x_i| by integer shifts along sparse kernel columns.
-
-    Each column in turn, until a pass changes nothing, takes the shift that
-    lowers the cost most, among the rounded quotients on its support and
-    their neighbours; a shift must beat the best so far by a relative 1e-12.
-    Every cost is a full re-sum in index order, so the float bits do not
-    depend on the column's support.
-    """
-    x = x[:]
-    if not cols:
-        return x
-    best = _cost(x, weights)
-    improved = True
-    while improved:
-        improved = False
-        for rows, vals in cols:
-            quotients = {round(x[i] / ci) for i, ci in zip(rows, vals)}
-            candidates = {q + d for q in quotients for d in (-1, 0, 1)}
-            candidates.add(0)
-            best_q = 0
-            for q in sorted(candidates):
-                if q == 0:
-                    continue
-                trial_cost = _cost(_shifted(x, rows, vals, q), weights)
-                if trial_cost < best * (1 - 1e-12):
-                    best = trial_cost
-                    best_q = q
-            if best_q:
-                x = _shifted(x, rows, vals, best_q)
-                improved = True
-    return x
-
-
 def min_mass_fill(
     complex: SimplicialComplex,
     weights: Mapping[int, Sequence[float]],
@@ -227,10 +185,13 @@ def min_mass_fill(
     """Exact minimum-mass integer 2-chain E with boundary z.
 
     ``weights`` maps dimension -> per-simplex volumes (dimension 2 is the
-    objective).  The optimum is certified by branch and bound over the
-    solution coset; masses within REL_TOL of each other tie, and the
-    lexicographically smaller coefficient vector wins.
-    A CapacityError's incumbent is an uncertified 2-chain with boundary z.
+    objective).  The optimum is certified by ``coset_min``'s branch and
+    bound over the solution coset, started from the Smith solution; masses
+    within REL_TOL of each other tie, and the lexicographically smaller
+    coefficient vector wins.  The mass returned is the returned chain's own,
+    summed in index order as ``chains.mass`` sums it.
+    A CapacityError's incumbent is an uncertified 2-chain with boundary z,
+    and its incumbent_cost is that chain's mass.
     """
     if z.dim != 1:
         raise DomainError("min_mass_fill expects a 1-chain")
@@ -246,24 +207,24 @@ def min_mass_fill(
     if x0 is None:
         raise DomainError(f"cycle does not bound: {obstruction}")
     kernel = snf.kernel_columns()
-    xr = _greedy_reduce_weighted(x0, kernel, w2)
-    cost, best = _cost(xr, w2), tuple(xr)
     if len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
         raise CapacityError(
             f"homogeneous lattice dimension {len(kernel)} exceeds "
             f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
-            incumbent=Chain.from_vector(2, xr),
-            incumbent_cost=cost,
+            incumbent=Chain.from_vector(2, x0),
+            incumbent_cost=_cost(x0, w2),
         )
+    best = x0
     if kernel:
         cols = column_echelon_basis(kernel)
         try:
-            cost, best, _ = coset_min(xr, cols, w2, REL_TOL, node_budget,
-                                      incumbent=(cost, best))
+            _, best, _ = coset_min(x0, cols, w2, REL_TOL, node_budget,
+                                   incumbent=(_cost(x0, w2), tuple(x0)))
         except CapacityError as err:
+            err.incumbent_cost = _cost(err.incumbent, w2)
             err.incumbent = Chain.from_vector(2, err.incumbent)
             raise
-    return Chain.from_vector(2, best), cost
+    return Chain.from_vector(2, best), _cost(best, w2)
 
 
 # ---------------------------------------------------------------------------

@@ -513,13 +513,9 @@ def fill_walk_on_faces(complex: SimplicialComplex, walk: Sequence[int]) -> Optio
     if len(vs) >= 2 and vs[0] == vs[-1]:
         vs.pop()
     fill: dict[int, int] = {}
-    while vs:
+    # one vertex is a point, and a -> b -> a cancels as a chain
+    while len(vs) > 2:
         n = len(vs)
-        if n == 1:
-            break
-        if n == 2:
-            # a -> b -> a: cancels as a chain
-            break
         progress = False
         for i in range(n):
             if vs[(i - 1) % n] == vs[(i + 1) % n]:
@@ -536,8 +532,7 @@ def fill_walk_on_faces(complex: SimplicialComplex, walk: Sequence[int]) -> Optio
             continue
         for i in range(n):
             a, b, c = vs[(i - 1) % n], vs[i], vs[(i + 1) % n]
-            if len({a, b, c}) != 3:
-                continue
+            # has_simplex is false when a == c, as no triangle repeats a vertex
             tri = tuple(sorted((a, b, c)))
             if not complex.has_simplex(2, tri):
                 continue

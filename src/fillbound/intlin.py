@@ -19,16 +19,16 @@ side's support.  The H1 verdict built on these decompositions is memoized
 per complex in ``filling``.
 
 A kernel has one format: sparse columns (rows ascending, values), as
-``SmithDecomposition.kernel_columns`` hands them out.  The greedy
-reductions, ``column_echelon_basis`` and ``coset_min`` all take it.
+``SmithDecomposition.kernel_columns`` hands them out.  The greedy max-norm
+reduction, ``column_echelon_basis`` and ``coset_min`` all take it.
 
 ``coset_min`` is the one exact search over a solution coset x0 + ker(A):
 a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
-The minimum-mass fills in ``filling`` run it with float weights (triangle
-areas) and a relative tie tolerance; the max-norm search, the certificate's
-one small-solution search at every kernel dimension, deepens its cap with
-unit integer weights and zero tolerance, so its comparisons are exact while
-costs stay below 2^53.
+The minimum-mass fills in ``filling`` run it from the Smith solution with
+float weights (triangle areas) and a relative tie tolerance; the max-norm
+search, the certificate's one small-solution search at every kernel
+dimension, deepens its cap with unit integer weights and zero tolerance, so
+its comparisons are exact while costs stay below 2^53.
 
 Floating point appears only through ``coset_min``'s weights; every
 certificate comparison, ``bfrt_bound_ceiling`` included, is exact integer
@@ -583,7 +583,10 @@ def coset_min(
     (``column_echelon_basis``), each pivoting on its first row: once the
     shifts of columns 0..j are fixed, rows from column j's pivot up to the
     next pivot are final, so their cost is charged at depth j.  Each shift t
-    is tried outward from the one minimizing |y_p|, so pruning bites early.
+    is tried outward from the one minimizing |y_p|, so pruning bites early,
+    and the level's limit on |y_p| is re-derived after each child search
+    returns: a lower best cuts the rest of the level, so a poor start (the
+    Smith solution itself) costs few nodes.
     Costs within rel_tol * (1 + |cost|) of the best tie and the smaller
     tuple wins; with integer weights and rel_tol = 0 every comparison is
     exact while costs stay below 2^53.  With ``cap`` set, every |y_i| must be
@@ -613,6 +616,17 @@ def coset_min(
     best_cost, best_vec = incumbent if incumbent is not None else (None, None)
     nodes = 0
 
+    def shift_limit(p: int, partial):
+        """The largest |y_p| whose subtree may still hold a leaf that beats or
+        ties the best: every leaf costs at least partial + w_p * |y_p|."""
+        if best_cost is None:
+            return cap
+        budget = best_cost + rel_tol * (1 + abs(best_cost)) - partial
+        if budget < 0:
+            return -1
+        limit = budget / weights[p] + 1e-15
+        return cap if cap is not None and cap < limit else limit
+
     def dfs(j: int, cur: list[int], partial):
         nonlocal best_cost, best_vec, nodes
         if j == r:
@@ -628,15 +642,7 @@ def coset_min(
         hp = col[p]
         base = cur[p]
         stop = next_pivot[j]
-        limit = cap
-        if best_cost is not None:
-            budget = best_cost + rel_tol * (1 + abs(best_cost)) - partial
-            if budget < 0:
-                return
-            # |x_p| may not exceed budget / w_p
-            limit = budget / weights[p] + 1e-15
-            if cap is not None and cap < limit:
-                limit = cap
+        limit = shift_limit(p, partial)
         # the t minimizing |x_p| = |base + t * hp|, halves to even as round()
         t_center, rem = divmod(-base, hp)
         if 2 * rem > hp or (2 * rem == hp and t_center & 1):
@@ -656,6 +662,8 @@ def coset_min(
                     seg = partial + sum(abs(nxt[i]) * weights[i] for i in range(p, stop))
                     if best_cost is None or seg <= best_cost + rel_tol * (1 + abs(best_cost)):
                         dfs(j + 1, nxt, seg)
+                        # the best may have fallen: cut this level's costlier shifts
+                        limit = shift_limit(p, partial)
                 if step == 0:
                     break
                 t += step

@@ -20,7 +20,6 @@ from fillbound.chains import (
 from fillbound.errors import CapacityError, DomainError
 from fillbound.filling import (
     _cost,
-    _greedy_reduce_weighted,
     amin_upper_bound,
     boundary_smith,
     enumerate_simple_cycles,
@@ -31,7 +30,7 @@ from fillbound.filling import (
     rank_d1,
 )
 from fillbound.intlin import column_echelon_basis, coset_min, rank, smith_decomposition
-from fillbound.shapes import icosphere
+from fillbound.shapes import icosphere, octahedron
 
 from conftest import complete_complex, random_boundary, random_complex
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
@@ -235,7 +234,16 @@ class TestMinMassFill:
             incumbent = info.value.incumbent
             assert isinstance(incumbent, Chain)
             assert boundary(k, incumbent) == z
-            assert info.value.incumbent_cost == pytest.approx(mass(w[2], incumbent), rel=1e-12)
+            assert info.value.incumbent_cost == mass(w[2], incumbent)
+
+    def test_mass_is_the_chains_own(self):
+        # the fill and a tied vector differ in their last bits of mass; the
+        # mass reported is the returned chain's, bit for bit
+        w2 = [2.0, 1.000000000001, 0.5, 1.000000000001, 1.000000000001, 0.5, 2.0, 2.0]
+        z = boundary(OCTA, Chain(2, {4: 3, 6: -1, 7: 1}))
+        chain, m = min_mass_fill(OCTA, {1: [1.0] * 12, 2: w2}, z)
+        assert chain == Chain(2, {4: 3, 6: -1, 7: 1})
+        assert m.hex() == mass(w2, chain).hex() == (7.000000000003).hex()
 
     def test_equality_on_single_triangle(self):
         w = {1: [1.0] * 3, 2: [2.5]}
@@ -274,17 +282,16 @@ def greedy_weighted_oracle(x, cols, weights):
     return x
 
 
-def weighted_coset_oracle(x0, kernel, weights, rel_tol, node_budget):
+def weighted_coset_oracle(xr, kernel, weights, rel_tol, node_budget):
     """The branch and bound that min_mass_fill ran before coset_min, counting nodes.
 
-    Takes sparse kernel columns and works on dense copies of them, with the
-    dense greedy start and echelon form.  Returns (vector, cost, nodes);
-    raises CapacityError carrying the incumbent, as min_mass_fill does, once
-    ``node_budget`` nodes are used.
+    Takes sparse kernel columns and works on dense copies of them and the
+    dense echelon form, starting from xr as given.  Returns (vector, cost,
+    nodes); raises CapacityError carrying the incumbent, as min_mass_fill
+    does, once ``node_budget`` nodes are used.
     """
-    n = len(x0)
+    n = len(xr)
     kernel = [dense_column(col, n) for col in kernel]
-    xr = greedy_weighted_oracle(x0, kernel, weights)
     best_vec = tuple(xr)
     best_cost = _cost(xr, weights)
     if not kernel:
@@ -337,14 +344,19 @@ def weighted_coset_oracle(x0, kernel, weights, rel_tol, node_budget):
 
 
 def weighted_coset_min(x0, kernel, weights, rel_tol, node_budget):
-    """min_mass_fill's search on any lattice: the greedy start, then coset_min."""
-    xr = _greedy_reduce_weighted(x0, kernel, weights)
-    cost, best = _cost(xr, weights), tuple(xr)
+    """min_mass_fill's search on any lattice: coset_min from the given point."""
+    cost, best = _cost(x0, weights), tuple(x0)
     nodes = 0
     if kernel:
-        cost, best, nodes = coset_min(xr, column_echelon_basis(kernel), weights, rel_tol,
+        cost, best, nodes = coset_min(x0, column_echelon_basis(kernel), weights, rel_tol,
                                       node_budget, incumbent=(cost, best))
     return list(best), cost, nodes
+
+
+def greedy_start(x0, kernel, weights):
+    """The start min_mass_fill searched from before it used the Smith
+    solution: the weighted greedy reduction along sparse kernel columns."""
+    return greedy_weighted_oracle(x0, [dense_column(col, len(x0)) for col in kernel], weights)
 
 
 def outcome(search, *args):
@@ -375,12 +387,27 @@ def weighted_coset_cases(draw):
 
 
 class TestWeightedCosetDifferential:
-    """coset_min makes the old branch and bound's choices, node for node."""
+    """coset_min gives the old branch and bound's answers, in no more nodes."""
 
     @settings(max_examples=500, deadline=None)
     @given(case=weighted_coset_cases())
     def test_matches_oracle(self, case):
-        assert outcome(weighted_coset_min, *case) == outcome(weighted_coset_oracle, *case)
+        x, kernel, weights, rel_tol, budget = case
+        # the oracle needs a reduced start: from raw Smith solutions near 10^8
+        # it can run past 10^6 nodes
+        start = greedy_start(x, kernel, weights)
+        vec, cost, nodes = weighted_coset_oracle(start, kernel, weights, rel_tol, 10 ** 6)
+        # the search raises as soon as it passes its budget, so succeeding on
+        # the oracle's node count shows it visits no more nodes
+        assert weighted_coset_min(start, kernel, weights, rel_tol, nodes)[:2] == (vec, cost)
+        args = (start, kernel, weights, rel_tol, budget)
+        got = outcome(weighted_coset_min, *args)
+        if nodes <= budget:
+            assert got[:2] == (vec, cost) and got[2] <= nodes
+        else:
+            message, _, incumbent_cost = outcome(weighted_coset_oracle, *args)
+            assert got[:2] == (vec, cost) or (
+                got[0] == message and got[2] <= incumbent_cost)
 
     def test_min_mass_fill_matches_oracle(self, rng):
         checked = 0
@@ -393,10 +420,45 @@ class TestWeightedCosetDifferential:
             w = {1: [1.0] * k.n_simplices(1), 2: [rng.choice(NEAR_TIE_WEIGHTS) for _ in range(n2)]}
             snf = boundary_smith(k, 2)
             x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
-            vec, cost, _ = weighted_coset_oracle(x0, snf.kernel_columns(), w[2],
-                                                 fillbound.filling.REL_TOL, 10 ** 6)
-            assert min_mass_fill(k, w, z) == (Chain.from_vector(2, vec), cost)
+            vec, _, _ = weighted_coset_oracle(x0, snf.kernel_columns(), w[2],
+                                              fillbound.filling.REL_TOL, 10 ** 6)
+            assert min_mass_fill(k, w, z) == (Chain.from_vector(2, vec), _cost(vec, w[2]))
             checked += 1
+
+
+def two_octahedra_sharing_a_vertex() -> SimplicialComplex:
+    """Vertex 0 of the second copy is vertex 0 of the first; a 2-column kernel."""
+    relabel = [0] + list(range(6, 11))
+    second = [tuple(sorted(relabel[v] for v in face)) for face in OCTA.simplices(2)]
+    return SimplicialComplex.from_simplices(list(OCTA.simplices(2)) + second)
+
+
+FILL_SURFACES = {
+    "octahedron": octahedron(1.0).complex,
+    "icosphere1": icosphere(1).complex,
+    "pinched": two_octahedra_sharing_a_vertex(),
+}
+
+
+class TestStartDifferential:
+    """Searching from the Smith solution gives the old greedy-start path's fills."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(FILL_SURFACES)), data=st.data())
+    def test_matches_greedy_start(self, name, data):
+        k = FILL_SURFACES[name]
+        n2 = k.n_simplices(2)
+        w2 = data.draw(st.lists(st.floats(0.5, 3.0), min_size=n2, max_size=n2))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n2, max_size=n2))
+        z = boundary(k, Chain.from_vector(2, coeffs))
+        snf = boundary_smith(k, 2)
+        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        kernel = snf.kernel_columns()
+        vec, _, _ = weighted_coset_oracle(greedy_start(x0, kernel, w2), kernel, w2,
+                                          fillbound.filling.REL_TOL, 10 ** 6)
+        chain, m = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
+        assert chain == Chain.from_vector(2, vec)
+        assert m == mass(w2, chain)
 
 
 class TestH1Check:
