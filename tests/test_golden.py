@@ -21,15 +21,31 @@ import pytest
 
 import fillbound
 from fillbound.chains import Chain
+from fillbound.chains import SimplicialComplex
 from fillbound.cli import main
 from fillbound.fileio import save_chain, save_space
+from fillbound.geom import MetricComplex
 from fillbound.shapes import capped_prism, icosphere, octahedron
+
+
+def pinched_octahedra() -> MetricComplex:
+    """Two unit octahedra, the second at (2 - x, y, z): they meet only at
+    vertex 0, (1, 0, 0), and the boundary kernel has two disjoint columns."""
+    first = octahedron(1.0)
+    relabel = [0] + list(range(6, 11))
+    faces = list(first.complex.simplices(2)) + [
+        tuple(sorted(relabel[v] for v in face)) for face in first.complex.simplices(2)]
+    second = [(2.0 - x, y, z) for x, y, z in first.coords[1:]]
+    return MetricComplex(complex=SimplicialComplex.from_simplices(faces),
+                         coords=first.coords + tuple(second))
+
 
 SPACES = {
     "capped_prism": (lambda: capped_prism(6, 2, 1.0), "1.2"),
     "octahedron": (lambda: octahedron(1.0), "0.8"),
     "icosphere1": (lambda: icosphere(1, 1.0), "0.8"),
     "icosphere2": (lambda: icosphere(2, 1.0), "0.8"),
+    "pinched_octahedra": (pinched_octahedra, "0.8"),
 }
 
 FILL_DIGESTS = {
@@ -72,11 +88,12 @@ HF1_DIGEST = "e32036e7a0ba3109b6781005d70a847f4fa4e11c6041df9b5faf077d62b755b1"
 # capped_prism(6, 2): 41 cycles, each filled by min_mass_fill's branch and bound
 HF1_CAPPED_DIGEST = "9616bc3d30bc9f061eb76d13e4aebcc6ca62b9e8fcf4f30da7fe8be2e9771bcd"
 
-# closed surfaces: every cycle is filled along the one-column kernel, the
-# fundamental class, with --l-max 3.0 --steps 6 --cycle-budget 150
+# closed surfaces: every cycle is filled along the fundamental classes, one
+# column per sphere, with --l-max 3.0 --steps 6 --cycle-budget 150
 HF1_SURFACE_DIGESTS = {
     "octahedron": "76d7466a79579f8a5813f1cc0baf3e26a0a680923c50ab7a6a6e088cfc7798f2",
     "icosphere2": "1317d755a4fd39c929c940c1aee0edd6b195f89c6b137ae59d4a31888aa1cba9",
+    "pinched_octahedra": "09c48573863fa2722d0a391a2606a19fb94ca546119ce3287633b00799343dc5",
 }
 
 
