@@ -2,8 +2,10 @@
 
 ``fill_boundary`` solves the boundary system exactly and certifies the
 coefficient growth against the binomial/Hadamard ceiling; ``min_mass_fill``
-finds the exact minimum-mass 2-chain filling a 1-boundary by branch and
-bound over the solution coset, starting from the Smith solution;
+finds the exact minimum-mass 2-chain filling a 1-boundary over the solution
+coset of the Smith solution: from a weighted median per kernel column when
+the kernel is spanned by disjoint +-1 columns (the fundamental classes of
+closed orientable surfaces), and by branch and bound otherwise;
 ``hf1_profile`` turns a cycle census into a lower envelope for the first
 homological filling function.
 """
@@ -176,6 +178,84 @@ def _cost(vec: Sequence[int], weights: Sequence[float]) -> float:
     return sum(abs(a) * weights[i] for i, a in enumerate(vec) if a)
 
 
+def _median_fill(x0: list[int], cols: list, w2: Sequence[float]) -> list[int] | None:
+    """``coset_min``'s answer on x0 + span(cols) without its per-node vector
+    rebuilds, or None unless the echelon columns have pairwise disjoint
+    supports, +-1 entries and a positive finite weight each.
+
+    The mass is then a constant plus one term per column, sum_i w_i |t - b_i|
+    over its support: convex and piecewise linear in the column's shift t,
+    with breakpoints b_i = -x0_i c_i.  With the weight summed per distinct
+    breakpoint, the first breakpoint at which the running weight reaches half
+    the column's total is a weighted median, where the column's mass is least.
+
+    Ties make ``coset_min``'s answer depend on its visiting order (the best
+    falls only by more than REL_TOL * (1 + |best|), and a tie goes to the
+    smaller tuple), so the shifts are replayed in that order, from the
+    incumbent x0: columns nest as its levels do, each tries the shift that
+    zeroes its pivot row, then the shifts above, then those below, and a
+    direction ends at the first shift past the median at which the mass of
+    the columns so far exceeds the best plus its tie slack.
+    A shift costs one sum over the distinct breakpoints.  Pivot entries are
+    +1, so the tuple order of two fills is the order of their shifts.
+    """
+    covered: set[int] = set()
+    for rows, vals in cols:
+        if not covered.isdisjoint(rows) or not {1, -1}.issuperset(vals):
+            return None
+        covered.update(rows)
+    columns = []  # (shift that zeroes the pivot row, median, weight per breakpoint)
+    for rows, vals in cols:
+        weight_at: dict[int, float] = {}
+        for i, c in zip(rows, vals):
+            b = -x0[i] * c
+            weight_at[b] = weight_at.get(b, 0.0) + w2[i]
+        half = sum(weight_at.values()) / 2
+        if not 0 < half < math.inf:
+            return None
+        run = 0.0
+        for median in sorted(weight_at):
+            run += weight_at[median]
+            if run >= half:
+                break
+        columns.append((-x0[rows[0]], median, weight_at))
+
+    def column_mass(weight_at: dict, t: int) -> float:
+        return sum(w * abs(t - b) for b, w in weight_at.items())
+
+    best_cost, best_key = _cost(x0, w2), (0,) * len(columns)
+    shifts: list[int] = []
+
+    def walk(j: int, partial: float) -> None:
+        nonlocal best_cost, best_key
+        start, median, weight_at = columns[j]
+        for step in (1, -1):
+            t = start if step == 1 else start - 1
+            while True:
+                cost = partial + column_mass(weight_at, t)
+                tol = REL_TOL * (1 + abs(best_cost))
+                if not cost <= best_cost + tol:
+                    if (t - median) * step > 0:
+                        break
+                elif j + 1 < len(columns):
+                    shifts.append(t)
+                    walk(j + 1, cost)
+                    shifts.pop()
+                elif cost < best_cost - tol:
+                    best_cost, best_key = cost, (*shifts, t)
+                elif (*shifts, t) < best_key:
+                    best_key = (*shifts, t)
+                t += step
+
+    walk(0, sum(w2[i] * abs(a) for i, a in enumerate(x0) if a and i not in covered))
+    best = x0[:]
+    for (rows, vals), t in zip(cols, best_key):
+        if t:
+            for i, c in zip(rows, vals):
+                best[i] += t * c
+    return best
+
+
 def min_mass_fill(
     complex: SimplicialComplex,
     weights: Mapping[int, Sequence[float]],
@@ -185,10 +265,17 @@ def min_mass_fill(
     """Exact minimum-mass integer 2-chain E with boundary z.
 
     ``weights`` maps dimension -> per-simplex volumes (dimension 2 is the
-    objective).  The optimum is certified by ``coset_min``'s branch and
-    bound over the solution coset, started from the Smith solution; masses
-    within REL_TOL of each other tie, and the lexicographically smaller
-    coefficient vector wins.  The mass returned is the returned chain's own,
+    objective).  The search runs over the solution coset of the Smith
+    solution x0, in the column-echelon basis of the kernel of the boundary.
+    When those columns have pairwise disjoint supports and +-1 entries, as
+    the fundamental classes of closed orientable surfaces do,
+    ``_median_fill`` finds ``coset_min``'s answer from a weighted median per
+    column, in a few sums over distinct breakpoints, with no nodes and so
+    no use of ``node_budget``.  Any other kernel (overlapping columns, other
+    entries, a non-manifold space) is searched by ``coset_min``'s branch and
+    bound, started from x0 and held to ``node_budget``.  On both paths
+    masses within REL_TOL of each other tie, and the lexicographically
+    smaller coefficient vector wins.  The mass returned is the returned chain's own,
     summed in index order as ``chains.mass`` sums it.
     A CapacityError's incumbent is an uncertified 2-chain with boundary z,
     and its incumbent_cost is that chain's mass.
@@ -217,13 +304,15 @@ def min_mass_fill(
     best = x0
     if kernel:
         cols = column_echelon_basis(kernel)
-        try:
-            _, best, _ = coset_min(x0, cols, w2, REL_TOL, node_budget,
-                                   incumbent=(_cost(x0, w2), tuple(x0)))
-        except CapacityError as err:
-            err.incumbent_cost = _cost(err.incumbent, w2)
-            err.incumbent = Chain.from_vector(2, err.incumbent)
-            raise
+        best = _median_fill(x0, cols, w2)
+        if best is None:
+            try:
+                _, best, _ = coset_min(x0, cols, w2, REL_TOL, node_budget,
+                                       incumbent=(_cost(x0, w2), tuple(x0)))
+            except CapacityError as err:
+                err.incumbent_cost = _cost(err.incumbent, w2)
+                err.incumbent = Chain.from_vector(2, err.incumbent)
+                raise
     return Chain.from_vector(2, best), _cost(best, w2)
 
 
@@ -334,8 +423,8 @@ def hf1_profile(
 ) -> Hf1Profile:
     """Lower estimate of HF1 on a grid of length thresholds.
 
-    Requires trivial integer H1 (checked through the Smith forms of the two
-    boundary operators).  The cycle family is every simple skeleton cycle up
+    Requires trivial integer H1 (checked by ``h1_is_trivial``: rank of the
+    first boundary by union-find, the Smith form of the second).  The cycle family is every simple skeleton cycle up
     to an edge-count budget (derived from the grid, capped at
     DEFAULT_MAX_CYCLE_EDGES), plus integer multiples up to
     mass l (capped at x3).  A smaller family only lowers the estimate, which

@@ -25,10 +25,12 @@ reduction, ``column_echelon_basis`` and ``coset_min`` all take it.
 ``coset_min`` is the one exact search over a solution coset x0 + ker(A):
 a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
 The minimum-mass fills in ``filling`` run it from the Smith solution with
-float weights (triangle areas) and a relative tie tolerance; the max-norm
-search, the certificate's one small-solution search at every kernel
-dimension, deepens its cap with unit integer weights and zero tolerance, so
-its comparisons are exact while costs stay below 2^53.
+float weights (triangle areas) and a relative tie tolerance, on the kernels
+that their closed-form weighted median does not cover (columns that overlap
+or have other entries than +-1); the max-norm search, the certificate's one
+small-solution search at every kernel dimension, deepens its cap with unit
+integer weights and zero tolerance, so its comparisons are exact while costs
+stay below 2^53.
 
 Floating point appears only through ``coset_min``'s weights; every
 certificate comparison, ``bfrt_bound_ceiling`` included, is exact integer
@@ -595,9 +597,11 @@ def coset_min(
     ``cap`` and ``incumbent`` must be given.
 
     Each column is spread into a dense list once per call, so that a node is
-    rebuilt by one list comprehension: updating only the support, entry by
-    entry, is slower on the full-support fundamental class of a closed
-    surface, the kernel that most minimum-mass fills search.
+    rebuilt by one list comprehension.  The searches it serves are the
+    max-norm searches (``fill_boundary``'s nerve kernels up to dimension 8
+    and the small-solution certificate) and the minimum-mass fills whose
+    kernel columns overlap; the fundamental classes of closed surfaces, whose
+    full support made the dense spread pay, now take ``filling``'s median.
 
     Returns (cost, tuple, nodes): the best candidate, or the incumbent (or
     (None, None)) when nothing beats it, and the number of nodes visited.

@@ -217,12 +217,16 @@ class TestMinMassFill:
             checked += 1
 
     def test_capacity_incumbent_is_a_fill(self):
-        # one case per raise: the coset search's node budget, and a kernel
-        # past MIN_MASS_MAX_KERNEL_DIM (complete_complex(8, 2): dimension 35)
-        ico = icosphere(1)
+        # one case per raise: the coset search's node budget (two octahedra
+        # sharing a face, whose kernel columns overlap, so coset_min runs),
+        # and a kernel past MIN_MASS_MAX_KERNEL_DIM (complete_complex(8, 2):
+        # dimension 35)
+        twin = two_octahedra_sharing_a_face()
         k8 = complete_complex(8, 2)
         cases = [
-            (ico.complex, ico.volumes, Chain(2, {0: 1, 5: -1, 9: 2}).scale(3), 0),
+            (twin, {1: [1.0] * twin.n_simplices(1),
+                    2: [1.0 + 0.25 * (i % 4) for i in range(twin.n_simplices(2))]},
+             Chain(2, {0: 1, 5: -1, 9: 2}).scale(3), 0),
             (k8, {1: [1.0] * k8.n_simplices(1),
                   2: [1.0 + 0.25 * (i % 4) for i in range(k8.n_simplices(2))]},
              Chain(2, {0: 1, 7: -2, 30: 1}), 10 ** 6),
@@ -344,7 +348,8 @@ def weighted_coset_oracle(xr, kernel, weights, rel_tol, node_budget):
 
 
 def weighted_coset_min(x0, kernel, weights, rel_tol, node_budget):
-    """min_mass_fill's search on any lattice: coset_min from the given point."""
+    """min_mass_fill's branch and bound on any lattice, coset_min from the
+    given point: the oracle of its median path."""
     cost, best = _cost(x0, weights), tuple(x0)
     nodes = 0
     if kernel:
@@ -426,11 +431,21 @@ class TestWeightedCosetDifferential:
             checked += 1
 
 
-def two_octahedra_sharing_a_vertex() -> SimplicialComplex:
-    """Vertex 0 of the second copy is vertex 0 of the first; a 2-column kernel."""
-    relabel = [0] + list(range(6, 11))
+def two_octahedra(relabel) -> SimplicialComplex:
+    """The octahedron and a copy of it whose vertex v is ``relabel[v]``."""
     second = [tuple(sorted(relabel[v] for v in face)) for face in OCTA.simplices(2)]
     return SimplicialComplex.from_simplices(list(OCTA.simplices(2)) + second)
+
+
+def two_octahedra_sharing_a_vertex() -> SimplicialComplex:
+    """Vertex 0 of the second copy is vertex 0 of the first; a 2-column kernel."""
+    return two_octahedra([0] + list(range(6, 11)))
+
+
+def two_octahedra_sharing_a_face() -> SimplicialComplex:
+    """The copies share face (0, 2, 4): 15 triangles, and the two fundamental
+    classes of the 2-column kernel overlap there in every basis."""
+    return two_octahedra([0, 6, 2, 7, 4, 8])
 
 
 FILL_SURFACES = {
@@ -459,6 +474,48 @@ class TestStartDifferential:
         chain, m = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
         assert chain == Chain.from_vector(2, vec)
         assert m == mass(w2, chain)
+
+
+# closed surfaces whose echelon kernel columns are disjoint fundamental classes
+MEDIAN_SURFACES = dict(FILL_SURFACES, disjoint=two_octahedra(range(6, 12)))
+
+
+class TestMedianDifferential:
+    """The weighted median gives coset_min's fills, from the Smith solution."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(MEDIAN_SURFACES)), data=st.data())
+    def test_matches_coset_min(self, name, data):
+        k = MEDIAN_SURFACES[name]
+        n2 = k.n_simplices(2)
+        w2 = data.draw(st.lists(st.sampled_from(NEAR_TIE_WEIGHTS), min_size=n2, max_size=n2)
+                       | st.just([1.0] * n2)
+                       | st.lists(st.floats(0.5, 3.0), min_size=n2, max_size=n2))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n2, max_size=n2))
+        z = boundary(k, Chain.from_vector(2, coeffs))
+        snf = boundary_smith(k, 2)
+        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        vec, _, _ = weighted_coset_min(x0, snf.kernel_columns(), w2,
+                                       fillbound.filling.REL_TOL, 10 ** 7)
+        chain, m = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
+        assert chain == Chain.from_vector(2, vec)
+        assert m == mass(w2, chain)
+
+    def test_median_path_visits_no_nodes(self):
+        # disjoint +-1 columns take the median, which needs no node budget;
+        # overlapping columns still run coset_min, which raises at once
+        twin = two_octahedra_sharing_a_face()
+        e = Chain(2, {0: 1, 3: -1, 5: 2}).scale(3)
+        for k in [*MEDIAN_SURFACES.values(), twin]:
+            w = {1: [1.0] * k.n_simplices(1),
+                 2: [1.0 + 0.25 * (i % 4) for i in range(k.n_simplices(2))]}
+            z = boundary(k, e)
+            if k is twin:
+                with pytest.raises(CapacityError, match="exceeded node budget 0"):
+                    min_mass_fill(k, w, z, node_budget=0)
+            else:
+                chain, _ = min_mass_fill(k, w, z, node_budget=0)
+                assert boundary(k, chain) == z
 
 
 class TestH1Check:
