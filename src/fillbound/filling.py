@@ -275,8 +275,8 @@ def min_mass_fill(
     entries, a non-manifold space) is searched by ``coset_min``'s branch and
     bound, started from x0 and held to ``node_budget``.  On both paths
     masses within REL_TOL of each other tie, and the lexicographically
-    smaller coefficient vector wins.  The mass returned is the returned chain's own,
-    summed in index order as ``chains.mass`` sums it.
+    smaller coefficient vector wins.  The mass returned is the returned
+    chain's own, summed in index order as ``chains.mass`` sums it.
     A CapacityError's incumbent is an uncertified 2-chain with boundary z,
     and its incumbent_cost is that chain's mass.
     """
@@ -423,12 +423,12 @@ def hf1_profile(
 ) -> Hf1Profile:
     """Lower estimate of HF1 on a grid of length thresholds.
 
-    Requires trivial integer H1 (checked by ``h1_is_trivial``: rank of the
-    first boundary by union-find, the Smith form of the second).  The cycle family is every simple skeleton cycle up
-    to an edge-count budget (derived from the grid, capped at
-    DEFAULT_MAX_CYCLE_EDGES), plus integer multiples up to
-    mass l (capped at x3).  A smaller family only lowers the estimate, which
-    keeps its direction honest.
+    Requires trivial integer H1 (checked by ``h1_is_trivial``: the rank of
+    the first boundary by union-find, the Smith form of the second).  The
+    cycle family is every simple skeleton cycle up to an edge-count budget
+    (derived from the grid, capped at DEFAULT_MAX_CYCLE_EDGES), plus integer
+    multiples up to mass l (capped at x3).  A smaller family only lowers the
+    estimate, which keeps its direction honest.
     """
     if not h1_is_trivial(complex):
         raise DomainError("H1 is nontrivial: some 1-cycle does not bound")

@@ -26,8 +26,8 @@ reduction, ``column_echelon_basis`` and ``coset_min`` all take it.
 a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
 The minimum-mass fills in ``filling`` run it from the Smith solution with
 float weights (triangle areas) and a relative tie tolerance, on the kernels
-that their closed-form weighted median does not cover (columns that overlap
-or have other entries than +-1); the max-norm search, the certificate's one
+that their weighted-median path does not cover (columns that overlap or
+have other entries than +-1); the max-norm search, the certificate's one
 small-solution search at every kernel dimension, deepens its cap with unit
 integer weights and zero tolerance, so its comparisons are exact while costs
 stay below 2^53.

@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 
 import fillbound
-from fillbound.chains import Chain
-from fillbound.chains import SimplicialComplex
+from fillbound.chains import Chain, SimplicialComplex
 from fillbound.cli import main
 from fillbound.fileio import save_chain, save_space
 from fillbound.geom import MetricComplex
@@ -85,8 +84,7 @@ FILL_DIGESTS = {
 
 HF1_DIGEST = "e32036e7a0ba3109b6781005d70a847f4fa4e11c6041df9b5faf077d62b755b1"
 
-# capped_prism(6, 2): 41 cycles; recorded when min_mass_fill's branch and bound
-# filled them, now its median does
+# capped_prism(6, 2): 41 cycles, each filled along the fundamental class
 HF1_CAPPED_DIGEST = "9616bc3d30bc9f061eb76d13e4aebcc6ca62b9e8fcf4f30da7fe8be2e9771bcd"
 
 # closed surfaces: every cycle is filled along the fundamental classes, one
