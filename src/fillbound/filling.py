@@ -183,33 +183,44 @@ def _median_fill(x0: list[int], cols: list, w2: Sequence[float]) -> list[int] | 
     rebuilds, or None unless the echelon columns have pairwise disjoint
     supports, +-1 entries and a positive finite weight each.
 
-    The mass is then a constant plus one term per column, sum_i w_i |t - b_i|
-    over its support: convex and piecewise linear in the column's shift t,
-    with breakpoints b_i = -x0_i c_i.  With the weight summed per distinct
-    breakpoint, the first breakpoint at which the running weight reaches half
-    the column's total is a weighted median, where the column's mass is least.
+    The mass of a column's rows is then sum_i w_i |t - b_i| over its support:
+    convex and piecewise linear in the column's shift t, with breakpoints
+    b_i = -x0_i c_i.  With the weight summed per distinct breakpoint (every
+    row where x0 is zero breaks at 0, so only x0's nonzero rows are visited
+    one by one), the first breakpoint at which the running weight reaches
+    half the column's total is a weighted median, where that mass is least.
 
     Ties make ``coset_min``'s answer depend on its visiting order (the best
     falls only by more than REL_TOL * (1 + |best|), and a tie goes to the
     smaller tuple), so the shifts are replayed in that order, from the
-    incumbent x0: columns nest as its levels do, each tries the shift that
-    zeroes its pivot row, then the shifts above, then those below, and a
-    direction ends at the first shift past the median at which the mass of
-    the columns so far exceeds the best plus its tie slack.
-    A shift costs one sum over the distinct breakpoints.  Pivot entries are
-    +1, so the tuple order of two fills is the order of their shifts.
+    incumbent x0: columns nest as its levels do, and each tries the shift
+    that zeroes its pivot row, then the shifts above, then those below.  A
+    shift whose column mass, a sum over the distinct breakpoints, bounds
+    every fill below it past the best plus its tie slack is skipped, and
+    past the median it ends its direction.  Any other shift is charged as
+    ``coset_min`` charges it, row by row up to the next pivot, so that its
+    ties fall alike.  Pivot entries are +1, so the tuple order of two fills
+    is the order of their shifts.
     """
     covered: set[int] = set()
     for rows, vals in cols:
         if not covered.isdisjoint(rows) or not {1, -1}.issuperset(vals):
             return None
         covered.update(rows)
-    columns = []  # (shift that zeroes the pivot row, median, weight per breakpoint)
-    for rows, vals in cols:
-        weight_at: dict[int, float] = {}
-        for i, c in zip(rows, vals):
-            b = -x0[i] * c
-            weight_at[b] = weight_at.get(b, 0.0) + w2[i]
+    n = len(x0)
+    pivots = [rows[0] for rows, _ in cols]
+    nonzero = [i for i, a in enumerate(x0) if a]
+    # (shift that zeroes the pivot row, median, weight per breakpoint,
+    #  entry per row, end of the rows charged at its level)
+    columns = []
+    for (rows, vals), end in zip(cols, pivots[1:] + [n]):
+        entry = dict(zip(rows, vals))
+        weight_at: dict[int, float] = {0: sum(w2[i] for i in rows if not x0[i])}
+        for i in nonzero:
+            c = entry.get(i)
+            if c:
+                b = -x0[i] * c
+                weight_at[b] = weight_at.get(b, 0.0) + w2[i]
         half = sum(weight_at.values()) / 2
         if not 0 < half < math.inf:
             return None
@@ -218,42 +229,56 @@ def _median_fill(x0: list[int], cols: list, w2: Sequence[float]) -> list[int] | 
             run += weight_at[median]
             if run >= half:
                 break
-        columns.append((-x0[rows[0]], median, weight_at))
+        columns.append((-x0[rows[0]], median, weight_at, entry, end))
 
-    def column_mass(weight_at: dict, t: int) -> float:
-        return sum(w * abs(t - b) for b, w in weight_at.items())
-
-    best_cost, best_key = _cost(x0, w2), (0,) * len(columns)
+    cur = x0[:]  # x0 shifted along the columns of the levels above
+    best_cost, best_key = _cost(x0, w2), (0,) * len(cols)
     shifts: list[int] = []
 
     def walk(j: int, partial: float) -> None:
         nonlocal best_cost, best_key
-        start, median, weight_at = columns[j]
+        start, median, weight_at, entry, end = columns[j]
+        rows, vals = cols[j]
+        p = pivots[j]
         for step in (1, -1):
             t = start if step == 1 else start - 1
             while True:
-                cost = partial + column_mass(weight_at, t)
                 tol = REL_TOL * (1 + abs(best_cost))
-                if not cost <= best_cost + tol:
+                bound = partial + sum(w * abs(t - b) for b, w in weight_at.items())
+                # the bound and a fill's mass are sums of at most n rounded
+                # terms, each off by less than n * 2^-53 of its size
+                if bound - 1e-15 * n * (1 + abs(bound)) > best_cost + tol:
                     if (t - median) * step > 0:
                         break
-                elif j + 1 < len(columns):
-                    shifts.append(t)
-                    walk(j + 1, cost)
-                    shifts.pop()
-                elif cost < best_cost - tol:
-                    best_cost, best_key = cost, (*shifts, t)
-                elif (*shifts, t) < best_key:
-                    best_key = (*shifts, t)
+                    t += step
+                    continue
+                if t:
+                    seg = partial + sum(abs(cur[i] + t * entry.get(i, 0)) * w2[i]
+                                        for i in range(p, end))
+                else:  # the zero terms that coset_min adds leave its sum as is
+                    seg = partial + sum(abs(v) * w2[i]
+                                        for i, v in enumerate(cur[p:end], p) if v)
+                if seg <= best_cost + tol:
+                    if j + 1 < len(cols):
+                        for i, c in zip(rows, vals):
+                            cur[i] += t * c
+                        shifts.append(t)
+                        walk(j + 1, seg)
+                        shifts.pop()
+                        for i, c in zip(rows, vals):
+                            cur[i] -= t * c
+                    elif seg < best_cost - tol:
+                        best_cost, best_key = seg, (*shifts, t)
+                    elif abs(seg - best_cost) <= tol and (*shifts, t) < best_key:
+                        best_key = (*shifts, t)
                 t += step
 
-    walk(0, sum(w2[i] * abs(a) for i, a in enumerate(x0) if a and i not in covered))
-    best = x0[:]
+    walk(0, sum(abs(x0[i]) * w2[i] for i in range(pivots[0])))
     for (rows, vals), t in zip(cols, best_key):
         if t:
             for i, c in zip(rows, vals):
-                best[i] += t * c
-    return best
+                cur[i] += t * c
+    return cur
 
 
 def min_mass_fill(
