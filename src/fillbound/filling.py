@@ -298,10 +298,14 @@ def min_mass_fill(
     column, in a few sums over distinct breakpoints, with no nodes and so
     no use of ``node_budget``.  Any other kernel (overlapping columns, other
     entries, a non-manifold space) is searched by ``coset_min``'s branch and
-    bound, started from x0 and held to ``node_budget``.  On both paths
-    masses within REL_TOL of each other tie, and the lexicographically
-    smaller coefficient vector wins.  The mass returned is the returned
-    chain's own, summed in index order as ``chains.mass`` sums it.
+    bound, started from x0 and held to ``node_budget``.  Near-ties follow
+    ``coset_min``'s visiting order, which ``_median_fill`` replays: a fill
+    displaces the first incumbent's mass only by falling below it by more
+    than REL_TOL * (1 + best), and within that slack a smaller tuple takes
+    the incumbent's place but not its mass.  So the lexicographically
+    smaller of two fills within REL_TOL need not win (ROADMAP item 9 would
+    make the rule independent of the order).  The mass returned is the
+    returned chain's own, summed in index order as ``chains.mass`` sums it.
     A CapacityError's incumbent is an uncertified 2-chain with boundary z,
     and its incumbent_cost is that chain's mass.
     """

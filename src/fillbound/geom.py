@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -61,6 +62,11 @@ class MetricComplex:
     ``radial`` is an optional per-vertex scalar used for neck contraction;
     ``region`` optionally labels each vertex with a body or neck id (labels
     starting with "neck" are necks, everything else is a body).
+
+    The memo holds the edge lengths and triangle areas, the adjacency lists
+    (key ``"adj"``) and, for each apex ``cone_fill`` has used, the parent
+    array of its whole-skeleton shortest-path tree (key ``("tree", apex)``,
+    an ``array('i')`` of 4 bytes per vertex).
     """
 
     complex: SimplicialComplex
@@ -177,42 +183,74 @@ def scale_coordinates(space: MetricComplex, t: float) -> MetricComplex:
 
 
 # ---------------------------------------------------------------------------
-# shortest paths (deterministic: lexicographically smallest among ties)
+# shortest paths (deterministic: of the paths of least binary64 distance,
+# the lexicographically smallest vertex path)
 
 
 def shortest_path_tree(
     adj: Sequence[Sequence[tuple[int, float]]],
     source: int,
     allowed: Optional[frozenset] = None,
-) -> dict[int, tuple[float, tuple[int, ...]]]:
-    """Dijkstra from ``source``; ties broken by lexicographic vertex path."""
-    best: dict[int, tuple[float, tuple[int, ...]]] = {}
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
+) -> tuple[list[float], list[int]]:
+    """Dijkstra from ``source`` inside ``allowed`` (default: every vertex).
+
+    Returns parallel arrays ``(dist, parent)`` over all vertices: ``dist[v]``
+    is the binary64 length of v's tree path, summed edge by edge from the
+    source, and ``parent[v]`` its last step (``parent[source] == source``;
+    an unreached vertex has ``inf`` and -1).  ``tree_path`` reads a path
+    back.
+
+    Tie rule: v's path has the least binary64 distance, compared exactly,
+    and among the paths of that distance the lexicographically smallest
+    vertex tuple.  Only an exact tie costs more than Dijkstra's steps: it
+    rebuilds the two candidate paths and keeps the smaller.  The rule needs
+    each edge to lengthen the distances it extends (d + length > d in
+    binary64), which fails only for an edge shorter than about 1e-16 of a
+    path's length.
+    """
+    dist = [math.inf] * len(adj)
+    parent = [-1] * len(adj)
+    settled = bytearray(len(adj))
+    dist[source] = 0.0
+    parent[source] = source
+    heap = [(0.0, source)]
     while heap:
-        d, path = heapq.heappop(heap)
-        v = path[-1]
-        if v in best:
+        d, v = heapq.heappop(heap)
+        if settled[v]:
             continue
-        best[v] = (d, path)
+        settled[v] = 1
         for (w, length) in adj[v]:
-            if w in best:
+            if settled[w] or (allowed is not None and w not in allowed):
                 continue
-            if allowed is not None and w not in allowed:
-                continue
-            heapq.heappush(heap, (d + length, path + (w,)))
-    return best
+            nd = d + length
+            if nd < dist[w]:
+                dist[w] = nd
+                parent[w] = v
+                heapq.heappush(heap, (nd, w))
+            elif nd == dist[w] and (tree_path(parent, v) + (w,)
+                                    < tree_path(parent, parent[w]) + (w,)):
+                parent[w] = v
+    return dist, parent
+
+
+def tree_path(parent: Sequence[int], v: int) -> tuple[int, ...]:
+    """The vertex path from the tree's source to the reached vertex v."""
+    path = [v]
+    while parent[v] != v:
+        v = parent[v]
+        path.append(v)
+    return tuple(reversed(path))
 
 
 def skeleton_diameter(space: MetricComplex) -> float:
     """Max over vertices of shortest-path eccentricity in the 1-skeleton."""
     adj = space.adjacency()
-    n = space.complex.n_vertices
     diam = 0.0
-    for v in range(n):
-        tree = shortest_path_tree(adj, v)
-        if len(tree) != n:
+    for v in range(space.complex.n_vertices):
+        ecc = max(shortest_path_tree(adj, v)[0])
+        if ecc == math.inf:
             raise StructuralError("1-skeleton is disconnected")
-        diam = max(diam, max(d for d, _ in tree.values()))
+        diam = max(diam, ecc)
     return diam
 
 
@@ -229,7 +267,8 @@ class Cover:
     its sets that way, and ``geodesic_graph`` checks it.
 
     The memo holds the geodesic graph (key ``"graph"``), which carries the
-    nerve, and each set's shortest-path tree from its center (key
+    nerve, and each set's shortest-path tree from its center, as the
+    ``(dist, parent)`` arrays of ``shortest_path_tree`` (key
     ``("set_tree", i)``); they assume the cover is used with the space it
     was built from.
     """
@@ -282,9 +321,9 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
     sets: list[tuple[int, ...]] = []
     centers: list[int] = []
 
-    def add_set(center: int, label: str, tree: dict):
-        """The cover set of ``center``, from its shortest-path tree in its region."""
-        ball = {v for v, (d, _) in tree.items() if d <= 2.0 * radius + ABS_TOL}
+    def add_set(center: int, label: str, dist: list[float]):
+        """The cover set of ``center``, from its shortest-path distances in its region."""
+        ball = {v for v, d in enumerate(dist) if d <= 2.0 * radius + ABS_TOL}
         if (
             space.radial is not None
             and label
@@ -302,14 +341,13 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
         seed = min(verts)
         region_centers = [seed]
         mindist = {v: math.inf for v in verts}
-        trees = {}
+        dists = {}
 
         def relax(center):
-            tree = shortest_path_tree(adj, center, allowed=allowed)
-            trees[center] = tree
+            dist = dists[center] = shortest_path_tree(adj, center, allowed=allowed)[0]
             for v in verts:
-                if v in tree and tree[v][0] < mindist[v]:
-                    mindist[v] = tree[v][0]
+                if dist[v] < mindist[v]:
+                    mindist[v] = dist[v]
 
         relax(seed)
         while True:
@@ -324,7 +362,7 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
             region_centers.append(far_v)
             relax(far_v)
         for c in region_centers:
-            add_set(c, label, trees[c])
+            add_set(c, label, dists[c])
 
     covered = set()
     for s in sets:
@@ -333,7 +371,7 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
     while missing:
         v = missing[0]
         label = space.region[v] if space.region is not None else ""
-        add_set(v, label, shortest_path_tree(adj, v, allowed=frozenset(regions[label])))
+        add_set(v, label, shortest_path_tree(adj, v, allowed=frozenset(regions[label]))[0])
         covered.update(sets[-1])
         missing = sorted(u for u in range(k.n_vertices) if u not in covered)
 
@@ -418,8 +456,8 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
     for (i, j) in nerve_complex.simplices(1):
         ci, cj = cover.centers[i], cover.centers[j]
         union = frozenset(cover.sets[i] + cover.sets[j])
-        d, path = shortest_path_tree(adj, ci, allowed=union)[cj]
-        edges.append(GraphEdge(a=i, b=j, path=path, length=d))
+        dist, parent = shortest_path_tree(adj, ci, allowed=union)
+        edges.append(GraphEdge(a=i, b=j, path=tree_path(parent, cj), length=dist[cj]))
     return GeodesicGraph(centers=cover.centers, edges=tuple(edges), nerve=nerve_complex)
 
 
@@ -567,8 +605,9 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
     """Discrete cone over a 1-cycle: per loop edge, fill the wedge between
     the edge and the shortest paths of its endpoints to the apex.
 
-    Wedges that the local face reduction cannot close fall back to the exact
-    minimum-mass fill.
+    The apex's whole-skeleton tree is built once per space and kept in its
+    memo.  Wedges that the local face reduction cannot close fall back to
+    the exact minimum-mass fill.
     """
     if loop.dim != 1:
         raise DomainError("cone_fill expects a 1-chain")
@@ -578,16 +617,16 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
         raise DomainError("cone_fill input is not a cycle")
     if not (0 <= apex < space.complex.n_vertices):
         raise StructuralError(f"apex {apex} is not a vertex")
-    adj = space.adjacency()
-    tree = shortest_path_tree(adj, apex)
+    parent = cached(space, ("tree", apex),
+                    lambda: array("i", shortest_path_tree(space.adjacency(), apex)[1]))
     edges = space.complex.simplices(1)
     total = Chain.zero(2)
     for idx, a in sorted(loop.items()):
         u, v = edges[idx]
-        if u not in tree or v not in tree:
+        if parent[u] < 0 or parent[v] < 0:
             raise DomainError(f"no path from {(u, v)} to apex {apex}")
-        su = path_chain(space.complex, tree[u][1])
-        sv = path_chain(space.complex, tree[v][1])
+        su = path_chain(space.complex, tree_path(parent, u))
+        sv = path_chain(space.complex, tree_path(parent, v))
         wedge = Chain(1, {idx: 1}) + su - sv
         part = fill_loop_locally(space, wedge)
         if part is None:
@@ -745,10 +784,10 @@ def _pair_junctions(space, neck_label, balance) -> Chain:
     leftovers_neg: list[tuple[str, int]] = []
 
     def connect(p, q, allowed):
-        tree = shortest_path_tree(adj, p, allowed=allowed)
-        if q not in tree:
+        parent = shortest_path_tree(adj, p, allowed=allowed)[1]
+        if parent[q] < 0:
             return None
-        return path_chain(space.complex, tree[q][1])
+        return path_chain(space.complex, tree_path(parent, q))
 
     star = _closed_star_vertices(space, neck_label)
     for body in sorted(groups):
@@ -890,7 +929,7 @@ def project_cycle_to_graph(
     member = [set(s) for s in cover.sets]
     adj = space.adjacency()
 
-    def set_tree(si: int) -> dict:
+    def set_tree(si: int) -> tuple[list[float], list[int]]:
         return cached(cover, ("set_tree", si), lambda: shortest_path_tree(
             adj, cover.centers[si], allowed=frozenset(cover.sets[si])))
 
@@ -903,11 +942,11 @@ def project_cycle_to_graph(
             raise DomainError(
                 f"edge {(u, v)} lies in no cover set: cover too fine"
             )
-        return min(candidates, key=lambda si: (set_tree(si)[u][0], si))
+        return min(candidates, key=lambda si: (set_tree(si)[0][u], si))
 
     def spoke(si: int, vertex: int) -> Chain:
         """Path chain center(si) -> vertex inside the set."""
-        return path_chain(k, set_tree(si)[vertex][1])
+        return path_chain(k, tree_path(set_tree(si)[1], vertex))
 
     graph_acc: dict[int, int] = {}
     e1 = Chain.zero(2)

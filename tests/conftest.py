@@ -1,5 +1,6 @@
 """Shared helpers: deterministic random instances and independent oracles."""
 
+import heapq
 import itertools
 import random
 
@@ -95,6 +96,27 @@ def box_search_best(a: IntMatrix, b, radius: int):
             if best is None or cand < best:
                 best = cand
     return None if best is None else list(best[2])
+
+
+def path_tuple_shortest_path_tree(adj, source, allowed=None) -> dict:
+    """Dijkstra over whole vertex paths: {v: (distance, path)} for every
+    reached v.  The heap key (d, path) makes the tie rule its definition:
+    least binary64 distance, then the lexicographically smallest path."""
+    best = {}
+    heap = [(0.0, (source,))]
+    while heap:
+        d, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in best:
+            continue
+        best[v] = (d, path)
+        for (w, length) in adj[v]:
+            if w in best:
+                continue
+            if allowed is not None and w not in allowed:
+                continue
+            heapq.heappush(heap, (d + length, path + (w,)))
+    return best
 
 
 def squared_norm(col) -> int:

@@ -187,6 +187,21 @@ class TestMinMassFill:
         chain, m = min_mass_fill(TETRA_SURFACE, w, z)
         assert m == pytest.approx(1.0, rel=1e-9)
 
+    def test_near_tie_follows_visiting_order(self):
+        # Pinned at today's answer, which the visiting order decides:
+        # (4, -3, -10, 11) is lexicographically smaller and its mass,
+        # 28.000000046, lies within REL_TOL * (1 + 28) of this fill's.  An
+        # order-free tie rule (ROADMAP item 9) would change this on purpose.
+        w2 = [1.000000003, 0.999999998, 1.0000000007, 1.000000003]
+        z = boundary(TETRA_SURFACE, Chain.from_vector(2, [15, -14, 1, 0]))
+        chain, m = min_mass_fill(TETRA_SURFACE, {1: [1.0] * 6, 2: w2}, z)
+        assert chain == Chain.from_vector(2, [12, -11, -2, 3])
+        assert m == mass(w2, chain)
+        smaller = [4, -3, -10, 11]
+        assert boundary(TETRA_SURFACE, Chain.from_vector(2, smaller)) == z
+        assert mass(w2, Chain.from_vector(2, smaller)) - m <= (
+            fillbound.filling.REL_TOL * (1 + m))
+
     def test_infeasible(self):
         # two disjoint triangles: the difference of their boundaries is a
         # cycle; each triangle boundary is fillable, but an edge is not

@@ -25,8 +25,11 @@ from fillbound.geom import (
     scale_coordinates,
     shortest_path_tree,
     skeleton_diameter,
+    tree_path,
 )
 from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, tetra_boundary
+
+from conftest import path_tuple_shortest_path_tree
 
 
 OCTA = octahedron(1.0)
@@ -60,7 +63,8 @@ def assert_sets_connected_around_centers(space, cover):
     adj = space.adjacency()
     for c, s in zip(cover.centers, cover.sets):
         assert c in s
-        assert set(shortest_path_tree(adj, c, allowed=frozenset(s))) == set(s)
+        dist, _ = shortest_path_tree(adj, c, allowed=frozenset(s))
+        assert {v for v, d in enumerate(dist) if d < math.inf} == set(s)
 
 
 def cycle_from_loop(space, loop):
@@ -123,24 +127,69 @@ class TestMetricComplex:
         assert set(space.region) == {"body:0", "neck:0", "body:1"}
 
 
+def assert_same_tree_as_oracle(adj, source, allowed=None):
+    """Equal distance bits and equal vertex paths to the path-tuple Dijkstra."""
+    oracle = path_tuple_shortest_path_tree(adj, source, allowed)
+    dist, parent = shortest_path_tree(adj, source, allowed)
+    assert {v for v, p in enumerate(parent) if p >= 0} == set(oracle)
+    for v, (d, path) in oracle.items():
+        assert dist[v].hex() == d.hex()
+        assert tree_path(parent, v) == path
+    assert all(d == math.inf for v, d in enumerate(dist) if v not in oracle)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """A connected graph with edge lengths 1-3, so exact distance ties are
+    common, a source, and sometimes an allowed vertex subset."""
+    n = draw(st.integers(1, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges |= {(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=2 * n))
+                  if a != b}
+    adj = [[] for _ in range(n)]
+    for (a, b) in sorted(edges):
+        length = float(draw(st.integers(1, 3)))
+        adj[a].append((b, length))
+        adj[b].append((a, length))
+    for lst in adj:
+        lst.sort()
+    source = draw(st.integers(0, n - 1))
+    allowed = draw(st.none() | st.frozensets(st.integers(0, n - 1)))
+    return adj, source, allowed
+
+
 class TestShortestPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_heavy_graphs())
+    def test_matches_path_tuple_oracle(self, case):
+        assert_same_tree_as_oracle(*case)
+
+    @pytest.mark.parametrize("space", [OCTA, ICO1, icosphere(2), capped_prism(6, 2)],
+                             ids=["octahedron", "icosphere1", "icosphere2", "capped_prism"])
+    def test_matches_oracle_from_every_source(self, space):
+        adj = space.adjacency()
+        for source in range(space.complex.n_vertices):
+            assert_same_tree_as_oracle(adj, source)
+
     def test_lexicographic_ties(self):
         # square: two equal-length routes 0-1-3 and 0-2-3; 0-1-3 is lex smaller
         k = SimplicialComplex.from_simplices([(0, 1), (1, 3), (0, 2), (2, 3)])
         coords = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
         space = MetricComplex(complex=k, coords=coords)
-        tree = shortest_path_tree(space.adjacency(), 0)
-        assert tree[3][1] == (0, 1, 3)
+        _, parent = shortest_path_tree(space.adjacency(), 0)
+        assert tree_path(parent, 3) == (0, 1, 3)
 
     def test_triangle_inequality_of_graph_edges(self):
         space = icosphere(1)
         cover = ball_cover(space, 0.7)
         graph = geodesic_graph(space, cover)
         adj = space.adjacency()
-        trees = {c: shortest_path_tree(adj, c) for c in set(graph.centers)}
+        dists = {c: shortest_path_tree(adj, c)[0] for c in set(graph.centers)}
         for e in graph.edges:
             ca, cb = graph.centers[e.a], graph.centers[e.b]
-            exact = trees[ca][cb][0]
+            exact = dists[ca][cb]
             assert e.length >= exact - 1e-12
 
 
@@ -312,7 +361,7 @@ def backtracking_walks(draw):
     walk = [start]
     for _ in range(draw(st.integers(0, 6))):
         walk.append(draw(st.sampled_from([w for w, _ in adj[walk[-1]]])))
-    walk += reversed(shortest_path_tree(adj, start)[walk[-1]][1][:-1])
+    walk += reversed(tree_path(shortest_path_tree(adj, start)[1], walk[-1])[:-1])
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(walk) - 1))
         w = draw(st.sampled_from([u for u, _ in adj[walk[i]]]))
@@ -403,6 +452,50 @@ class TestConeFill:
     def test_not_a_cycle_rejected(self):
         with pytest.raises(DomainError):
             cone_fill(OCTA, Chain(1, {0: 1}), 0)
+
+    def test_one_whole_skeleton_tree_per_apex(self, monkeypatch, rng):
+        import fillbound.geom
+
+        space = icosphere(1)
+        cover = ball_cover(space, 0.6)
+        whole = []
+
+        def counted(adj, source, allowed=None):
+            if allowed is None:
+                whole.append(source)
+            return shortest_path_tree(adj, source, allowed=allowed)
+
+        monkeypatch.setattr(fillbound.geom, "shortest_path_tree", counted)
+        cycles = [_random_cycle(rng, space, parts=rng.randint(1, 3)) for _ in range(8)]
+        first = [pipeline_fill(space, cover, z)[0] for z in cycles]
+        assert len(set(whole)) > 1
+        assert len(whole) == len(set(whole))
+        built = len(whole)
+        assert [pipeline_fill(space, cover, z)[0] for z in cycles] == first
+        assert len(whole) == built
+
+    def test_apex_tree_cache_is_compact(self):
+        # parent arrays: about 0.12 MB for all 162 apexes, where the
+        # path-tuple trees of each apex took about 5 MB
+        import tracemalloc
+
+        space = icosphere(2)
+        k = space.complex
+        loops = {}
+        for tidx, face in enumerate(k.simplices(2)):
+            for v in face:
+                loops.setdefault(v, boundary(k, Chain(2, {tidx: 1})))
+        cone_fill(space, loops[0], 0)  # the adjacency and boundary caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for apex in range(1, k.n_vertices):
+                cone_fill(space, loops[apex], apex)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(key[0] == "tree" for key in space._memo if isinstance(key, tuple)) == 162
+        assert held < 0.5e6
 
 
 class TestNeckContract:
