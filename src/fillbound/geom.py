@@ -66,7 +66,9 @@ class MetricComplex:
     The memo holds the edge lengths and triangle areas, the adjacency lists
     (key ``"adj"``) and, for each apex ``cone_fill`` has used, the parent
     array of its whole-skeleton shortest-path tree (key ``("tree", apex)``,
-    an ``array('i')`` of 4 bytes per vertex).
+    an ``array('i')`` of 4 bytes per vertex) and the fill of each wedge it
+    has filled from that apex (key ``("wedge", apex, edge)``, a flat tuple
+    ``(triangle, coefficient, ...)``; none for the apex's tree edges).
     """
 
     complex: SimplicialComplex
@@ -606,8 +608,11 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
     the edge and the shortest paths of its endpoints to the apex.
 
     The apex's whole-skeleton tree is built once per space and kept in its
-    memo.  Wedges that the local face reduction cannot close fall back to
-    the exact minimum-mass fill.
+    memo.  A tree edge's wedge is the zero cycle and is skipped.  Every other
+    wedge is filled once per space, by the local face reduction or, where
+    that is blocked, the exact minimum-mass fill, and its fill is kept in the
+    memo as a flat tuple ``(triangle, coefficient, ...)`` in the fill's item
+    order.  The boundary of the sum is checked on every call.
     """
     if loop.dim != 1:
         raise DomainError("cone_fill expects a 1-chain")
@@ -620,18 +625,32 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
     parent = cached(space, ("tree", apex),
                     lambda: array("i", shortest_path_tree(space.adjacency(), apex)[1]))
     edges = space.complex.simplices(1)
-    total = Chain.zero(2)
-    for idx, a in sorted(loop.items()):
-        u, v = edges[idx]
-        if parent[u] < 0 or parent[v] < 0:
-            raise DomainError(f"no path from {(u, v)} to apex {apex}")
+
+    def wedge_fill(idx: int, u: int, v: int) -> tuple[int, ...]:
         su = path_chain(space.complex, tree_path(parent, u))
         sv = path_chain(space.complex, tree_path(parent, v))
         wedge = Chain(1, {idx: 1}) + su - sv
         part = fill_loop_locally(space, wedge)
         if part is None:
             part, _ = min_mass_fill(space.complex, space.volumes, wedge)
-        total = total + part.scale(a)
+        return tuple(x for item in part.items() for x in item)
+
+    acc: dict[int, int] = {}
+    for idx, a in sorted(loop.items()):
+        u, v = edges[idx]
+        if parent[u] < 0 or parent[v] < 0:
+            raise DomainError(f"no path from {(u, v)} to apex {apex}")
+        if parent[u] == v or parent[v] == u:
+            continue
+        flat = cached(space, ("wedge", apex, idx), lambda: wedge_fill(idx, u, v))
+        for i in range(0, len(flat), 2):
+            t = flat[i]
+            s = acc.get(t, 0) + a * flat[i + 1]
+            if s:
+                acc[t] = s
+            else:
+                acc.pop(t, None)
+    total = Chain(2, acc)
     if boundary(space.complex, total) != loop:
         raise InvariantError("cone fill has the wrong boundary")
     return total

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from fillbound.chains import Chain, SimplicialComplex, boundary
+from fillbound.chains import Chain, SimplicialComplex, boundary, path_chain
+from fillbound.filling import min_mass_fill
+from fillbound.geom import fill_loop_locally, shortest_path_tree, tree_path
 from fillbound.intlin import IntMatrix, _axpy, _bareiss_det
 
 
@@ -117,6 +119,27 @@ def path_tuple_shortest_path_tree(adj, source, allowed=None) -> dict:
                 continue
             heapq.heappush(heap, (d + length, path + (w,)))
     return best
+
+
+def percall_cone_fill(space, loop: Chain, apex: int) -> Chain:
+    """``geom.cone_fill`` with nothing kept between calls: the apex's tree
+    and every wedge are built, and every wedge filled, on each call, and the
+    parts are summed by Chain addition.  Expects a 1-cycle and a vertex that
+    reaches it."""
+    _, parent = shortest_path_tree(space.adjacency(), apex)
+    edges = space.complex.simplices(1)
+    total = Chain.zero(2)
+    for idx, a in sorted(loop.items()):
+        u, v = edges[idx]
+        su = path_chain(space.complex, tree_path(parent, u))
+        sv = path_chain(space.complex, tree_path(parent, v))
+        wedge = Chain(1, {idx: 1}) + su - sv
+        part = fill_loop_locally(space, wedge)
+        if part is None:
+            part, _ = min_mass_fill(space.complex, space.volumes, wedge)
+        total = total + part.scale(a)
+    assert boundary(space.complex, total) == loop
+    return total
 
 
 def squared_norm(col) -> int:

@@ -29,7 +29,7 @@ from fillbound.geom import (
 )
 from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, tetra_boundary
 
-from conftest import path_tuple_shortest_path_tree
+from conftest import path_tuple_shortest_path_tree, percall_cone_fill
 
 
 OCTA = octahedron(1.0)
@@ -65,6 +65,19 @@ def assert_sets_connected_around_centers(space, cover):
         assert c in s
         dist, _ = shortest_path_tree(adj, c, allowed=frozenset(s))
         assert {v for v, d in enumerate(dist) if d < math.inf} == set(s)
+
+
+# the spaces of the cone-fill differential, each built fresh per test
+CONE_SPACES = {
+    "octahedron": octahedron,
+    "icosphere1": lambda: icosphere(1),
+    "icosphere2": lambda: icosphere(2),
+    "capped_prism": lambda: capped_prism(6, 2),
+}
+
+
+def _wedge_keys(space) -> set:
+    return {key for key in space._memo if isinstance(key, tuple) and key[0] == "wedge"}
 
 
 def cycle_from_loop(space, loop):
@@ -496,6 +509,120 @@ class TestConeFill:
             tracemalloc.stop()
         assert sum(key[0] == "tree" for key in space._memo if isinstance(key, tuple)) == 162
         assert held < 0.5e6
+
+    @pytest.mark.parametrize("name", sorted(CONE_SPACES))
+    def test_matches_percall_oracle(self, name, rng):
+        # one space stays warm through the whole sequence: the first pass
+        # mixes cached wedges with new ones, and its replay takes only
+        # cached wedges
+        space = CONE_SPACES[name]()
+        n = space.complex.n_vertices
+        pool = rng.sample(range(n), min(4, n))
+        calls = []
+        for _ in range(30):
+            z = _random_cycle(rng, space, parts=rng.randint(1, 3))
+            apex = rng.choice(pool) if rng.random() < 0.75 else rng.randrange(n)
+            calls.append((z.scale(rng.choice((1, -1, 2, -3))), apex))
+        for i, (z, apex) in enumerate(calls + calls[::-1]):
+            if i == len(calls):
+                stored = _wedge_keys(space)
+            got, want = cone_fill(space, z, apex), percall_cone_fill(space, z, apex)
+            assert got == want
+            assert list(got.items()) == list(want.items())
+            assert float.hex(space.mass2(got)) == float.hex(space.mass2(want))
+        assert _wedge_keys(space) == stored
+
+    def test_second_pass_builds_no_wedge(self, monkeypatch, rng):
+        import fillbound.geom
+
+        builds = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                builds.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(fillbound.geom, name, wrapper)
+
+        counted("fill_loop_locally", fill_loop_locally)
+        counted("min_mass_fill", min_mass_fill)
+        space = icosphere(1)
+        cover = ball_cover(space, 0.6)
+        cycles = [_random_cycle(rng, space, parts=rng.randint(1, 3)) for _ in range(8)]
+        first = [pipeline_fill(space, cover, z)[0] for z in cycles]
+        built = len(builds)
+        assert built > 0
+        second = [pipeline_fill(space, cover, z)[0] for z in cycles]
+        assert len(builds) == built
+        assert second == first
+        assert [list(e.items()) for e in second] == [list(e.items()) for e in first]
+
+    def test_no_wedge_stored_for_tree_edges(self, rng):
+        space = icosphere(1)
+        k = space.complex
+        # each edge is the unique shortest path between its ends, so the two
+        # sides of a face at its apex are tree edges and only the third is
+        # filled
+        for tidx, face in enumerate(k.simplices(2)):
+            cone_fill(space, boundary(k, Chain(2, {tidx: 1})), face[0])
+            opposite = k.index_of(1, face[1:])
+            assert {key[2] for key in _wedge_keys(space) if key[1] == face[0]} >= {opposite}
+        cover = ball_cover(space, 0.6)
+        for _ in range(8):
+            pipeline_fill(space, cover, _random_cycle(rng, space, parts=rng.randint(1, 3)))
+        edges = k.simplices(1)
+        assert _wedge_keys(space)
+        for _, apex, idx in _wedge_keys(space):
+            parent = space._memo[("tree", apex)]
+            u, v = edges[idx]
+            assert parent[u] != v and parent[v] != u
+
+    @pytest.mark.parametrize("make, radius", [(lambda: icosphere(1), 0.6),
+                                              (lambda: capped_prism(6, 2), 1.2)],
+                             ids=["icosphere1", "capped_prism"])
+    def test_warm_fill_equals_cold(self, make, radius, rng):
+        # the CLI (and so every golden digest) loads a fresh space per call
+        space = make()
+        cover = ball_cover(space, radius)
+        for _ in range(10):
+            z = _random_cycle(rng, space, parts=rng.randint(1, 3))
+            warm, warm_report = pipeline_fill(space, cover, z)
+            fresh = make()
+            cold, cold_report = pipeline_fill(fresh, ball_cover(fresh, radius), z)
+            assert warm == cold
+            assert list(warm.items()) == list(cold.items())
+            assert ({**warm_report.to_dict(), "timing": None}
+                    == {**cold_report.to_dict(), "timing": None})
+
+    def test_wedge_cache_is_compact(self, rng):
+        # flat (triangle, coefficient) tuples: about 210 bytes per key with
+        # the key and the dict's growth, against about 360 for a tuple of
+        # pairs and 440 for Chain objects
+        import gc
+        import tracemalloc
+
+        space = icosphere(2)
+        cover = ball_cover(space, 0.8)
+        cycles = [_random_cycle(rng, space, parts=rng.randint(1, 3)) for _ in range(60)]
+        for z in cycles:
+            pipeline_fill(space, cover, z)
+        wedges = _wedge_keys(space)
+        kept = {key: val for key, val in space._memo.items() if key not in wedges}
+        space._memo.clear()
+        space._memo.update(kept)
+        tracemalloc.start()
+        try:
+            # _median_fill's recursive closure leaves cycles for the collector
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for z in cycles:
+                pipeline_fill(space, cover, z)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _wedge_keys(space) == wedges
+        assert len(wedges) > 200
+        assert held < 300 * len(wedges)
 
 
 class TestNeckContract:
