@@ -39,6 +39,25 @@ def pinched_octahedra() -> MetricComplex:
                          coords=first.coords + tuple(second))
 
 
+def octahedra_sharing_a_face() -> MetricComplex:
+    """Two unit octahedra that share face (0, 2, 4), the second the mirror
+    image of the first through that face's plane x + y + z = 1.  The two
+    fundamental classes of the boundary kernel overlap on the shared face in
+    every basis, so each minimum-mass fill runs ``intlin.coset_min``."""
+    first = octahedron(1.0)
+    relabel = [0, 6, 2, 7, 4, 8]
+    faces = list(first.complex.simplices(2)) + [
+        tuple(sorted(relabel[v] for v in face)) for face in first.complex.simplices(2)
+        if face != (0, 2, 4)]
+    mirrored = []
+    for v in (1, 3, 5):
+        p = first.coords[v]
+        d = 2 * (sum(p) - 1) / 3
+        mirrored.append(tuple(x - d for x in p))
+    return MetricComplex(complex=SimplicialComplex.from_simplices(faces),
+                         coords=first.coords + tuple(mirrored))
+
+
 SPACES = {
     "capped_prism": (lambda: capped_prism(6, 2, 1.0), "1.2"),
     "octahedron": (lambda: octahedron(1.0), "0.8"),
@@ -94,6 +113,11 @@ HF1_SURFACE_DIGESTS = {
     "icosphere2": "1317d755a4fd39c929c940c1aee0edd6b195f89c6b137ae59d4a31888aa1cba9",
     "pinched_octahedra": "09c48573863fa2722d0a391a2606a19fb94ca546119ce3287633b00799343dc5",
 }
+
+# two octahedra sharing a face: kernel columns that overlap, so every fill is
+# a coset_min search (165 of them), with --l-max 9.0 --steps 6
+# --cycle-budget 150: every edge is sqrt(2) long, so a triangle is 4.24
+HF1_SHARED_FACE_DIGEST = "00110855d53d6af451fd48fcd10aab1d26b6660abf67a5d28d3792ca5d71759c"
 
 
 def seeded_cycle(space, seed: int) -> Chain:
@@ -201,3 +225,13 @@ def test_hf1_surface_report_byte_identical(workdir, name):
     got = digest(workdir / "hf1.json")
     print(f"digest hf1 {name} {got}")
     assert got == HF1_SURFACE_DIGESTS[name]
+
+
+def test_hf1_shared_face_report_byte_identical(workdir):
+    save_space("space.json", octahedra_sharing_a_face())
+    code = main(["hf1", "--space", "space.json", "--l-max", "9.0", "--steps", "6",
+                 "--cycle-budget", "150", "--out", "hf1.json"])
+    assert code == 0
+    got = digest(workdir / "hf1.json")
+    print(f"digest hf1 shared face {got}")
+    assert got == HF1_SHARED_FACE_DIGEST
