@@ -2,10 +2,12 @@
 
 ``fill_boundary`` solves the boundary system exactly and certifies the
 coefficient growth against the binomial/Hadamard ceiling; ``min_mass_fill``
-finds the exact minimum-mass 2-chain filling a 1-boundary over the solution
-coset of the Smith solution: from a weighted median per kernel column when
-the kernel is spanned by disjoint +-1 columns (the fundamental classes of
-closed orientable surfaces), and by branch and bound otherwise;
+finds the exact minimum-mass 2-chain filling a 1-boundary, under one tie
+rule: with the weights scaled exactly to integers, the lexicographically
+least fill of mass at most m* + REL_TOL * (1 + m*), m* the least mass.  It
+is computed from a weighted median per kernel column when the kernel is
+spanned by disjoint +-1 columns (the fundamental classes of closed
+orientable surfaces), and by branch and bound otherwise;
 ``hf1_profile`` turns a cycle census into a lower envelope for the first
 homological filling function.
 """
@@ -31,7 +33,7 @@ KERNEL_REDUCTION_MAX_DIM = 8  # the largest kernel fill_boundary searches exactl
 GREEDY_REDUCTION_MAX_WORK = 200_000
 MIN_MASS_MAX_KERNEL_DIM = 20
 ABS_TOL = 1e-12  # absolute slack when comparing lengths and masses
-REL_TOL = 1e-9  # relative slack at which two minimum-mass fills tie
+REL_TOL = 1e-9  # relative slack within which the least minimum-mass fill wins
 DEFAULT_NODE_BUDGET = 4 * 10 ** 6
 
 
@@ -174,111 +176,117 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
     return filled, cert
 
 
-def _cost(vec: Sequence[int], weights: Sequence[float]) -> float:
-    return sum(abs(a) * weights[i] for i, a in enumerate(vec) if a)
+def _mass_kernel(complex: SimplicialComplex) -> tuple[list, list | None]:
+    """The echelon basis of ker d2, cached per complex, and each row's (column,
+    entry) (None off the columns) if the columns are disjoint and +-1."""
+
+    def build():
+        cols = column_echelon_basis(boundary_smith(complex, 2).kernel_columns())
+        where: list = [None] * complex.n_simplices(2)
+        for j, (rows, vals) in enumerate(cols):
+            for i, c in zip(rows, vals):
+                if where[i] is not None or c not in (1, -1):
+                    return cols, None
+                where[i] = (j, c)
+        return cols, where
+
+    return cached(complex, "mass kernel", build)
 
 
-def _median_fill(x0: list[int], cols: list, w2: Sequence[float]) -> list[int] | None:
-    """``coset_min``'s answer on x0 + span(cols) without its per-node vector
-    rebuilds, or None unless the echelon columns have pairwise disjoint
-    supports, +-1 entries and a positive finite weight each.
+def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
+    """(W, one, totals) for a table of 2-weights, cached per complex and table:
+    each weight read exactly and scaled by one common power of two, ``one``,
+    into an integer W_i, and each echelon column's summed W when the fills
+    take the median path (else None).  A weight that is not finite and
+    positive is a DomainError naming its triangle."""
+    table = tuple(w2[:complex.n_simplices(2)])
 
-    The mass of a column's rows is then sum_i w_i |t - b_i| over its support:
-    convex and piecewise linear in the column's shift t, with breakpoints
-    b_i = -x0_i c_i.  With the weight summed per distinct breakpoint (every
-    row where x0 is zero breaks at 0, so only x0's nonzero rows are visited
-    one by one), the first breakpoint at which the running weight reaches
-    half the column's total is a weighted median, where that mass is least.
+    def build():
+        for i, w in enumerate(table):
+            if not 0 < w < math.inf:
+                raise DomainError(f"triangle {complex.simplices(2)[i]} has weight {w}, "
+                                  "which is not finite and positive")
+        ratios = [float(w).as_integer_ratio() for w in table]
+        one = max(q for _, q in ratios)
+        big = [p * (one // q) for p, q in ratios]
+        if len(boundary_smith(complex, 2).kernel_columns()) > MIN_MASS_MAX_KERNEL_DIM:
+            return big, one, None
+        cols, where = _mass_kernel(complex)
+        totals = None if where is None else [sum(big[i] for i in rows) for rows, _ in cols]
+        return big, one, totals
 
-    Ties make ``coset_min``'s answer depend on its visiting order (the best
-    falls only by more than REL_TOL * (1 + |best|), and a tie goes to the
-    smaller tuple), so the shifts are replayed in that order, from the
-    incumbent x0: columns nest as its levels do, and each tries the shift
-    that zeroes its pivot row, then the shifts above, then those below.  A
-    shift whose column mass, a sum over the distinct breakpoints, bounds
-    every fill below it past the best plus its tie slack is skipped, and
-    past the median it ends its direction.  Any other shift is charged as
-    ``coset_min`` charges it, row by row up to the next pivot, so that its
-    ties fall alike.  Pivot entries are +1, so the tuple order of two fills
-    is the order of their shifts.
+    return cached(complex, ("mass table", table), build)
+
+
+def _tie_slack(one: int, least: int) -> int:
+    """floor(REL_TOL * (1 + m*)), exactly, for masses in units of 1 / one."""
+    num, den = REL_TOL.as_integer_ratio()
+    return num * (one + least) // den
+
+
+def _median_fill(x0: list[int], cols: list, where: list, big: list, one: int,
+                 totals: list) -> list[int]:
+    """``min_mass_fill``'s answer when the echelon columns are disjoint with
+    +-1 entries, with no search.
+
+    A column's mass is sum_i W_i |t - b_i| over its rows: convex and piecewise
+    linear in its shift t, with breakpoints b_i = -x0_i c_i (the rows where
+    x0 is zero break at 0 and weigh the total less the rest).  It is least
+    at the least weighted median, the first breakpoint where the running
+    weight reaches half the total; those least masses and the rows of no
+    column sum to m*.  Then each column in turn takes the least t whose
+    excess over its least mass fits in the slack still left, found by
+    walking the breakpoints down from the median with a running slope.
+    Pivot entries are +1, so the order of the shift tuples is that of the
+    fills.
     """
-    covered: set[int] = set()
-    for rows, vals in cols:
-        if not covered.isdisjoint(rows) or not {1, -1}.issuperset(vals):
-            return None
-        covered.update(rows)
-    n = len(x0)
-    pivots = [rows[0] for rows, _ in cols]
-    nonzero = [i for i, a in enumerate(x0) if a]
-    # (shift that zeroes the pivot row, median, weight per breakpoint,
-    #  entry per row, end of the rows charged at its level)
-    columns = []
-    for (rows, vals), end in zip(cols, pivots[1:] + [n]):
-        entry = dict(zip(rows, vals))
-        weight_at: dict[int, float] = {0: sum(w2[i] for i in rows if not x0[i])}
-        for i in nonzero:
-            c = entry.get(i)
-            if c:
-                b = -x0[i] * c
-                weight_at[b] = weight_at.get(b, 0.0) + w2[i]
-        half = sum(weight_at.values()) / 2
-        if not 0 < half < math.inf:
-            return None
-        run = 0.0
-        for median in sorted(weight_at):
-            run += weight_at[median]
-            if run >= half:
+    weight_at = [{0: total} for total in totals]
+    least = 0
+    for i, a in enumerate(x0):
+        if a and where[i] is None:
+            least += abs(a) * big[i]
+        elif a:
+            j, c = where[i]
+            weight_at[j][0] -= big[i]
+            weight_at[j][-a * c] = weight_at[j].get(-a * c, 0) + big[i]
+    medians = []
+    for at, total in zip(weight_at, totals):
+        points, below = sorted(at), 0
+        for k, t in enumerate(points):
+            if 2 * (below + at[t]) >= total:
                 break
-        columns.append((-x0[rows[0]], median, weight_at, entry, end))
-
-    cur = x0[:]  # x0 shifted along the columns of the levels above
-    best_cost, best_key = _cost(x0, w2), (0,) * len(cols)
-    shifts: list[int] = []
-
-    def walk(j: int, partial: float) -> None:
-        nonlocal best_cost, best_key
-        start, median, weight_at, entry, end = columns[j]
-        rows, vals = cols[j]
-        p = pivots[j]
-        for step in (1, -1):
-            t = start if step == 1 else start - 1
-            while True:
-                tol = REL_TOL * (1 + abs(best_cost))
-                bound = partial + sum(w * abs(t - b) for b, w in weight_at.items())
-                # the bound and a fill's mass are sums of at most n rounded
-                # terms, each off by less than n * 2^-53 of its size
-                if bound - 1e-15 * n * (1 + abs(bound)) > best_cost + tol:
-                    if (t - median) * step > 0:
-                        break
-                    t += step
-                    continue
-                if t:
-                    seg = partial + sum(abs(cur[i] + t * entry.get(i, 0)) * w2[i]
-                                        for i in range(p, end))
-                else:  # the zero terms that coset_min adds leave its sum as is
-                    seg = partial + sum(abs(v) * w2[i]
-                                        for i, v in enumerate(cur[p:end], p) if v)
-                if seg <= best_cost + tol:
-                    if j + 1 < len(cols):
-                        for i, c in zip(rows, vals):
-                            cur[i] += t * c
-                        shifts.append(t)
-                        walk(j + 1, seg)
-                        shifts.pop()
-                        for i, c in zip(rows, vals):
-                            cur[i] -= t * c
-                    elif seg < best_cost - tol:
-                        best_cost, best_key = seg, (*shifts, t)
-                    elif abs(seg - best_cost) <= tol and (*shifts, t) < best_key:
-                        best_key = (*shifts, t)
-                t += step
-
-    walk(0, sum(abs(x0[i]) * w2[i] for i in range(pivots[0])))
-    for (rows, vals), t in zip(cols, best_key):
+            below += at[t]
+        least += sum(w * abs(b - t) for b, w in at.items())
+        medians.append((points[:k], t, below))
+    slack = _tie_slack(one, least)
+    fill = x0[:]
+    for (rows, vals), at, total, (lower, t, below) in zip(cols, weight_at, totals, medians):
+        rate = total - 2 * below  # the mass that a unit step down from t adds
+        for b in reversed(lower):
+            if (t - b) * rate > slack:
+                break
+            slack -= (t - b) * rate
+            t, below = b, below - at[b]
+            rate = total - 2 * below
+        t -= slack // rate
+        slack %= rate
         if t:
             for i, c in zip(rows, vals):
-                cur[i] += t * c
-    return cur
+                fill[i] += t * c
+    return fill
+
+
+def _min_mass_vector(complex: SimplicialComplex, table: tuple, x0: list[int],
+                     node_budget: int) -> list[int]:
+    """``min_mass_fill``'s vector from any point x0 of its coset, with the
+    ``_mass_table`` of its weights."""
+    big, one, totals = table
+    cols, where = _mass_kernel(complex)
+    if totals is not None:
+        return _median_fill(x0, cols, where, big, one, totals)
+    cost = sum(abs(a) * w for a, w in zip(x0, big))
+    return list(coset_min(x0, cols, big, node_budget, incumbent=(cost, tuple(x0)),
+                          slack=lambda least: _tie_slack(one, least))[1])
 
 
 def min_mass_fill(
@@ -289,24 +297,19 @@ def min_mass_fill(
 ) -> tuple[Chain, float]:
     """Exact minimum-mass integer 2-chain E with boundary z.
 
-    ``weights`` maps dimension -> per-simplex volumes (dimension 2 is the
-    objective).  The search runs over the solution coset of the Smith
-    solution x0, in the column-echelon basis of the kernel of the boundary.
-    When those columns have pairwise disjoint supports and +-1 entries, as
-    the fundamental classes of closed orientable surfaces do,
-    ``_median_fill`` finds ``coset_min``'s answer from a weighted median per
-    column, in a few sums over distinct breakpoints, with no nodes and so
-    no use of ``node_budget``.  Any other kernel (overlapping columns, other
-    entries, a non-manifold space) is searched by ``coset_min``'s branch and
-    bound, started from x0 and held to ``node_budget``.  Near-ties follow
-    ``coset_min``'s visiting order, which ``_median_fill`` replays: a fill
-    displaces the first incumbent's mass only by falling below it by more
-    than REL_TOL * (1 + best), and within that slack a smaller tuple takes
-    the incumbent's place but not its mass.  So the lexicographically
-    smaller of two fills within REL_TOL need not win (ROADMAP item 9 would
-    make the rule independent of the order).  The mass returned is the
-    returned chain's own, summed in index order as ``chains.mass`` sums it.
-    A CapacityError's incumbent is an uncertified 2-chain with boundary z,
+    ``weights`` maps dimension -> per-simplex volumes; dimension 2, whose
+    weights must be finite and positive, is the objective.  Read each as the
+    binary64 it is, all scaled by one power of two into integers, so that
+    masses compare exactly; with m* the least mass of a fill, E is the
+    lexicographically least fill of mass at most m* + REL_TOL * (1 + m*).
+    No visiting order and no start enter this rule.  When the echelon kernel
+    columns of the boundary are disjoint with +-1 entries, as the
+    fundamental classes of closed orientable surfaces are, ``_median_fill``
+    computes E with no search, so with no use of ``node_budget``; any other
+    kernel is searched by ``coset_min`` from the Smith solution, held to
+    ``node_budget``.  The integer weights and column totals are derived once
+    per weight table.  The mass returned is E's own, ``chains.mass``.  A
+    CapacityError's incumbent is an uncertified 2-chain with boundary z,
     and its incumbent_cost is that chain's mass.
     """
     if z.dim != 1:
@@ -318,31 +321,24 @@ def min_mass_fill(
     n2 = complex.n_simplices(2)
     if len(w2) < n2:
         raise DomainError("missing 2-simplex weights")
+    table = _mass_table(complex, w2)
     snf = boundary_smith(complex, 2)
     x0, obstruction = snf.solve_with_obstruction(z.to_vector(n1))
     if x0 is None:
         raise DomainError(f"cycle does not bound: {obstruction}")
     kernel = snf.kernel_columns()
-    if len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
-        raise CapacityError(
-            f"homogeneous lattice dimension {len(kernel)} exceeds "
-            f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
-            incumbent=Chain.from_vector(2, x0),
-            incumbent_cost=_cost(x0, w2),
-        )
-    best = x0
-    if kernel:
-        cols = column_echelon_basis(kernel)
-        best = _median_fill(x0, cols, w2)
-        if best is None:
-            try:
-                _, best, _ = coset_min(x0, cols, w2, REL_TOL, node_budget,
-                                       incumbent=(_cost(x0, w2), tuple(x0)))
-            except CapacityError as err:
-                err.incumbent_cost = _cost(err.incumbent, w2)
-                err.incumbent = Chain.from_vector(2, err.incumbent)
-                raise
-    return Chain.from_vector(2, best), _cost(best, w2)
+    try:
+        if len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
+            raise CapacityError(
+                f"homogeneous lattice dimension {len(kernel)} exceeds "
+                f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
+                incumbent=x0)
+        best = Chain.from_vector(2, _min_mass_vector(complex, table, x0, node_budget))
+    except CapacityError as err:
+        err.incumbent = Chain.from_vector(2, err.incumbent)
+        err.incumbent_cost = mass(w2, err.incumbent)
+        raise
+    return best, mass(w2, best)
 
 
 # ---------------------------------------------------------------------------

@@ -23,18 +23,14 @@ A kernel has one format: sparse columns (rows ascending, values), as
 reduction, ``column_echelon_basis`` and ``coset_min`` all take it.
 
 ``coset_min`` is the one exact search over a solution coset x0 + ker(A):
-a branch and bound on sum_i w_i |x_i| with an optional cap on every |x_i|.
-The minimum-mass fills in ``filling`` run it from the Smith solution with
-float weights (triangle areas) and a relative tie tolerance, on the kernels
-that their weighted-median path does not cover (columns that overlap or
-have other entries than +-1); the max-norm search, the certificate's one
-small-solution search at every kernel dimension, deepens its cap with unit
-integer weights and zero tolerance, so its comparisons are exact while costs
-stay below 2^53.
-
-Floating point appears only through ``coset_min``'s weights; every
-certificate comparison, ``bfrt_bound_ceiling`` included, is exact integer
-arithmetic.
+a branch and bound on sum_i w_i |x_i| with integer weights, an optional cap
+on every |x_i| and an optional tie slack.  The minimum-mass fills in
+``filling`` run it, with triangle areas scaled exactly into integers and
+their tie rule's slack, on the kernels that their weighted-median path does
+not cover (columns that overlap or have other entries than +-1); the
+max-norm search, the certificate's one small-solution search at every
+kernel dimension, deepens its cap with unit weights and no slack.  There is
+no floating point in this module: every comparison is exact.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import CapacityError, DomainError, StructuralError
 
@@ -523,6 +519,12 @@ def column_echelon_basis(cols: list) -> list:
     return work
 
 
+def _round_div(a: int, b: int) -> int:
+    """The integer nearest a / b, halves to even, as ``round`` rounds."""
+    q, rem = divmod(a, b) if b > 0 else divmod(-a, -b)
+    return q + (2 * rem > abs(b) or (2 * rem == abs(b) and q & 1))
+
+
 def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
     """Shrink the max-norm of x by integer shifts along sparse columns.
 
@@ -550,7 +552,7 @@ def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
             off_l1 = l1 - sum(on)
             candidates = {0}
             for i, ci in zip(rows, vals):
-                q = round(x[i] / ci)
+                q = _round_div(x[i], ci)
                 candidates.update((q - 1, q, q + 1))
             best_q, best_s = 0, (top, l1)
             for q in sorted(candidates):
@@ -573,39 +575,34 @@ def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
 def coset_min(
     x: list[int],
     cols: list,
-    weights: Sequence,
-    rel_tol: float,
+    weights: Sequence[int],
     node_budget: int,
     cap: Optional[int] = None,
     incumbent: Optional[tuple] = None,
+    slack: Optional[Callable[[int], int]] = None,
 ) -> tuple:
-    """Minimum of sum_i w_i |y_i| over y in x + span(cols), ties lexicographic.
+    """The lexicographically least y in x + span(cols) whose cost
+    sum_i w_i |y_i| is at most m* + slack(m*), m* the least cost.
 
-    Branch and bound over the sparse columns of a column-echelon basis
-    (``column_echelon_basis``), each pivoting on its first row: once the
-    shifts of columns 0..j are fixed, rows from column j's pivot up to the
-    next pivot are final, so their cost is charged at depth j.  Each shift t
-    is tried outward from the one minimizing |y_p|, so pruning bites early,
-    and the level's limit on |y_p| is re-derived after each child search
-    returns: a lower best cuts the rest of the level, so a poor start (the
-    Smith solution itself) costs few nodes.
-    Costs within rel_tol * (1 + |cost|) of the best tie and the smaller
-    tuple wins; with integer weights and rel_tol = 0 every comparison is
-    exact while costs stay below 2^53.  With ``cap`` set, every |y_i| must be
-    at most cap; rows above the first pivot, which no shift changes, are the
-    caller's to check.  ``incumbent`` is a known (cost, tuple) to beat; one of
-    ``cap`` and ``incumbent`` must be given.
+    Integer weights, so every comparison is exact.  Branch and bound over
+    the sparse columns of a column-echelon basis (``column_echelon_basis``):
+    once the shifts of columns 0..j are fixed, rows from column j's pivot up
+    to the next pivot are final and charged at depth j, and as pivot entries
+    are positive, shift tuples order as the vectors do.  Phase 1 finds m* and
+    the least vector of that cost, trying each shift outward from the one
+    minimizing |y_p| and re-deriving the level's limit on |y_p| after each
+    child search, so a lower best cuts the rest of the level and a poor start
+    (the Smith solution itself) costs few nodes.  Phase 2 runs only when
+    ``slack(m*)`` is positive: it visits each level's shifts in increasing
+    order under m* + slack(m*) and stops at the first leaf.  With ``cap``
+    set, every |y_i| must be at most cap; rows above the first pivot are the
+    caller's to check.  ``incumbent`` is a known (cost, tuple) to beat; one
+    of ``cap`` and ``incumbent`` must be given.  Columns are spread into
+    dense lists once per call, so a node is one list comprehension.
 
-    Each column is spread into a dense list once per call, so that a node is
-    rebuilt by one list comprehension.  The searches it serves are the
-    max-norm searches (``fill_boundary``'s nerve kernels up to dimension 8
-    and the small-solution certificate) and the minimum-mass fills whose
-    kernel columns overlap; the fundamental classes of closed surfaces, whose
-    full support made the dense spread pay, now take ``filling``'s median.
-
-    Returns (cost, tuple, nodes): the best candidate, or the incumbent (or
+    Returns (cost, tuple, nodes): the answer, or the incumbent (or
     (None, None)) when nothing beats it, and the number of nodes visited.
-    Raises CapacityError carrying the incumbent after ``node_budget`` nodes.
+    Raises CapacityError carrying the best so far after ``node_budget`` nodes.
     """
     n = len(x)
     r = len(cols)
@@ -618,40 +615,40 @@ def coset_min(
         dense.append(col)
     next_pivot = pivots[1:] + [n]
     best_cost, best_vec = incumbent if incumbent is not None else (None, None)
+    bound = None  # phase 2's cost bound
     nodes = 0
 
-    def shift_limit(p: int, partial):
+    def shift_limit(p: int, partial: int):
         """The largest |y_p| whose subtree may still hold a leaf that beats or
-        ties the best: every leaf costs at least partial + w_p * |y_p|."""
-        if best_cost is None:
+        ties the best (in phase 2, that meets the bound): every leaf costs at
+        least partial + w_p * |y_p|."""
+        top = best_cost if bound is None else bound
+        if top is None:
             return cap
-        budget = best_cost + rel_tol * (1 + abs(best_cost)) - partial
-        if budget < 0:
+        if top < partial:
             return -1
-        limit = budget / weights[p] + 1e-15
+        limit = (top - partial) // weights[p]
         return cap if cap is not None and cap < limit else limit
 
-    def dfs(j: int, cur: list[int], partial):
+    def dfs(j: int, cur: list[int], partial: int) -> bool:
+        """Search below a node; True once phase 2 has its leaf."""
         nonlocal best_cost, best_vec, nodes
         if j == r:
-            if best_cost is None or partial < best_cost - rel_tol * (1 + abs(best_cost)):
-                best_cost = partial
-                best_vec = tuple(cur)
-            elif (abs(partial - best_cost) <= rel_tol * (1 + abs(best_cost))
-                  and tuple(cur) < best_vec):
-                best_vec = tuple(cur)
-            return
+            if bound is not None or best_cost is None or (
+                    (partial, tuple(cur)) < (best_cost, best_vec)):
+                best_cost, best_vec = partial, tuple(cur)
+            return bound is not None
         col = dense[j]
         p = pivots[j]
         hp = col[p]
         base = cur[p]
         stop = next_pivot[j]
         limit = shift_limit(p, partial)
-        # the t minimizing |x_p| = |base + t * hp|, halves to even as round()
-        t_center, rem = divmod(-base, hp)
-        if 2 * rem > hp or (2 * rem == hp and t_center & 1):
-            t_center += 1
-        for step in (0, 1, -1):
+        if bound is None:
+            t_center, steps = _round_div(-base, hp), (0, 1, -1)
+        else:  # upward from the least t with base + t * hp >= -limit
+            t_center, steps = -((limit + base) // hp), (0, 1)
+        for step in steps:
             t = t_center + step
             while abs(base + t * hp) <= limit:
                 nodes += 1
@@ -664,16 +661,21 @@ def coset_min(
                 nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, n)]
                 if cap is None or all(abs(nxt[i]) <= cap for i in range(p, stop)):
                     seg = partial + sum(abs(nxt[i]) * weights[i] for i in range(p, stop))
-                    if best_cost is None or seg <= best_cost + rel_tol * (1 + abs(best_cost)):
-                        dfs(j + 1, nxt, seg)
+                    if best_cost is None or seg <= (best_cost if bound is None else bound):
+                        if dfs(j + 1, nxt, seg):
+                            return True
                         # the best may have fallen: cut this level's costlier shifts
                         limit = shift_limit(p, partial)
                 if step == 0:
                     break
                 t += step
+        return False
 
     fixed_cost = sum(abs(x[i]) * weights[i] for i in range(pivots[0]))
     dfs(0, x, fixed_cost)
+    if slack is not None and best_cost is not None and slack(best_cost) > 0:
+        bound = best_cost + slack(best_cost)
+        dfs(0, x, fixed_cost)  # phase 1's answer is a leaf within the bound
     return best_cost, best_vec, nodes
 
 
@@ -699,7 +701,7 @@ def _maxnorm_coset_min(
     used = 0
     for cap in range(fixed_norm, min(box, top) + 1):
         try:
-            _, found, nodes = coset_min(x0, cols, unit, 0, node_budget - used, cap=cap)
+            _, found, nodes = coset_min(x0, cols, unit, node_budget - used, cap=cap)
         except CapacityError:
             raise CapacityError(f"coset search exceeded node budget {node_budget}") from None
         if found is not None:

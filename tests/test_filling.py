@@ -1,6 +1,9 @@
+import gc
 import itertools
 import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,8 @@ from fillbound.chains import (
 )
 from fillbound.errors import CapacityError, DomainError
 from fillbound.filling import (
-    _cost,
+    _mass_table,
+    _min_mass_vector,
     amin_upper_bound,
     boundary_smith,
     enumerate_simple_cycles,
@@ -187,21 +191,6 @@ class TestMinMassFill:
         chain, m = min_mass_fill(TETRA_SURFACE, w, z)
         assert m == pytest.approx(1.0, rel=1e-9)
 
-    def test_near_tie_follows_visiting_order(self):
-        # Pinned at today's answer, which the visiting order decides:
-        # (4, -3, -10, 11) is lexicographically smaller and its mass,
-        # 28.000000046, lies within REL_TOL * (1 + 28) of this fill's.  An
-        # order-free tie rule (ROADMAP item 9) would change this on purpose.
-        w2 = [1.000000003, 0.999999998, 1.0000000007, 1.000000003]
-        z = boundary(TETRA_SURFACE, Chain.from_vector(2, [15, -14, 1, 0]))
-        chain, m = min_mass_fill(TETRA_SURFACE, {1: [1.0] * 6, 2: w2}, z)
-        assert chain == Chain.from_vector(2, [12, -11, -2, 3])
-        assert m == mass(w2, chain)
-        smaller = [4, -3, -10, 11]
-        assert boundary(TETRA_SURFACE, Chain.from_vector(2, smaller)) == z
-        assert mass(w2, Chain.from_vector(2, smaller)) - m <= (
-            fillbound.filling.REL_TOL * (1 + m))
-
     def test_infeasible(self):
         # two disjoint triangles: the difference of their boundaries is a
         # cycle; each triangle boundary is fillable, but an edge is not
@@ -272,12 +261,30 @@ class TestMinMassFill:
         assert mass(w[2], fb_chain) == pytest.approx(m, rel=1e-12)
 
 
+def vector_mass(weights, vec):
+    return mass(weights, Chain.from_vector(2, vec))
+
+
+def integer_weights(weights):
+    """Each weight as the exact rational it is, all scaled by the least common
+    multiple of their denominators: (integer weights, the integer of 1)."""
+    exact = [Fraction(w) for w in weights]
+    one = math.lcm(*(f.denominator for f in exact))
+    return [int(f * one) for f in exact], one
+
+
+def tie_slack(tol, one):
+    """The tie rule's slack at relative tolerance tol, as a function of the
+    least integer cost: floor(tol * (one + m*))."""
+    return lambda least: math.floor(Fraction(tol) * (one + least))
+
+
 def greedy_weighted_oracle(x, cols, weights):
     """The weighted greedy reduction on dense columns, as it ran before they were sparse."""
     x = x[:]
     if not cols:
         return x
-    best = _cost(x, weights)
+    best = vector_mass(weights, x)
     improved = True
     while improved:
         improved = False
@@ -291,7 +298,7 @@ def greedy_weighted_oracle(x, cols, weights):
             for q in sorted(candidates):
                 if q == 0:
                     continue
-                trial_cost = _cost([xi - q * ci for xi, ci in zip(x, col)], weights)
+                trial_cost = vector_mass(weights, [xi - q * ci for xi, ci in zip(x, col)])
                 if trial_cost < best * (1 - 1e-12):
                     best = trial_cost
                     best_q = q
@@ -301,18 +308,22 @@ def greedy_weighted_oracle(x, cols, weights):
     return x
 
 
-def weighted_coset_oracle(xr, kernel, weights, rel_tol, node_budget):
-    """The branch and bound that min_mass_fill ran before coset_min, counting nodes.
+def weighted_coset_oracle(xr, kernel, weights, slack, node_budget):
+    """The branch and bound that min_mass_fill ran before coset_min, on
+    integer weights with exact comparisons and counting nodes, then the tie
+    rule by listing.
 
     Takes sparse kernel columns and works on dense copies of them and the
-    dense echelon form, starting from xr as given.  Returns (vector, cost,
-    nodes); raises CapacityError carrying the incumbent, as min_mass_fill
-    does, once ``node_budget`` nodes are used.
+    dense echelon form, starting from xr as given.  The search finds the
+    least cost m*; when slack(m*) is positive, every vector of cost at most
+    m* + slack(m*) is then listed and the least one kept.  Returns (vector,
+    cost, nodes of the search); raises CapacityError carrying the incumbent,
+    as min_mass_fill does, once the search uses ``node_budget`` nodes.
     """
     n = len(xr)
     kernel = [dense_column(col, n) for col in kernel]
     best_vec = tuple(xr)
-    best_cost = _cost(xr, weights)
+    best_cost = sum(abs(a) * w for a, w in zip(xr, weights))
     if not kernel:
         return list(best_vec), best_cost, 0
     cols, pivots = dense_echelon_oracle(kernel, n)
@@ -321,28 +332,21 @@ def weighted_coset_oracle(xr, kernel, weights, rel_tol, node_budget):
     fixed_cost = sum(abs(xr[i]) * weights[i] for i in range(pivots[0]))
     nodes = 0
 
-    def tol(val):
-        return rel_tol * (1.0 + abs(val))
-
     def dfs(j, cur, partial):
         nonlocal best_vec, best_cost, nodes
         if j == r:
-            if partial < best_cost - tol(best_cost):
-                best_cost = partial
-                best_vec = tuple(cur)
-            elif abs(partial - best_cost) <= tol(best_cost) and tuple(cur) < best_vec:
-                best_vec = tuple(cur)
+            if (partial, tuple(cur)) < (best_cost, best_vec):
+                best_cost, best_vec = partial, tuple(cur)
             return
         col, p = cols[j], pivots[j]
         hp, base = col[p], cur[p]
-        budget = best_cost + tol(best_cost) - partial
-        if budget < 0:
+        if best_cost < partial:
             return
-        limit = budget / weights[p]
-        t_center = round(-base / hp)
+        limit = (best_cost - partial) // weights[p]
+        t_center = round(Fraction(-base, hp))
         for direction in (0, 1, -1):
             t = t_center + direction
-            while abs(base + t * hp) <= limit + 1e-15:
+            while abs(base + t * hp) <= limit:
                 nodes += 1
                 if nodes > node_budget:
                     raise CapacityError(
@@ -352,24 +356,43 @@ def weighted_coset_oracle(xr, kernel, weights, rel_tol, node_budget):
                     )
                 nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, n)]
                 seg = partial + sum(abs(nxt[i]) * weights[i] for i in range(p, next_pivot[j]))
-                if seg <= best_cost + tol(best_cost):
+                if seg <= best_cost:
                     dfs(j + 1, nxt, seg)
                 if direction == 0:
                     break
                 t += direction
 
     dfs(0, xr, fixed_cost)
+    bound = best_cost + slack(best_cost)
+    within = []
+
+    def every(j, cur, partial):
+        if j == r:
+            within.append((tuple(cur), partial))
+            return
+        col, p = cols[j], pivots[j]
+        room = (bound - partial) // weights[p]
+        lo = math.ceil(Fraction(-room - cur[p], col[p]))
+        for t in range(lo, math.floor(Fraction(room - cur[p], col[p])) + 1):
+            nxt = cur[:p] + [cur[i] + t * col[i] for i in range(p, n)]
+            seg = partial + sum(abs(nxt[i]) * weights[i] for i in range(p, next_pivot[j]))
+            if seg <= bound:
+                every(j + 1, nxt, seg)
+
+    if bound > best_cost:
+        every(0, xr, fixed_cost)
+        best_vec, best_cost = min(within)
     return list(best_vec), best_cost, nodes
 
 
-def weighted_coset_min(x0, kernel, weights, rel_tol, node_budget):
+def weighted_coset_min(x0, kernel, weights, slack, node_budget):
     """min_mass_fill's branch and bound on any lattice, coset_min from the
-    given point: the oracle of its median path."""
-    cost, best = _cost(x0, weights), tuple(x0)
+    given point, with integer weights and a tie slack."""
+    cost, best = sum(abs(a) * w for a, w in zip(x0, weights)), tuple(x0)
     nodes = 0
     if kernel:
-        cost, best, nodes = coset_min(x0, column_echelon_basis(kernel), weights, rel_tol,
-                                      node_budget, incumbent=(cost, best))
+        cost, best, nodes = coset_min(x0, column_echelon_basis(kernel), weights, node_budget,
+                                      incumbent=(cost, best), slack=slack)
     return list(best), cost, nodes
 
 
@@ -428,27 +451,35 @@ def weighted_coset_cases(draw):
         x = snf.solve_with_obstruction(a.mul_vec(x))[0]
     weight = st.sampled_from(NEAR_TIE_WEIGHTS) | st.floats(0.5, 3.0)
     weights = draw(st.lists(weight, min_size=a.cols, max_size=a.cols))
-    rel_tol = draw(st.sampled_from([fillbound.filling.REL_TOL, 0.0, 1e-6]))
+    tol = draw(st.sampled_from([fillbound.filling.REL_TOL, 0.0, 1e-6]))
     budget = draw(st.sampled_from([10 ** 5, 10 ** 5, 20, 1]))
-    return x, snf.kernel_columns(), weights, rel_tol, budget
+    return x, snf.kernel_columns(), weights, tol, budget
 
 
 class TestWeightedCosetDifferential:
-    """coset_min gives the old branch and bound's answers, in no more nodes."""
+    """coset_min gives the tie rule's answers, and with no slack those of the
+    old branch and bound, in no more nodes."""
 
     @settings(max_examples=500, deadline=None)
     @given(case=weighted_coset_cases())
     def test_matches_oracle(self, case):
-        x, kernel, weights, rel_tol, budget = case
+        x, kernel, weights, tol, budget = case
+        big, one = integer_weights(weights)
+        slack = tie_slack(tol, one)
         # the oracle needs a reduced start: from raw Smith solutions near 10^8
         # it can run past 10^6 nodes
         start = reduced_start(x, kernel, weights)
-        vec, cost, nodes = weighted_coset_oracle(start, kernel, weights, rel_tol, 10 ** 6)
+        vec, cost, nodes = weighted_coset_oracle(start, kernel, big, slack, 10 ** 6)
+        assert weighted_coset_min(start, kernel, big, slack, 10 ** 7)[:2] == (vec, cost)
+        args = (start, kernel, big, slack, budget)
+        got = outcome(weighted_coset_min, *args)
+        if tol:
+            assert got[:2] == (vec, cost) or (
+                got[0] == f"mass minimization exceeded node budget {budget}")
+            return
         # the search raises as soon as it passes its budget, so succeeding on
         # the oracle's node count shows it visits no more nodes
-        assert weighted_coset_min(start, kernel, weights, rel_tol, nodes)[:2] == (vec, cost)
-        args = (start, kernel, weights, rel_tol, budget)
-        got = outcome(weighted_coset_min, *args)
+        assert weighted_coset_min(start, kernel, big, slack, nodes)[:2] == (vec, cost)
         if nodes <= budget:
             assert got[:2] == (vec, cost) and got[2] <= nodes
         else:
@@ -467,9 +498,11 @@ class TestWeightedCosetDifferential:
             w = {1: [1.0] * k.n_simplices(1), 2: [rng.choice(NEAR_TIE_WEIGHTS) for _ in range(n2)]}
             snf = boundary_smith(k, 2)
             x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
-            vec, _, _ = weighted_coset_oracle(x0, snf.kernel_columns(), w[2],
-                                              fillbound.filling.REL_TOL, 10 ** 6)
-            assert min_mass_fill(k, w, z) == (Chain.from_vector(2, vec), _cost(vec, w[2]))
+            big, one = integer_weights(w[2])
+            vec, _, _ = weighted_coset_oracle(x0, snf.kernel_columns(), big,
+                                              tie_slack(fillbound.filling.REL_TOL, one), 10 ** 6)
+            chain = Chain.from_vector(2, vec)
+            assert min_mass_fill(k, w, z) == (chain, mass(w[2], chain))
             checked += 1
 
 
@@ -498,7 +531,8 @@ FILL_SURFACES = {
 
 
 class TestStartDifferential:
-    """Searching from the Smith solution gives the old greedy-start path's fills."""
+    """Searching from the Smith solution gives the tie rule's fills from the
+    old greedy start."""
 
     @settings(max_examples=200, deadline=None)
     @given(name=st.sampled_from(sorted(FILL_SURFACES)), data=st.data())
@@ -511,8 +545,9 @@ class TestStartDifferential:
         snf = boundary_smith(k, 2)
         x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
         kernel = snf.kernel_columns()
-        vec, _, _ = weighted_coset_oracle(greedy_start(x0, kernel, w2), kernel, w2,
-                                          fillbound.filling.REL_TOL, 10 ** 6)
+        big, one = integer_weights(w2)
+        vec, _, _ = weighted_coset_oracle(greedy_start(x0, kernel, w2), kernel, big,
+                                          tie_slack(fillbound.filling.REL_TOL, one), 10 ** 6)
         chain, m = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
         assert chain == Chain.from_vector(2, vec)
         assert m == mass(w2, chain)
@@ -522,23 +557,29 @@ class TestStartDifferential:
 MEDIAN_SURFACES = dict(FILL_SURFACES, disjoint=two_octahedra(range(6, 12)))
 
 
+def near_tie_weights(n2):
+    return (st.lists(st.sampled_from(NEAR_TIE_WEIGHTS), min_size=n2, max_size=n2)
+            | st.just([1.0] * n2)
+            | st.lists(st.floats(0.5, 3.0), min_size=n2, max_size=n2))
+
+
 class TestMedianDifferential:
-    """The weighted median gives coset_min's fills, from the Smith solution."""
+    """The weighted median and coset_min give the same fills under the tie
+    rule, from the Smith solution."""
 
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(sorted(MEDIAN_SURFACES)), data=st.data())
     def test_matches_coset_min(self, name, data):
         k = MEDIAN_SURFACES[name]
         n2 = k.n_simplices(2)
-        w2 = data.draw(st.lists(st.sampled_from(NEAR_TIE_WEIGHTS), min_size=n2, max_size=n2)
-                       | st.just([1.0] * n2)
-                       | st.lists(st.floats(0.5, 3.0), min_size=n2, max_size=n2))
+        w2 = data.draw(near_tie_weights(n2))
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n2, max_size=n2))
         z = boundary(k, Chain.from_vector(2, coeffs))
         snf = boundary_smith(k, 2)
         x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
-        vec, _, _ = weighted_coset_min(x0, snf.kernel_columns(), w2,
-                                       fillbound.filling.REL_TOL, 10 ** 7)
+        big, one = integer_weights(w2)
+        vec, _, _ = weighted_coset_min(x0, snf.kernel_columns(), big,
+                                       tie_slack(fillbound.filling.REL_TOL, one), 10 ** 7)
         chain, m = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
         assert chain == Chain.from_vector(2, vec)
         assert m == mass(w2, chain)
@@ -558,6 +599,183 @@ class TestMedianDifferential:
             else:
                 chain, _ = min_mass_fill(k, w, z, node_budget=0)
                 assert boundary(k, chain) == z
+
+    def test_median_fill_leaves_no_cycles(self):
+        # the median path builds no closure that refers to itself, so a fill
+        # frees everything it made when it returns
+        k = two_octahedra(range(6, 12))
+        w = {1: [1.0] * k.n_simplices(1), 2: [NEAR_TIE_WEIGHTS[i % 11] for i in range(16)]}
+        z = boundary(k, Chain(2, {0: 2, 3: -1, 9: 3}))
+        min_mass_fill(k, w, z)
+        gc.disable()
+        try:
+            gc.collect()
+            min_mass_fill(k, w, z)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# the spaces of the tie rule's tests: disjoint fundamental classes (the
+# median path) and two that overlap (coset_min)
+RULE_SPACES = dict(MEDIAN_SURFACES, shared_face=two_octahedra_sharing_a_face())
+
+
+def rule_box_oracle(complex, w2, z, upper):
+    """The tie rule by exhaustion in exact rationals, given an upper bound
+    ``upper`` on the least mass m* (the mass of any fill of z).
+
+    Every fill of mass at most U = upper + REL_TOL * (1 + upper) has
+    |y_i| <= U / w_i on each row, so it lies in the box that the listing
+    below walks level by level over a dense echelon basis of ker d2: a shift
+    whose pivot row leaves the box, or whose rows fixed so far weigh more
+    than U, holds no such fill.  Every fill of mass at most
+    m* + REL_TOL * (1 + m*) <= U is listed, and the least one is returned.
+    """
+    tol = Fraction(fillbound.filling.REL_TOL)
+    exact = [Fraction(w) for w in w2]
+    bound = upper + tol * (1 + upper)
+    snf = boundary_smith(complex, 2)
+    x0, _ = snf.solve_with_obstruction(z.to_vector(complex.n_simplices(1)))
+    n = len(x0)
+    cols, pivots = dense_echelon_oracle([dense_column(c, n) for c in snf.kernel_columns()], n)
+    ends = pivots[1:] + [n]
+    fills = []
+
+    def walk(j, cur, partial):
+        if j == len(cols):
+            fills.append((partial, tuple(cur)))
+            return
+        col, p = cols[j], pivots[j]
+        room = math.floor((bound - partial) / exact[p])
+        for t in range(math.ceil(Fraction(-room - cur[p], col[p])),
+                       math.floor(Fraction(room - cur[p], col[p])) + 1):
+            nxt = [a + t * c for a, c in zip(cur, col)]
+            seg = partial + sum(exact[i] * abs(nxt[i]) for i in range(p, ends[j]) if nxt[i])
+            if seg <= bound:
+                walk(j + 1, nxt, seg)
+
+    walk(0, x0, sum(exact[i] * abs(x0[i]) for i in range(pivots[0]) if x0[i]))
+    least = min(m for m, _ in fills)
+    return list(min(y for m, y in fills if m <= least + tol * (1 + least)))
+
+
+def exact_mass(w2, vec):
+    return sum(Fraction(w) * abs(a) for w, a in zip(w2, vec))
+
+
+def sparse_fills(n2):
+    """2-chains on at most four triangles, so that fills stay light and the
+    box oracle's listing short."""
+    return st.dictionaries(st.integers(0, n2 - 1), st.integers(-3, 3), max_size=4)
+
+
+class TestTieRule:
+    """Every minimum-mass fill is the lexicographically least fill of mass at
+    most m* + REL_TOL * (1 + m*), with exact masses, on both paths."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(RULE_SPACES)), data=st.data())
+    def test_matches_box_oracle(self, name, data):
+        k = RULE_SPACES[name]
+        n2 = k.n_simplices(2)
+        w2 = data.draw(near_tie_weights(n2))
+        z = boundary(k, Chain(2, data.draw(sparse_fills(n2))))
+        chain, m = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
+        got = chain.to_vector(n2)
+        assert got == rule_box_oracle(k, w2, z, exact_mass(w2, got))
+        # the other path on the same coset: coset_min on the median surfaces
+        snf = boundary_smith(k, 2)
+        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        big, one = integer_weights(w2)
+        vec, _, _ = weighted_coset_min(x0, snf.kernel_columns(), big,
+                                       tie_slack(fillbound.filling.REL_TOL, one), 10 ** 7)
+        assert vec == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(RULE_SPACES)), data=st.data())
+    def test_start_independent(self, name, data):
+        """Any point of the coset gives the same fill: the answer depends on
+        no start."""
+        k = RULE_SPACES[name]
+        n2 = k.n_simplices(2)
+        w2 = data.draw(near_tie_weights(n2))
+        z = boundary(k, Chain(2, data.draw(sparse_fills(n2))))
+        snf = boundary_smith(k, 2)
+        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        kernel = snf.kernel_columns()
+        qs = data.draw(st.lists(st.integers(-10 ** 4, 10 ** 4),
+                                min_size=len(kernel), max_size=len(kernel)))
+        shifted = x0[:]
+        for (rows, vals), q in zip(kernel, qs):
+            for i, v in zip(rows, vals):
+                shifted[i] += q * v
+        table = _mass_table(k, w2)
+        assert (_min_mass_vector(k, table, shifted, 10 ** 7)
+                == _min_mass_vector(k, table, x0, 10 ** 7))
+
+    def test_near_tie_goes_to_the_smaller_fill(self):
+        # (12, -11, -2, 3) has the least mass; (4, -3, -10, 11) is heavier by
+        # less than REL_TOL * (1 + m*) and lexicographically smaller, so it
+        # wins, whichever of the two a search meets first.
+        w2 = [1.000000003, 0.999999998, 1.0000000007, 1.000000003]
+        z = boundary(TETRA_SURFACE, Chain.from_vector(2, [15, -14, 1, 0]))
+        chain, m = min_mass_fill(TETRA_SURFACE, {1: [1.0] * 6, 2: w2}, z)
+        assert chain == Chain.from_vector(2, [4, -3, -10, 11])
+        assert m == mass(w2, chain)
+        least = exact_mass(w2, [12, -11, -2, 3])
+        tol = Fraction(fillbound.filling.REL_TOL)
+        assert least < exact_mass(w2, [4, -3, -10, 11]) <= least + tol * (1 + least)
+        assert rule_box_oracle(TETRA_SURFACE, w2, z, least) == [4, -3, -10, 11]
+
+    # near-ties that a rule following the search's visiting order settles the
+    # other way, found among 80,000 near-tie fills on MEDIAN_SURFACES with
+    # coefficients in [-30, 30]: (surface, weights, coefficients of a fill,
+    # the fill that order picks)
+    ORDER_FILLS = [
+        ("octahedron",
+         [1.99999999999, 1.000000003, 0.5000000002, 0.5, 0.9999999996, 1.000000003, 0.5,
+          0.5000000002],
+         [20, 25, 8, -16, -22, -5, -1, -24],
+         [19, 26, 9, -17, -21, -6, -2, -23]),
+        ("disjoint",
+         [math.sqrt(2), 1.000000003, 1.0, 1.0, 1.000000000001, 1.000000003, 1.000000000001,
+          1.0, 0.9999999996, 2.0, 1.000000003, 1.0, 0.5, 1.000000000001, 0.5, 1.000000003],
+         [16, -11, -21, 14, -5, 5, 23, 10, 19, -18, 21, -20, 25, 30, -24, 22],
+         [2, 3, -7, 0, 9, -9, 9, 24, 39, -38, 1, 0, 5, 50, -4, 2]),
+    ]
+
+    @pytest.mark.parametrize("name,w2,coeffs,old", ORDER_FILLS)
+    def test_order_fills_lose(self, name, w2, coeffs, old):
+        k = MEDIAN_SURFACES[name]
+        z = boundary(k, Chain.from_vector(2, coeffs))
+        chain, _ = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
+        got = chain.to_vector(len(w2))
+        snf = boundary_smith(k, 2)
+        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        big, one = integer_weights(w2)
+        tol = fillbound.filling.REL_TOL
+        assert got == weighted_coset_oracle(x0, snf.kernel_columns(), big,
+                                            tie_slack(tol, one), 10 ** 6)[0]
+        # that order's fill is within the slack too, but not the least
+        least = Fraction(weighted_coset_oracle(x0, snf.kernel_columns(), big,
+                                               tie_slack(0, one), 10 ** 6)[1], one)
+        assert boundary(k, Chain.from_vector(2, old)) == z and got < old
+        assert exact_mass(w2, old) <= least + Fraction(tol) * (1 + least)
+
+    @pytest.mark.parametrize("w2,bad", [
+        ([0.0] * 8, 0),
+        ([-1.0] * 8, 0),
+        ([math.nan] * 8, 0),
+        ([1.0, 1.0, math.nan, 1.0, 1.0, 1.0, 1.0, 1.0], 2),
+        ([1.0, 1.0, 1.0, 1.0, 1.0, math.inf, 1.0, 1.0], 5),
+        ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0], 7),
+        ([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 1),
+    ])
+    def test_rejects_bad_weights(self, w2, bad):
+        face = re.escape(str(OCTA.simplices(2)[bad]))
+        with pytest.raises(DomainError, match=f"^triangle {face} has weight"):
+            min_mass_fill(OCTA, {1: [1.0] * 12, 2: w2}, equator_cycle())
 
 
 class TestH1Check:

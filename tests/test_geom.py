@@ -611,7 +611,6 @@ class TestConeFill:
         space._memo.update(kept)
         tracemalloc.start()
         try:
-            # _median_fill's recursive closure leaves cycles for the collector
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             for z in cycles:
