@@ -332,50 +332,57 @@ def _check_chain(complex: SimplicialComplex, c: Chain):
             )
 
 
+def face_table(complex: SimplicialComplex, k: int) -> list[tuple[int, ...]]:
+    """Per k-simplex [v0..vk], the indices of its faces [v0..v̂j..vk] for
+    j = 0..k, so in sign order (+, -, +, ...); cached per complex and k."""
+
+    def build():
+        return [tuple(complex.index_of(k - 1, s[:j] + s[j + 1:]) for j in range(len(s)))
+                for s in complex.simplices(k)]
+
+    return cached(complex, ("faces", k), build)
+
+
 def boundary(complex: SimplicialComplex, c: Chain) -> Chain:
     """Boundary with the alternating-sign convention.
 
-    d[v0..vk] = sum_j (-1)^j [v0..v̂j..vk]; requires c.dim >= 1.
+    d[v0..vk] = sum_j (-1)^j [v0..v̂j..vk]; requires c.dim >= 1.  The faces
+    come from the cached ``face_table``.
     """
     if c.dim < 1:
         raise DomainError("boundary of a 0-chain is undefined")
     _check_chain(complex, c)
-    k = c.dim
-    simps = complex.simplices(k)
+    table = face_table(complex, c.dim)
     acc: dict[int, int] = {}
-    for idx, a in c.items():
-        s = simps[idx]
-        sign = 1
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            fidx = complex.index_of(k - 1, face)
-            val = acc.get(fidx, 0) + sign * a
+    for idx, a in c._c.items():
+        for f in table[idx]:
+            val = acc.get(f, 0) + a
             if val:
-                acc[fidx] = val
+                acc[f] = val
             else:
-                acc.pop(fidx, None)
-            sign = -sign
-    return Chain(k - 1, acc)
+                acc.pop(f, None)
+            a = -a  # the faces alternate in sign
+    res = Chain.__new__(Chain)
+    res.dim = c.dim - 1
+    res._c = acc
+    return res
 
 
 def boundary_matrix(complex: SimplicialComplex, k: int) -> IntMatrix:
     """Matrix of the boundary operator from k-chains to (k-1)-chains.
 
     Shape n_{k-1} x n_k, entries in {0, +-1}; column j is the boundary of
-    the j-th k-simplex in the canonical (lexicographic) bases.  Built as
-    sparse rows on every call, uncached: ``filling.boundary_smith`` caches
-    the Smith form, which is all the pipeline reads.
+    the j-th k-simplex in the canonical (lexicographic) bases, read from
+    the ``face_table``.  Built as sparse rows on every call, uncached:
+    ``filling.boundary_smith`` caches the Smith form, which is all the
+    pipeline reads.
     """
     if k < 1 or k > complex.dimension:
         raise DomainError(f"boundary matrix order {k} out of range")
-    n_rows = complex.n_simplices(k - 1)
-    n_cols = complex.n_simplices(k)
-    mat = IntMatrix.zeros(n_rows, n_cols)
-    for j, s in enumerate(complex.simplices(k)):
+    mat = IntMatrix.zeros(complex.n_simplices(k - 1), complex.n_simplices(k))
+    for j, face_ids in enumerate(face_table(complex, k)):
         sign = 1
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            i = complex.index_of(k - 1, face)
+        for i in face_ids:
             mat._r[i][j] = sign
             sign = -sign
     return mat

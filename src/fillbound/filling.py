@@ -194,11 +194,12 @@ def _mass_kernel(complex: SimplicialComplex) -> tuple[list, list | None]:
 
 
 def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
-    """(W, one, totals) for a table of 2-weights, cached per complex and table:
-    each weight read exactly and scaled by one common power of two, ``one``,
-    into an integer W_i, and each echelon column's summed W when the fills
-    take the median path (else None).  A weight that is not finite and
-    positive is a DomainError naming its triangle."""
+    """(W, one, totals) for a table of 2-weights, cached per complex for the
+    last table used: each weight read exactly and scaled by one common power
+    of two, ``one``, into an integer W_i, and each echelon column's summed W
+    when the fills take the median path (else None).  A weight that is not
+    finite and positive is a DomainError naming its triangle.  The cache has
+    one slot, so a caller that varies the weights does not grow the memo."""
     table = tuple(w2[:complex.n_simplices(2)])
 
     def build():
@@ -215,7 +216,12 @@ def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
         totals = None if where is None else [sum(big[i] for i in rows) for rows, _ in cols]
         return big, one, totals
 
-    return cached(complex, ("mass table", table), build)
+    slot = cached(complex, "mass table", dict)  # {table: (W, one, totals)}, one entry
+    if table not in slot:
+        value = build()
+        slot.clear()
+        slot[table] = value
+    return slot[table]
 
 
 def _tie_slack(one: int, least: int) -> int:
@@ -426,11 +432,14 @@ def enumerate_simple_cycles(
                 path.pop()
 
     root_hops = [hop_distances(root) for root in range(n)]
-    for length in range(3, max_edges + 1):
-        for root in range(n):
-            if len(out) >= limit:
-                return out
-            dfs(root, root_hops[root], length, [root], {root})
+    try:
+        for length in range(3, max_edges + 1):
+            for root in range(n):
+                if len(out) >= limit:
+                    return out
+                dfs(root, root_hops[root], length, [root], {root})
+    finally:
+        del dfs  # dfs refers to itself: drop that cycle, so a call frees all it made
     return out
 
 

@@ -532,24 +532,50 @@ def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
     nothing; each takes the shift, among the rounded quotients on its support
     and their neighbours, that most lowers (max |x_i|, sum |x_i|), strictly.
     Trials are scored on the support only: l1 runs as an integer and the max
-    off the support comes from a histogram of |x_i|.  A column whose support
-    misses x's is skipped: a shift along it raises l1 and cannot lower the max.
+    off the support comes from a histogram of |x_i|.
+
+    Columns that no shift can improve are skipped unscored.  A column whose
+    support misses x's is one: a shift along it raises l1 and cannot lower
+    the max.  More generally, with s the sum of |x_i| on a column and N the
+    sum of its |c_i|, a shift q != 0 adds at least |q| N - 2 s to l1; so if
+    2 s <= N and some entry of value max |x_i| lies off the column, no shift
+    lowers (max, l1) strictly.  Each column's s is kept running through a
+    row -> columns index, updated only when an x_i changes, so both tests
+    cost O(1) when more entries reach the max than the column has rows.
     """
     x = x[:]
     hist = Counter(map(abs, x))
     top, l1 = max(hist, default=0), sum(map(abs, x))
+    through: list = [[] for _ in x]  # the columns through each row
+    norms = []
+    for j, (rows, vals) in enumerate(cols):
+        for i in rows:
+            through[i].append(j)
+        norms.append(sum(map(abs, vals)))
+    s_on = [0] * len(norms)
+    for i, a in enumerate(x):
+        if a:
+            for k in through[i]:
+                s_on[k] += abs(a)
     improved = True
     while improved:
         improved = False
-        for rows, vals in cols:
+        for j, (rows, vals) in enumerate(cols):
+            on_sum = s_on[j]
+            if not on_sum:
+                continue
+            no_l1_gain = 2 * on_sum <= norms[j]
+            if no_l1_gain and hist[top] > len(rows):
+                continue
             on = [abs(x[i]) for i in rows]
-            if not any(on):
+            at_top = on.count(top)
+            if no_l1_gain and at_top < hist[top]:
                 continue
             off_top = top
-            if on.count(top) == hist[top]:
+            if at_top == hist[top]:
                 on_count = Counter(on)
                 off_top = max((a for a, k in hist.items() if k > on_count[a]), default=0)
-            off_l1 = l1 - sum(on)
+            off_l1 = l1 - on_sum
             candidates = {0}
             for i, ci in zip(rows, vals):
                 q = _round_div(x[i], ci)
@@ -564,9 +590,13 @@ def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
                     best_q, best_s = q, s
             if best_q:
                 for i, ci in zip(rows, vals):
-                    hist[abs(x[i])] -= 1
+                    old = abs(x[i])
                     x[i] -= best_q * ci
-                    hist[abs(x[i])] += 1
+                    new = abs(x[i])
+                    hist[old] -= 1
+                    hist[new] += 1
+                    for k in through[i]:
+                        s_on[k] += new - old
                 top, l1 = best_s
                 improved = True
     return x
@@ -672,10 +702,13 @@ def coset_min(
         return False
 
     fixed_cost = sum(abs(x[i]) * weights[i] for i in range(pivots[0]))
-    dfs(0, x, fixed_cost)
-    if slack is not None and best_cost is not None and slack(best_cost) > 0:
-        bound = best_cost + slack(best_cost)
-        dfs(0, x, fixed_cost)  # phase 1's answer is a leaf within the bound
+    try:
+        dfs(0, x, fixed_cost)
+        if slack is not None and best_cost is not None and slack(best_cost) > 0:
+            bound = best_cost + slack(best_cost)
+            dfs(0, x, fixed_cost)  # phase 1's answer is a leaf within the bound
+    finally:
+        del dfs  # dfs refers to itself: drop that cycle, so a call frees all it made
     return best_cost, best_vec, nodes
 
 

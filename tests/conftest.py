@@ -1,5 +1,6 @@
 """Shared helpers: deterministic random instances and independent oracles."""
 
+import gc
 import heapq
 import itertools
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from fillbound.chains import Chain, SimplicialComplex, boundary, path_chain
+from fillbound.errors import DomainError, StructuralError
 from fillbound.filling import min_mass_fill
 from fillbound.geom import fill_loop_locally, shortest_path_tree, tree_path
 from fillbound.intlin import IntMatrix, _axpy, _bareiss_det
@@ -121,6 +123,36 @@ def path_tuple_shortest_path_tree(adj, source, allowed=None) -> dict:
     return best
 
 
+def slicing_boundary(complex: SimplicialComplex, c: Chain) -> Chain:
+    """``chains.boundary`` as it was before the face table: each face tuple
+    is sliced out of its simplex and looked up with ``index_of``, term by
+    term, and the result goes through the Chain constructor."""
+    if c.dim < 1:
+        raise DomainError("boundary of a 0-chain is undefined")
+    n = complex.n_simplices(c.dim)
+    for idx in c._c:
+        if idx >= n:
+            raise StructuralError(
+                f"chain references {c.dim}-simplex {idx}, complex has {n}"
+            )
+    k = c.dim
+    simps = complex.simplices(k)
+    acc: dict[int, int] = {}
+    for idx, a in c.items():
+        s = simps[idx]
+        sign = 1
+        for j in range(len(s)):
+            face = s[:j] + s[j + 1:]
+            fidx = complex.index_of(k - 1, face)
+            val = acc.get(fidx, 0) + sign * a
+            if val:
+                acc[fidx] = val
+            else:
+                acc.pop(fidx, None)
+            sign = -sign
+    return Chain(k - 1, acc)
+
+
 def percall_cone_fill(space, loop: Chain, apex: int) -> Chain:
     """``geom.cone_fill`` with nothing kept between calls: the apex's tree
     and every wedge are built, and every wedge filled, on each call, and the
@@ -140,6 +172,19 @@ def percall_cone_fill(space, loop: Chain, apex: int) -> Chain:
         total = total + part.scale(a)
     assert boundary(space.complex, total) == loop
     return total
+
+
+def collected_after(call) -> int:
+    """The objects that the cyclic collector frees after a second, warm
+    ``call()``: 0 when the call leaves no reference cycle behind."""
+    call()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def squared_norm(col) -> int:

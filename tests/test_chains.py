@@ -16,9 +16,11 @@ from fillbound.chains import (
     sort_with_sign,
 )
 from fillbound.errors import DomainError, StructuralError
-from fillbound.shapes import icosphere
+from fillbound.geom import ball_cover, nerve
+from fillbound.intlin import IntMatrix
+from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, tetra_boundary
 
-from conftest import is_cycle, matmul, random_chain, random_complex
+from conftest import is_cycle, matmul, random_chain, random_complex, slicing_boundary
 
 
 TRIANGLE = SimplicialComplex.from_simplices([(0, 1, 2)])
@@ -243,3 +245,62 @@ class TestInvariants:
         b = Chain(1, coeffs_b)
         assert mass(weights, a + b) <= mass(weights, a) + mass(weights, b) + 1e-12
         assert mass(weights, a.scale(n)) == pytest.approx(abs(n) * mass(weights, a))
+
+
+def _shipped_complexes():
+    """Every shipped shape and the nerve of its ball cover, plus a 3-simplex."""
+    out = [("tetra3", TETRA)]
+    for name, space, radius in [
+        ("octahedron", octahedron(), 0.8), ("tetra_boundary", tetra_boundary(), 0.8),
+        ("icosphere0", icosphere(0), 0.8), ("icosphere1", icosphere(1), 0.8),
+        ("icosphere2", icosphere(2), 0.8), ("prism", prism(), 0.8), ("disk", disk(), 0.8),
+        ("capped_prism", capped_prism(), 1.2),
+    ]:
+        out += [(name, space.complex), (name + "-nerve", nerve(ball_cover(space, radius)))]
+    return out
+
+
+SHIPPED_COMPLEXES = _shipped_complexes()
+
+
+@st.composite
+def boundary_inputs(draw):
+    """A shipped complex and a chain of any dimension 0..dim+1, on a window
+    of indices (so faces are shared and cancel) that may run past the end."""
+    _, cx = draw(st.sampled_from(SHIPPED_COMPLEXES))
+    k = draw(st.integers(0, cx.dimension + 1))
+    start = draw(st.integers(0, cx.n_simplices(k)))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    coeffs = draw(st.dictionaries(st.integers(start, start + 12), coeff, max_size=10))
+    return cx, Chain(k, coeffs)
+
+
+def boundary_outcome(op, cx, c):
+    try:
+        d = op(cx, c)
+    except (DomainError, StructuralError) as err:
+        return type(err), str(err)
+    return d.dim, list(d.items())
+
+
+class TestFaceTableDifferential:
+    """The face-table boundary against the slicing loop it replaced."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=boundary_inputs())
+    def test_matches_slicing_oracle(self, case):
+        cx, c = case
+        # equal dimension and terms in the same order, or the same error
+        assert boundary_outcome(boundary, cx, c) == boundary_outcome(slicing_boundary, cx, c)
+
+    @pytest.mark.parametrize("name,cx", SHIPPED_COMPLEXES, ids=[n for n, _ in SHIPPED_COMPLEXES])
+    def test_matrix_columns_match_oracle(self, name, cx):
+        # the same entries, inserted into each row in the same column order
+        for k in range(1, cx.dimension + 1):
+            expected = IntMatrix.zeros(cx.n_simplices(k - 1), cx.n_simplices(k))
+            for j in range(cx.n_simplices(k)):
+                for i, x in slicing_boundary(cx, Chain(k, {j: 1})).items():
+                    expected._r[i][j] = x
+            got = boundary_matrix(cx, k)
+            assert [list(row.items()) for row in got._r] == \
+                [list(row.items()) for row in expected._r]

@@ -1,4 +1,3 @@
-import gc
 import itertools
 import math
 import random
@@ -22,6 +21,7 @@ from fillbound.chains import (
 )
 from fillbound.errors import CapacityError, DomainError
 from fillbound.filling import (
+    _mass_kernel,
     _mass_table,
     _min_mass_vector,
     amin_upper_bound,
@@ -36,7 +36,13 @@ from fillbound.filling import (
 from fillbound.intlin import column_echelon_basis, coset_min, rank, smith_decomposition
 from fillbound.shapes import icosphere, octahedron
 
-from conftest import complete_complex, random_boundary, random_complex, squared_norm
+from conftest import (
+    collected_after,
+    complete_complex,
+    random_boundary,
+    random_complex,
+    squared_norm,
+)
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
 from test_intlin import dense_column, dense_echelon_oracle, smith_matrices
 
@@ -606,14 +612,34 @@ class TestMedianDifferential:
         k = two_octahedra(range(6, 12))
         w = {1: [1.0] * k.n_simplices(1), 2: [NEAR_TIE_WEIGHTS[i % 11] for i in range(16)]}
         z = boundary(k, Chain(2, {0: 2, 3: -1, 9: 3}))
-        min_mass_fill(k, w, z)
-        gc.disable()
-        try:
-            gc.collect()
-            min_mass_fill(k, w, z)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        assert collected_after(lambda: min_mass_fill(k, w, z)) == 0
+
+
+class TestFillMemory:
+    """What a fill keeps after it returns."""
+
+    def test_mass_table_keeps_the_last_table(self):
+        # a caller that varies the weights on one complex keeps one table,
+        # and each fill is the one a complex with nothing cached gives
+        space = icosphere(2)
+        k, faces = space.complex, space.complex.simplices(2)
+        rng = random.Random(5)
+        for _ in range(100):
+            w = {1: space.volumes[1],
+                 2: [a * rng.uniform(0.9, 1.1) for a in space.volumes[2]]}
+            e = {t: rng.choice((1, -1, 2)) for t in rng.sample(range(320), 6)}
+            z = boundary(k, Chain(2, e))
+            fresh = SimplicialComplex.from_simplices(faces, n_vertices=k.n_vertices)
+            assert min_mass_fill(k, w, z) == min_mass_fill(fresh, w, z)
+            assert list(k._memo["mass table"]) == [tuple(w[2])]
+
+    def test_coset_min_fill_leaves_no_cycles(self):
+        # coset_min's recursive dfs drops its reference to itself on return
+        k = two_octahedra_sharing_a_face()
+        w = {1: [1.0] * k.n_simplices(1), 2: [1.0] * k.n_simplices(2)}
+        z = boundary(k, Chain(2, {0: 1, 5: -1, 9: 2}))
+        assert _mass_kernel(k)[1] is None  # the fill runs coset_min
+        assert collected_after(lambda: min_mass_fill(k, w, z)) == 0
 
 
 # the spaces of the tie rule's tests: disjoint fundamental classes (the
@@ -898,6 +924,11 @@ class TestCycleEnumeration:
     def test_budget_respected(self):
         loops = enumerate_simple_cycles(OCTA, max_edges=8, limit=5)
         assert len(loops) == 5
+
+    def test_leaves_no_cycles(self):
+        # the recursive dfs drops its reference to itself on return
+        k = icosphere(1).complex
+        assert collected_after(lambda: enumerate_simple_cycles(k, 6, 50)) == 0
 
 
 class TestAminBound:

@@ -17,10 +17,20 @@ from fillbound.intlin import (
 )
 
 from fillbound.chains import boundary_matrix
-from fillbound.geom import ball_cover, nerve
+from fillbound.filling import boundary_smith
+from fillbound.geom import ball_cover, geodesic_graph, nerve, project_cycle_to_graph
 from fillbound.shapes import capped_prism, icosphere, octahedron
 
-from conftest import box_search_best, det, det_laplace, identity, matmul, squared_norm
+from conftest import (
+    box_search_best,
+    collected_after,
+    det,
+    det_laplace,
+    identity,
+    matmul,
+    squared_norm,
+)
+from test_geom import _random_cycle
 
 
 def dense_transforms(snf) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -554,17 +564,23 @@ def greedy(x: list[int], cols: list) -> list[int]:
 
 @st.composite
 def greedy_cases(draw):
-    """A vector with entries in [-5, 5] and sparse columns of its length.
+    """A vector with entries in [-20, 20], mostly small, and sparse columns
+    of its length.
 
-    A column may be zero or repeat an earlier one up to sign; the others
-    have up to four unit or non-unit entries.
+    A column may be zero, repeat an earlier one up to sign, or pass through
+    every row where |x_i| is largest; the others have up to ten unit or
+    non-unit entries up to 20.  Small entries under a heavy column, with the
+    max on or off it, make both of the greedy's skip conditions hold and fail.
     """
-    n = draw(st.integers(1, 10))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3, 4, -5, 5])
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3, 4, -5, 5]),
+                      st.integers(-20, 20))
     x = draw(st.lists(entry, min_size=n, max_size=n))
+    coeff = st.one_of(st.sampled_from([1, -1, 1, -1, 2, -2, 3, -4]),
+                      st.integers(-20, 20).filter(bool))
     cols = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "zero", "repeat"]))
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "zero", "repeat", "max"]))
         if kind == "zero":
             cols.append(([], []))
         elif kind == "repeat" and cols:
@@ -572,8 +588,11 @@ def greedy_cases(draw):
             sign = draw(st.sampled_from([1, -1]))
             cols.append((rows, [sign * v for v in vals]))
         else:
-            rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
-            coeff = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -4])
+            rows = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=10))
+            if kind == "max":
+                top = max(map(abs, x))
+                rows = set(list(rows)[:4]) | {i for i, a in enumerate(x) if abs(a) == top}
+            rows = sorted(rows)
             cols.append((rows, [draw(coeff) for _ in rows]))
     return x, cols
 
@@ -595,7 +614,13 @@ class TestGreedyMaxnormDifferential:
         ([1, 0], [([0, 1], [1, 1])], [1, 0]),
         ([0, 0, 0], [([0, 2], [1, -1]), ([1], [3])], [0, 0, 0]),
         ([4, -1, 2], [], [4, -1, 2]),
-    ], ids=["tie-between-shifts", "tie-with-current", "zero-vector", "empty-kernel"])
+        # 2 * 3 <= 5 + 1, so no shift lowers l1, but the max lies on the
+        # column only and q = 1 lowers it: (3, 3) -> (2, 3)
+        ([3, 0], [([0, 1], [5, 1])], [-2, -1]),
+        # the max lies off the column, and q = 2 lowers l1: (3, 13) -> (3, 9)
+        ([3, 3, 3, 2, 2], [([3, 4], [1, 1])], [3, 3, 3, 0, 0]),
+    ], ids=["tie-between-shifts", "tie-with-current", "zero-vector", "empty-kernel",
+            "max-only-on-heavy-column", "max-off-column"])
     def test_fixed_cases(self, x, cols, expected):
         dense = [dense_column(c, len(x)) for c in cols]
         assert greedy_maxnorm_oracle(x, dense) == expected
@@ -607,19 +632,31 @@ class TestGreedyMaxnormDifferential:
         assert x == [-3, -3]
 
     def test_icosphere2_nerve_kernel(self, rng):
-        """Smith solutions on a nerve whose boundary kernel has dimension 298."""
-        k = nerve(ball_cover(icosphere(2), 0.8))
-        snf = smith_decomposition(boundary_matrix(k, 2))
+        """Smith solutions of E2 cycles on a nerve whose boundary kernel has
+        dimension 298: cycles on icosphere(2) that E1 projects to nonzero
+        nerve cycles."""
+        space = icosphere(2)
+        cover = ball_cover(space, 0.8)
+        graph = geodesic_graph(space, cover)
+        k = graph.nerve
+        snf = boundary_smith(k, 2)
         kernel = snf.kernel_columns()
         assert len(kernel) == 298
         dense = [dense_column(col, snf.cols) for col in kernel]
-        n2 = k.n_simplices(2)
-        for _ in range(2):
-            w = [0] * n2
-            for t in rng.sample(range(n2), 3):
-                w[t] = rng.choice((1, -1))
-            x0, _ = snf.solve_with_obstruction(boundary_matrix(k, 2).mul_vec(w))
+        checked = 0
+        while checked < 40:
+            z = _random_cycle(rng, space, parts=rng.randint(1, 3))
+            c, _, _ = project_cycle_to_graph(space, cover, graph, z)
+            if c.is_zero():
+                continue
+            x0, _ = snf.solve_with_obstruction(c.to_vector(k.n_simplices(1)))
             assert greedy(x0, kernel) == greedy_maxnorm_oracle(x0, dense)
+            checked += 1
+
+    def test_leaves_no_cycles(self):
+        # a reduction frees everything it made when it returns
+        x, kernel = [5, -3, 0, 7], [([0, 1, 3], [2, -1, 3]), ([1, 2], [1, 1])]
+        assert collected_after(lambda: _greedy_reduce_maxnorm(x, kernel)) == 0
 
 
 def _boundary_cases():
