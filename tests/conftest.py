@@ -174,6 +174,106 @@ def percall_cone_fill(space, loop: Chain, apex: int) -> Chain:
     return total
 
 
+def rescanning_closed_walks(complex: SimplicialComplex, c: Chain) -> list[list[int]]:
+    """``geom.chain_to_closed_walks`` as it was before its rewrite: count
+    dicts rescanned at every step, and the start vertices rebuilt over all
+    vertices for every walk.  The least start, the least successor, and a
+    splice at the first vertex that still has steps."""
+    succ: dict[int, dict[int, int]] = {}
+    edges = complex.simplices(1)
+    for idx, a in c.items():
+        u, v = edges[idx]
+        if a > 0:
+            succ.setdefault(u, {})[v] = succ.get(u, {}).get(v, 0) + a
+        else:
+            succ.setdefault(v, {})[u] = succ.get(v, {}).get(u, 0) - a
+
+    def has_out(v):
+        return any(cnt > 0 for cnt in succ.get(v, {}).values())
+
+    def next_from(v):
+        return min(w for w, cnt in succ[v].items() if cnt > 0)
+
+    def circuit(start):
+        walk = [start]
+        cur = start
+        while True:
+            nxt = next_from(cur)
+            succ[cur][nxt] -= 1
+            walk.append(nxt)
+            cur = nxt
+            if cur == start:
+                return walk
+
+    walks = []
+    while True:
+        starts = [v for v in succ if has_out(v)]
+        if not starts:
+            break
+        walk = circuit(min(starts))
+        i = 0
+        while i < len(walk):
+            if has_out(walk[i]):
+                sub = circuit(walk[i])
+                walk = walk[:i] + sub + walk[i + 1:]
+            else:
+                i += 1
+        walks.append(walk)
+    return walks
+
+
+def casewise_fill_walk_on_faces(complex: SimplicialComplex, walk) -> "Chain | None":
+    """``geom.fill_walk_on_faces`` as it was before its rewrite: the sign of
+    a step in a face's boundary by cases on the step, and the backtrack that
+    wraps around the walk's end deleted by its own branch."""
+
+    def face_sign(face, a, b):
+        p, q, r = face
+        if (a, b) in ((q, r), (p, q)):
+            return 1
+        if (a, b) in ((r, q), (q, p)):
+            return -1
+        if (a, b) == (p, r):
+            return -1
+        if (a, b) == (r, p):
+            return 1
+        raise StructuralError(f"edge {(a, b)} not in face {face}")
+
+    vs = list(walk)
+    if len(vs) >= 2 and vs[0] == vs[-1]:
+        vs.pop()
+    fill: dict[int, int] = {}
+    while len(vs) > 2:
+        n = len(vs)
+        progress = False
+        for i in range(n):
+            if vs[(i - 1) % n] == vs[(i + 1) % n]:
+                hi, lo = max(i, (i + 1) % n), min(i, (i + 1) % n)
+                if hi == n - 1 and lo == 0:
+                    del vs[n - 1]
+                    del vs[0]
+                else:
+                    del vs[hi]
+                    del vs[lo]
+                progress = True
+                break
+        if progress:
+            continue
+        for i in range(n):
+            a, b, c = vs[(i - 1) % n], vs[i], vs[(i + 1) % n]
+            tri = tuple(sorted((a, b, c)))
+            if not complex.has_simplex(2, tri):
+                continue
+            tidx = complex.index_of(2, tri)
+            fill[tidx] = fill.get(tidx, 0) + face_sign(tri, a, b)
+            del vs[i]
+            progress = True
+            break
+        if not progress:
+            return None
+    return Chain(2, fill)
+
+
 def collected_after(call) -> int:
     """The objects that the cyclic collector frees after a second, warm
     ``call()``: 0 when the call leaves no reference cycle behind."""

@@ -26,10 +26,16 @@ from fillbound.geom import (
     shortest_path_tree,
     skeleton_diameter,
     tree_path,
+    _pair_junctions,
 )
 from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, tetra_boundary
 
-from conftest import path_tuple_shortest_path_tree, percall_cone_fill
+from conftest import (
+    casewise_fill_walk_on_faces,
+    path_tuple_shortest_path_tree,
+    percall_cone_fill,
+    rescanning_closed_walks,
+)
 
 
 OCTA = octahedron(1.0)
@@ -428,6 +434,47 @@ class TestLocalFill:
         space, walk = case
         filled = fill_walk_on_faces(space.complex, walk)
         assert filled is None or boundary(space.complex, filled) == path_chain(space.complex, walk)
+        assert fill_outcome(filled) == fill_outcome(casewise_fill_walk_on_faces(space.complex, walk))
+
+
+# every shipped shape, for the walk differential
+WALK_SPACES = [octahedron(), tetra_boundary(), icosphere(0), ICO1, icosphere(2), prism(),
+               disk(), capped_prism()]
+
+
+def fill_outcome(filled):
+    """None, or a fill's terms in item order."""
+    return None if filled is None else list(filled.items())
+
+
+@st.composite
+def random_cycles(draw):
+    """A shipped shape and a sum of up to four fundamental cycles of a
+    shortest-path tree, each through a random edge with a coefficient in
+    [-3, 3]; on the prism and the disk some do not bound."""
+    space = draw(st.sampled_from(WALK_SPACES))
+    k = space.complex
+    parent = shortest_path_tree(space.adjacency(), draw(st.integers(0, k.n_vertices - 1)))[1]
+    z = Chain.zero(1)
+    for _ in range(draw(st.integers(1, 4))):
+        u, v = draw(st.sampled_from(k.simplices(1)))
+        loop = path_chain(k, tree_path(parent, u) + tuple(reversed(tree_path(parent, v))))
+        z = z + loop.scale(draw(st.integers(-3, 3)))
+    return space, z
+
+
+class TestWalkDifferential:
+    """Closed walks and face-reduction fills against the loops they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=random_cycles())
+    def test_matches_oracles(self, case):
+        space, z = case
+        walks = chain_to_closed_walks(space.complex, z)
+        assert walks == rescanning_closed_walks(space.complex, z)
+        for walk in walks:
+            assert fill_outcome(fill_walk_on_faces(space.complex, walk)) == \
+                fill_outcome(casewise_fill_walk_on_faces(space.complex, walk))
 
 
 class TestConeFill:
@@ -710,6 +757,69 @@ class TestDecompose:
     def test_labels_required(self):
         with pytest.raises(StructuralError):
             decompose_cycle(OCTA, octa_equator())
+
+
+def two_neck_icosphere() -> MetricComplex:
+    """icosphere(1) cut at its equator into bodies A (z > 0) and B (z < 0).
+
+    Every equator vertex lies in a neck: neck0 is two patches, the vertices
+    41 and 21, and neck1 two more, the vertices 0, 16, 1 and 2, 36, 3.  The
+    two patches of a neck have disjoint closed stars, and A and B also meet
+    directly across four edges.
+    """
+    ico = icosphere(1)
+    necks = {41: "neck0", 21: "neck0", **{v: "neck1" for v in (0, 16, 1, 2, 36, 3)}}
+    region = tuple(necks.get(v, "B" if z < 0 else "A") for v, (_, _, z) in enumerate(ico.coords))
+    return MetricComplex(complex=ico.complex, coords=ico.coords, region=region)
+
+
+TWO_NECKS = two_neck_icosphere()
+
+
+class TestJunctions:
+    """Junction pairs beyond one body, on ``TWO_NECKS``: every outcome here
+    was recorded before the loop plumbing was rewritten."""
+
+    def test_cross_body_leftovers_pair_in_sorted_order(self):
+        # leftovers sorted by (body, vertex): 8 pairs with 9 and 40 with 23,
+        # each connector through the neck vertex 41
+        balance = {8: 1, 40: 1, 9: -1, 23: -1}
+        connectors = _pair_junctions(TWO_NECKS, "neck0", balance)
+        assert list(connectors.items()) == [(44, 1), (49, -1), (119, 1), (89, -1)]
+        assert dict(boundary(TWO_NECKS.complex, connectors).items()) == \
+            {v: -a for v, a in balance.items()}
+
+    def test_cross_body_cycle_does_not_stabilize(self):
+        # A -> neck0 -> B -> neck1 -> A: each neck carries a net flow from
+        # one body to the other, and its connector closes it back through
+        # the neck, so the remainder never leaves the necks
+        z = cycle_from_loop(TWO_NECKS, [9, 41, 8, 30, 17, 16, 15, 22])
+        with pytest.raises(DomainError, match="^region decomposition did not stabilize$"):
+            decompose_cycle(TWO_NECKS, z)
+
+    @pytest.mark.parametrize("loop,message", [
+        # one body's pair, across the two patches of neck1
+        ([12, 0, 18, 19, 29, 37, 36, 35, 24, 11],
+         "cannot connect junctions 35 and 12 inside the star of neck1"),
+        # leftovers of two bodies, paired across the two patches of neck0
+        ([9, 41, 40, 8, 31, 7, 18, 16, 14, 12, 11, 21, 10, 26, 37, 36, 34, 32],
+         "cannot connect junctions 10 and 9 inside the star of neck0"),
+    ])
+    def test_unconnectable_junctions(self, loop, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            decompose_cycle(TWO_NECKS, cycle_from_loop(TWO_NECKS, loop))
+
+    def test_pieces_pinned(self):
+        # through neck0's patch at 41 from A to A, twice through its patch
+        # at 21 from B to B, and backwards through neck1 from A to A
+        z = (cycle_from_loop(TWO_NECKS, [9, 41, 32])
+             + cycle_from_loop(TWO_NECKS, [10, 21, 20]).scale(2)
+             - cycle_from_loop(TWO_NECKS, [12, 0, 14]))
+        pieces = decompose_cycle(TWO_NECKS, z)
+        assert [(label, list(piece.items())) for label, piece in pieces] == [
+            ("neck0", [(49, 1), (108, -1), (52, 2), (82, -2), (47, -1), (51, -2)]),
+            ("neck1", [(0, 1), (1, -1), (61, 1)]),
+        ]
 
 
 def _star_vertices(space, label):
