@@ -19,6 +19,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
 from .chains import Chain, SimplicialComplex, boundary, cached, mass, path_chain
@@ -333,8 +334,7 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
         ):
             rc = space.radial[center]
             ball = {v for v in ball if abs(space.radial[v] - rc) <= 2.0 * radius + ABS_TOL}
-        ball = _connected_component(ball, center, adj) & ball
-        sets.append(tuple(sorted(ball)))
+        sets.append(tuple(sorted(_connected_component(ball, center, adj))))
         centers.append(center)
 
     for label in sorted(regions):
@@ -366,16 +366,12 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
         for c in region_centers:
             add_set(c, label, dists[c])
 
-    covered = set()
-    for s in sets:
-        covered.update(s)
-    missing = sorted(v for v in range(k.n_vertices) if v not in covered)
-    while missing:
-        v = missing[0]
-        label = space.region[v] if space.region is not None else ""
-        add_set(v, label, shortest_path_tree(adj, v, allowed=frozenset(regions[label]))[0])
-        covered.update(sets[-1])
-        missing = sorted(u for u in range(k.n_vertices) if u not in covered)
+    covered = {v for s in sets for v in s}
+    for v in range(k.n_vertices):
+        if v not in covered:
+            label = space.region[v] if space.region is not None else ""
+            add_set(v, label, shortest_path_tree(adj, v, allowed=frozenset(regions[label]))[0])
+            covered.update(sets[-1])
 
     return Cover(
         sets=tuple(sets),
@@ -485,61 +481,39 @@ def chain_to_closed_walks(complex: SimplicialComplex, c: Chain) -> list[list[int
     length scales with the l1 norm of the coefficients, so callers working
     with large coefficients should peel off their content first (``peel_content``).
     """
-    succ: dict[int, dict[int, int]] = {}
+    # each vertex's out-steps, descending, so that pop() takes the least
+    out: dict[int, list[int]] = {}
     edges = complex.simplices(1)
     for idx, a in c.items():
         u, v = edges[idx]
-        if a > 0:
-            succ.setdefault(u, {})[v] = succ.get(u, {}).get(v, 0) + a
-        else:
-            succ.setdefault(v, {})[u] = succ.get(v, {}).get(u, 0) - a
-
-    def has_out(v):
-        return any(cnt > 0 for cnt in succ.get(v, {}).values())
-
-    def next_from(v):
-        return min(w for w, cnt in succ[v].items() if cnt > 0)
+        if a < 0:
+            u, v, a = v, u, -a
+        out.setdefault(u, []).extend([v] * a)
+    for steps in out.values():
+        steps.sort(reverse=True)
 
     def circuit(start):
         walk = [start]
-        cur = start
         while True:
-            nxt = next_from(cur)
-            succ[cur][nxt] -= 1
-            walk.append(nxt)
-            cur = nxt
-            if cur == start:
+            walk.append(out[walk[-1]].pop())
+            if walk[-1] == start:
                 return walk
 
     walks = []
-    while True:
-        starts = [v for v in succ if has_out(v)]
-        if not starts:
-            break
-        walk = circuit(min(starts))
+    # a walk uses up every step of its vertices, so the least vertex with
+    # steps left is never below the last start
+    for start in sorted(out):
+        if not out[start]:
+            continue
+        walk = circuit(start)
         i = 0
         while i < len(walk):
-            if has_out(walk[i]):
-                sub = circuit(walk[i])
-                walk = walk[:i] + sub + walk[i + 1:]
+            if out[walk[i]]:
+                walk[i:i + 1] = circuit(walk[i])
             else:
                 i += 1
         walks.append(walk)
     return walks
-
-
-def _face_orientation_sign(face: tuple[int, int, int], a: int, b: int) -> int:
-    """Coefficient of the directed edge a->b in the boundary of the face."""
-    p, q, r = face
-    if (a, b) in ((q, r), (p, q)):
-        return 1
-    if (a, b) in ((r, q), (q, p)):
-        return -1
-    if (a, b) == (p, r):
-        return -1
-    if (a, b) == (r, p):
-        return 1
-    raise StructuralError(f"edge {(a, b)} not in face {face}")
 
 
 def fill_walk_on_faces(complex: SimplicialComplex, walk: Sequence[int]) -> Optional[Chain]:
@@ -556,35 +530,25 @@ def fill_walk_on_faces(complex: SimplicialComplex, walk: Sequence[int]) -> Optio
     # one vertex is a point, and a -> b -> a cancels as a chain
     while len(vs) > 2:
         n = len(vs)
-        progress = False
         for i in range(n):
-            if vs[(i - 1) % n] == vs[(i + 1) % n]:
-                hi, lo = max(i, (i + 1) % n), min(i, (i + 1) % n)
-                if hi == n - 1 and lo == 0:
-                    del vs[n - 1]
-                    del vs[0]
-                else:
-                    del vs[hi]
-                    del vs[lo]
-                progress = True
+            if vs[i - 1] == vs[(i + 1) % n]:
+                del vs[max(i, (i + 1) % n)]
+                del vs[min(i, (i + 1) % n)]
                 break
-        if progress:
-            continue
-        for i in range(n):
-            a, b, c = vs[(i - 1) % n], vs[i], vs[(i + 1) % n]
-            # has_simplex is false when a == c, as no triangle repeats a vertex
-            tri = tuple(sorted((a, b, c)))
-            if not complex.has_simplex(2, tri):
-                continue
-            tidx = complex.index_of(2, tri)
-            # steps (a->b) + (b->c) = (a->c) + sigma * boundary(face)
-            target = _face_orientation_sign(tri, a, b)
-            fill[tidx] = fill.get(tidx, 0) + target
-            del vs[i]
-            progress = True
-            break
-        if not progress:
-            return None
+        else:
+            for i in range(n):
+                a, b, c = vs[i - 1], vs[i], vs[(i + 1) % n]
+                # has_simplex is false when a == c, as no triangle repeats a vertex
+                p, q, r = tri = tuple(sorted((a, b, c)))
+                if complex.has_simplex(2, tri):
+                    # steps (a->b) + (b->c) = (a->c) + sigma * boundary(face), where
+                    # sigma = +1 exactly when a -> b is a step of p -> q -> r -> p
+                    tidx = complex.index_of(2, tri)
+                    fill[tidx] = fill.get(tidx, 0) + (1 if (a, b) in ((p, q), (q, r), (r, p)) else -1)
+                    del vs[i]
+                    break
+            else:
+                return None
     return Chain(2, fill)
 
 
@@ -789,47 +753,35 @@ def _pair_junctions(space, neck_label, balance) -> Chain:
     of the neck.
     """
     adj = space.adjacency()
-    connectors = Chain.zero(1)
+    star = _closed_star_vertices(space, neck_label)
+
+    def connect(p, q, *alloweds):
+        """Shortest path chain p -> q inside the first vertex set that joins them."""
+        for allowed in alloweds:
+            parent = shortest_path_tree(adj, p, allowed=allowed)[1]
+            if parent[q] >= 0:
+                return path_chain(space.complex, tree_path(parent, q))
+        raise DomainError(f"cannot connect junctions {p} and {q} inside the star of {neck_label}")
+
     groups: dict[str, tuple[list[int], list[int]]] = {}
     for v in sorted(balance):
-        coeff = balance[v]
-        body = space.region[v]
-        pos, neg = groups.setdefault(body, ([], []))
-        if coeff > 0:
-            pos.extend([v] * coeff)
-        else:
-            neg.extend([v] * (-coeff))
-    leftovers_pos: list[tuple[str, int]] = []
-    leftovers_neg: list[tuple[str, int]] = []
-
-    def connect(p, q, allowed):
-        parent = shortest_path_tree(adj, p, allowed=allowed)[1]
-        if parent[q] < 0:
-            return None
-        return path_chain(space.complex, tree_path(parent, q))
-
-    star = _closed_star_vertices(space, neck_label)
+        pos, neg = groups.setdefault(space.region[v], ([], []))
+        (pos if balance[v] > 0 else neg).extend([v] * abs(balance[v]))
+    connectors = Chain.zero(1)
+    # bodies in sorted order, each one's vertices ascending: (body, vertex) order
+    leftovers_pos: list[int] = []
+    leftovers_neg: list[int] = []
     for body in sorted(groups):
         pos, neg = groups[body]
         # prefer connectors along the interface ring itself
         ring = frozenset(v for v in star if space.region[v] == body)
+        for p, q in zip(pos, neg):
+            connectors = connectors + connect(p, q, ring, star)
         n_pairs = min(len(pos), len(neg))
-        for p, q in zip(pos[:n_pairs], neg[:n_pairs]):
-            part = connect(p, q, ring) or connect(p, q, star)
-            if part is None:
-                raise DomainError(
-                    f"cannot connect junctions {p} and {q} inside the star of {neck_label}"
-                )
-            connectors = connectors + part
-        leftovers_pos.extend((body, v) for v in pos[n_pairs:])
-        leftovers_neg.extend((body, v) for v in neg[n_pairs:])
-    for (_, p), (_, q) in zip(sorted(leftovers_pos), sorted(leftovers_neg)):
-        part = connect(p, q, star)
-        if part is None:
-            raise DomainError(
-                f"cannot connect junctions {p} and {q} inside the star of {neck_label}"
-            )
-        connectors = connectors + part
+        leftovers_pos += pos[n_pairs:]
+        leftovers_neg += neg[n_pairs:]
+    for p, q in zip(leftovers_pos, leftovers_neg):
+        connectors = connectors + connect(p, q, star)
     return connectors
 
 
@@ -971,15 +923,8 @@ def project_cycle_to_graph(
     e1 = Chain.zero(2)
 
     for walk in chain_to_closed_walks(k, c_red):
-        steps = list(zip(walk[:-1], walk[1:]))
-        assigned = [assign(u, v) for (u, v) in steps]
         # maximal cyclic runs of one cover set
-        runs: list[tuple[int, list[tuple[int, int]]]] = []
-        for (step, si) in zip(steps, assigned):
-            if runs and runs[-1][0] == si:
-                runs[-1][1].append(step)
-            else:
-                runs.append((si, [step]))
+        runs = [(si, list(run)) for si, run in groupby(zip(walk, walk[1:]), lambda s: assign(*s))]
         if len(runs) > 1 and runs[0][0] == runs[-1][0]:
             last = runs.pop()
             runs[0] = (runs[0][0], last[1] + runs[0][1])
