@@ -30,7 +30,6 @@ from .intlin import (
 )
 
 KERNEL_REDUCTION_MAX_DIM = 8  # the largest kernel fill_boundary searches exactly
-GREEDY_REDUCTION_MAX_WORK = 200_000
 MIN_MASS_MAX_KERNEL_DIM = 20
 ABS_TOL = 1e-12  # absolute slack when comparing lengths and masses
 REL_TOL = 1e-9  # relative slack within which the least minimum-mass fill wins
@@ -154,11 +153,8 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
         x = _maxnorm_coset_min(x0, snf, max(map(abs, x0)), DEFAULT_NODE_BUDGET)
         if x is None:
             raise InvariantError("coset search found nothing inside a box that holds its start")
-    elif kernel and len(kernel) * len(x0) <= GREEDY_REDUCTION_MAX_WORK:
-        x = _greedy_reduce_maxnorm(x0, kernel)
     else:
-        # huge homogeneous lattice: keep the Smith solution as-is
-        x = x0
+        x = _greedy_reduce_maxnorm(x0, kernel)
     filled = Chain.from_vector(k + 1, x)
     input_max = c_k.max_abs()
     # a zero input has zero bounds, even where the binomial bound is inf
@@ -197,7 +193,7 @@ def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
     """(W, one, totals) for a table of 2-weights, cached per complex for the
     last table used: each weight read exactly and scaled by one common power
     of two, ``one``, into an integer W_i, and each echelon column's summed W
-    when the fills take the median path (else None).  A weight that is not
+    when the fills take the median path (else None), at any kernel dimension.  A weight that is not
     finite and positive is a DomainError naming its triangle.  The cache has
     one slot, so a caller that varies the weights does not grow the memo."""
     table = tuple(w2[:complex.n_simplices(2)])
@@ -210,8 +206,6 @@ def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
         ratios = [float(w).as_integer_ratio() for w in table]
         one = max(q for _, q in ratios)
         big = [p * (one // q) for p, q in ratios]
-        if len(boundary_smith(complex, 2).kernel_columns()) > MIN_MASS_MAX_KERNEL_DIM:
-            return big, one, None
         cols, where = _mass_kernel(complex)
         totals = None if where is None else [sum(big[i] for i in rows) for rows, _ in cols]
         return big, one, totals
@@ -313,7 +307,8 @@ def min_mass_fill(
     fundamental classes of closed orientable surfaces are, ``_median_fill``
     computes E with no search, so with no use of ``node_budget``; any other
     kernel is searched by ``coset_min`` from the Smith solution, held to
-    ``node_budget``.  The integer weights and column totals are derived once
+    ``node_budget``, and one of more than MIN_MASS_MAX_KERNEL_DIM (20)
+    columns is refused with a CapacityError.  The integer weights and column totals are derived once
     per weight table.  The mass returned is E's own, ``chains.mass``.  A
     CapacityError's incumbent is an uncertified 2-chain with boundary z,
     and its incumbent_cost is that chain's mass.
@@ -334,7 +329,8 @@ def min_mass_fill(
         raise DomainError(f"cycle does not bound: {obstruction}")
     kernel = snf.kernel_columns()
     try:
-        if len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
+        # the median path searches nothing, so its kernels take no limit
+        if table[2] is None and len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
             raise CapacityError(
                 f"homogeneous lattice dimension {len(kernel)} exceeds "
                 f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",

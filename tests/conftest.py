@@ -10,8 +10,9 @@ import pytest
 from fillbound.chains import Chain, SimplicialComplex, boundary, path_chain
 from fillbound.errors import DomainError, StructuralError
 from fillbound.filling import min_mass_fill
-from fillbound.geom import fill_loop_locally, shortest_path_tree, tree_path
+from fillbound.geom import MetricComplex, fill_loop_locally, shortest_path_tree, tree_path
 from fillbound.intlin import IntMatrix, _axpy, _bareiss_det
+from fillbound.shapes import octahedron
 
 
 def is_cycle(complex: SimplicialComplex, c: Chain) -> bool:
@@ -25,6 +26,18 @@ def complete_complex(n_vertices: int, dim: int) -> SimplicialComplex:
     for k in range(1, dim + 1):
         simps.extend(itertools.combinations(range(n_vertices), k + 1))
     return SimplicialComplex.from_simplices(simps, n_vertices=n_vertices)
+
+
+def octahedron_necklace(n: int) -> MetricComplex:
+    """n unit octahedra in a row along x, each pinched to the next at a
+    vertex: the boundary kernel has n disjoint +-1 columns."""
+    octa = octahedron(1.0)
+    ids: dict = {}
+    faces = []
+    for i in range(n):
+        local = [ids.setdefault((x + 2.0 * i, y, z), len(ids)) for x, y, z in octa.coords]
+        faces += [tuple(sorted(local[v] for v in face)) for face in octa.complex.simplices(2)]
+    return MetricComplex(complex=SimplicialComplex.from_simplices(faces), coords=tuple(ids))
 
 
 def random_complex(rng: random.Random, max_vertices: int = 10, min_vertices: int = 4,

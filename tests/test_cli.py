@@ -21,6 +21,8 @@ from fillbound.fileio import (
 )
 from fillbound.shapes import capped_prism, icosphere, octahedron
 
+from conftest import octahedron_necklace
+
 
 @pytest.fixture
 def octa_files(tmp_path):
@@ -304,6 +306,16 @@ class TestHf1Command:
         code = main(["hf1", "--space", str(space_path), "--l-max", "5",
                      "--cycle-budget", "4"])
         assert code == 3
+
+    def test_median_path_kernel_past_the_search_limit(self, tmp_path, capsys):
+        # 21 octahedra pinched in a row: 21 disjoint +-1 kernel columns,
+        # more than a search takes, but the fills need no search
+        space_path = tmp_path / "necklace.json"
+        save_space(str(space_path), octahedron_necklace(21))
+        assert main(["hf1", "--space", str(space_path), "--l-max", "4",
+                     "--cycle-budget", "60"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["samples"][-1][1] > 0
 
     def test_huge_l_max(self, tmp_path, capsys):
         # grid points 1e300 apart: the line fit's squared spread overflows

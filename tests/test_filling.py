@@ -33,12 +33,19 @@ from fillbound.filling import (
     min_mass_fill,
     rank_d1,
 )
-from fillbound.intlin import column_echelon_basis, coset_min, rank, smith_decomposition
+from fillbound.intlin import (
+    _greedy_reduce_maxnorm,
+    column_echelon_basis,
+    coset_min,
+    rank,
+    smith_decomposition,
+)
 from fillbound.shapes import icosphere, octahedron
 
 from conftest import (
     collected_after,
     complete_complex,
+    octahedron_necklace,
     random_boundary,
     random_complex,
     squared_norm,
@@ -154,6 +161,20 @@ class TestFillBoundary:
         assert boundary(RP2, filled) == g * 2
         assert cert.bounds_hold()
 
+    def test_large_lattice_takes_the_greedy_vector(self):
+        # K_16: a kernel of dimension 455 on 560 triangles (kernel * n is
+        # 254,800), where the greedy reduction lowers the Smith solution's max
+        k = complete_complex(16, 2)
+        z = boundary(k, Chain(2, {0: 1, 7: -2, 30: 1, 100: 3}))
+        snf = boundary_smith(k, 2)
+        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        assert (len(snf.kernel_columns()), len(x0)) == (455, 560)
+        filled, cert = fill_boundary(k, z)
+        assert filled == Chain.from_vector(2, _greedy_reduce_maxnorm(x0, snf.kernel_columns()))
+        assert (cert.output_max_coeff, cert.output_l1) == (2, 9)
+        assert max(map(abs, x0)) == 3
+        assert boundary(k, filled) == z and cert.bounds_hold()
+
     def test_fill_2_boundary_in_solid_tetra(self):
         solid = SimplicialComplex.from_simplices([(0, 1, 2, 3)])
         w = chain_from_simplices(solid, 3, [((0, 1, 2, 3), 1)])
@@ -249,6 +270,21 @@ class TestMinMassFill:
             assert isinstance(incumbent, Chain)
             assert boundary(k, incumbent) == z
             assert info.value.incumbent_cost == mass(w[2], incumbent)
+
+    def test_median_path_takes_any_kernel_dimension(self):
+        # 21 disjoint +-1 kernel columns, past MIN_MASS_MAX_KERNEL_DIM: the
+        # median path searches nothing, so it fills; here each octahedron's
+        # own triangle, lighter than the other seven of its octahedron
+        space = octahedron_necklace(21)
+        k = space.complex
+        assert len(boundary_smith(k, 2).kernel_columns()) == 21 > fillbound.filling.MIN_MASS_MAX_KERNEL_DIM
+        first = {}  # octahedron i's first triangle; its centroid has x near 2i
+        for t, tri in enumerate(k.simplices(2)):
+            first.setdefault(round(sum(space.coords[v][0] for v in tri) / 6), t)
+        e = Chain(2, {t: 1 - 2 * (i % 2) for i, t in first.items()})
+        chain, m = min_mass_fill(k, space.volumes, boundary(k, e))
+        assert chain == e
+        assert m == mass(space.triangle_areas, e)
 
     def test_mass_is_the_chains_own(self):
         # the fill and a tied vector differ in their last bits of mass; the
