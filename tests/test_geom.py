@@ -809,6 +809,20 @@ class TestJunctions:
         with pytest.raises(DomainError, match=f"^{message}$"):
             decompose_cycle(TWO_NECKS, cycle_from_loop(TWO_NECKS, loop))
 
+    def test_same_body_pairs_prefer_the_ring(self):
+        # a fan of six triangles around the neck vertex 0: the A vertices
+        # 1, 2, 3, 4 above it and the B vertices 5, 6 below.  The ring path
+        # 4 -> 3 -> 2 -> 1 closes the neck run 1 -> 0 -> 4; the shorter way
+        # through the star, 4 -> 0 -> 1, would cancel it
+        fan = MetricComplex(
+            complex=SimplicialComplex.from_simplices(
+                [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 6), (0, 1, 6)]),
+            coords=((0.0, 0.0), (-1.0, 0.0), (-1.0, 1.0), (1.0, 1.0), (1.0, 0.0),
+                    (1.0, -1.0), (-1.0, -1.0)),
+            region=("neck0", "A", "A", "A", "A", "B", "B"))
+        z = cycle_from_loop(fan, [1, 0, 4, 3, 2])
+        assert decompose_cycle(fan, z) == [("neck0", z)]
+
     def test_pieces_pinned(self):
         # through neck0's patch at 41 from A to A, twice through its patch
         # at 21 from B to B, and backwards through neck1 from A to A
