@@ -193,9 +193,10 @@ def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
     """(W, one, totals) for a table of 2-weights, cached per complex for the
     last table used: each weight read exactly and scaled by one common power
     of two, ``one``, into an integer W_i, and each echelon column's summed W
-    when the fills take the median path (else None), at any kernel dimension.  A weight that is not
-    finite and positive is a DomainError naming its triangle.  The cache has
-    one slot, so a caller that varies the weights does not grow the memo."""
+    when the fills take the median path (else None), at any kernel
+    dimension.  A weight that is not finite and positive is a DomainError
+    naming its triangle.  The cache has one slot, so a caller that varies
+    the weights does not grow the memo."""
     table = tuple(w2[:complex.n_simplices(2)])
 
     def build():
@@ -308,10 +309,10 @@ def min_mass_fill(
     computes E with no search, so with no use of ``node_budget``; any other
     kernel is searched by ``coset_min`` from the Smith solution, held to
     ``node_budget``, and one of more than MIN_MASS_MAX_KERNEL_DIM (20)
-    columns is refused with a CapacityError.  The integer weights and column totals are derived once
-    per weight table.  The mass returned is E's own, ``chains.mass``.  A
-    CapacityError's incumbent is an uncertified 2-chain with boundary z,
-    and its incumbent_cost is that chain's mass.
+    columns is refused with a CapacityError.  The integer weights and column
+    totals are derived once per weight table.  The mass returned is E's own,
+    ``chains.mass``.  A CapacityError's incumbent is an uncertified 2-chain
+    with boundary z, and its incumbent_cost is that chain's mass.
     """
     if z.dim != 1:
         raise DomainError("min_mass_fill expects a 1-chain")

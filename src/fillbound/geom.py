@@ -541,10 +541,11 @@ def fill_walk_on_faces(complex: SimplicialComplex, walk: Sequence[int]) -> Optio
                 # has_simplex is false when a == c, as no triangle repeats a vertex
                 p, q, r = tri = tuple(sorted((a, b, c)))
                 if complex.has_simplex(2, tri):
-                    # steps (a->b) + (b->c) = (a->c) + sigma * boundary(face), where
-                    # sigma = +1 exactly when a -> b is a step of p -> q -> r -> p
+                    # steps (a->b) + (b->c) = (a->c) + sigma * boundary(face), and
+                    # boundary(p, q, r) = (q, r) - (p, r) + (p, q) runs p -> q -> r -> p
+                    sigma = 1 if (a, b) in ((p, q), (q, r), (r, p)) else -1
                     tidx = complex.index_of(2, tri)
-                    fill[tidx] = fill.get(tidx, 0) + (1 if (a, b) in ((p, q), (q, r), (r, p)) else -1)
+                    fill[tidx] = fill.get(tidx, 0) + sigma
                     del vs[i]
                     break
             else:
