@@ -107,7 +107,7 @@ def compare_seed(parent: Path, change: Path, seed: str, work: Path) -> list[str]
 
 def main(argv: list[str]) -> int:
     if len(argv) < 3:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print("usage: python tools/byte_identity.py PARENT CHANGE SEED...", file=sys.stderr)
         return 2
     parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     for tree in (parent, change):
