@@ -451,7 +451,7 @@ def fill_outcome(filled):
 def random_cycles(draw):
     """A shipped shape and a sum of up to four fundamental cycles of a
     shortest-path tree, each through a random edge with a coefficient in
-    [-3, 3]; on the prism and the disk some do not bound."""
+    [-3, 3]; on the prism, an open cylinder, some do not bound."""
     space = draw(st.sampled_from(WALK_SPACES))
     k = space.complex
     parent = shortest_path_tree(space.adjacency(), draw(st.integers(0, k.n_vertices - 1)))[1]
