@@ -22,10 +22,12 @@ from .chains import Chain, SimplicialComplex, boundary_matrix, cached, mass, pat
 from .errors import CapacityError, DomainError, InvariantError
 from .intlin import (
     SmithDecomposition,
+    _greedy_index,
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
     column_echelon_basis,
     coset_min,
+    dense_vector,
     smith_decomposition,
 )
 
@@ -132,7 +134,8 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
     returned chain is the minimal max-norm solution of the system whenever
     the homogeneous lattice has dimension <= KERNEL_REDUCTION_MAX_DIM (8),
     a limit of this function only, otherwise the Smith solution after
-    greedy lattice reduction.
+    greedy lattice reduction, along the kernel's ``_greedy_index`` cached per
+    complex.
     """
     k = c_k.dim
     if k < 1:
@@ -141,12 +144,11 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
         raise DomainError(
             f"complex has no {k + 1}-simplices to fill a {k}-chain with"
         )
-    n_k = complex.n_simplices(k)
-    b = c_k.to_vector(n_k)
     snf = boundary_smith(complex, k + 1)
-    x0, obstruction = snf.solve_with_obstruction(b)
+    x0, obstruction = snf.solve_with_obstruction(dict(c_k.items()))
     if x0 is None:
         raise DomainError(f"chain is not a boundary: {obstruction}")
+    x0 = dense_vector(x0, snf.cols)
     kernel = snf.kernel_columns()
     if kernel and len(kernel) <= KERNEL_REDUCTION_MAX_DIM:
         # the search runs inside x0's max-norm box, which holds x0
@@ -154,7 +156,9 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
         if x is None:
             raise InvariantError("coset search found nothing inside a box that holds its start")
     else:
-        x = _greedy_reduce_maxnorm(x0, kernel)
+        index = cached(complex, ("greedy index", k + 1),
+                       lambda: _greedy_index(kernel, snf.cols))
+        x = _greedy_reduce_maxnorm(x0, kernel, index)
     filled = Chain.from_vector(k + 1, x)
     input_max = c_k.max_abs()
     # a zero input has zero bounds, even where the binomial bound is inf
@@ -196,7 +200,9 @@ def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
     when the fills take the median path (else None), at any kernel
     dimension.  A weight that is not finite and positive is a DomainError
     naming its triangle.  The cache has one slot, so a caller that varies
-    the weights does not grow the memo."""
+    the weights does not grow the memo.  The slot is matched by identity
+    before equality: a caller that passes the same tuple of exactly n2
+    weights again (a space's ``volumes``) costs no pass over it."""
     table = tuple(w2[:complex.n_simplices(2)])
 
     def build():
@@ -212,11 +218,14 @@ def _mass_table(complex: SimplicialComplex, w2: Sequence[float]) -> tuple:
         return big, one, totals
 
     slot = cached(complex, "mass table", dict)  # {table: (W, one, totals)}, one entry
-    if table not in slot:
-        value = build()
-        slot.clear()
-        slot[table] = value
-    return slot[table]
+    for held, value in slot.items():
+        # a held tuple never changes, so the same object has the same weights
+        if held is table or held == table:
+            return value
+    value = build()
+    slot.clear()
+    slot[table] = value
+    return value
 
 
 def _tie_slack(one: int, least: int) -> int:
@@ -225,8 +234,8 @@ def _tie_slack(one: int, least: int) -> int:
     return num * (one + least) // den
 
 
-def _median_fill(x0: list[int], cols: list, where: list, big: list, one: int,
-                 totals: list) -> list[int]:
+def _median_fill(x0: dict[int, int], cols: list, where: list, big: list, one: int,
+                 totals: list) -> dict[int, int]:
     """``min_mass_fill``'s answer when the echelon columns are disjoint with
     +-1 entries, with no search.
 
@@ -240,13 +249,17 @@ def _median_fill(x0: list[int], cols: list, where: list, big: list, one: int,
     walking the breakpoints down from the median with a running slope.
     Pivot entries are +1, so the order of the shift tuples is that of the
     fills.
+
+    x0 and the fill are sparse {index: value}, keys ascending and no zeros:
+    the work is x0's support, the kernel dimension and the rows of the
+    columns that shift.
     """
     weight_at = [{0: total} for total in totals]
     least = 0
-    for i, a in enumerate(x0):
-        if a and where[i] is None:
+    for i, a in x0.items():
+        if where[i] is None:
             least += abs(a) * big[i]
-        elif a:
+        else:
             j, c = where[i]
             weight_at[j][0] -= big[i]
             weight_at[j][-a * c] = weight_at[j].get(-a * c, 0) + big[i]
@@ -260,7 +273,7 @@ def _median_fill(x0: list[int], cols: list, where: list, big: list, one: int,
         least += sum(w * abs(b - t) for b, w in at.items())
         medians.append((points[:k], t, below))
     slack = _tie_slack(one, least)
-    fill = x0[:]
+    fill = dict(x0)
     for (rows, vals), at, total, (lower, t, below) in zip(cols, weight_at, totals, medians):
         rate = total - 2 * below  # the mass that a unit step down from t adds
         for b in reversed(lower):
@@ -273,21 +286,29 @@ def _median_fill(x0: list[int], cols: list, where: list, big: list, one: int,
         slack %= rate
         if t:
             for i, c in zip(rows, vals):
-                fill[i] += t * c
-    return fill
+                fill[i] = fill.get(i, 0) + t * c
+    return {i: fill[i] for i in sorted(fill) if fill[i]}
 
 
-def _min_mass_vector(complex: SimplicialComplex, table: tuple, x0: list[int],
-                     node_budget: int) -> list[int]:
-    """``min_mass_fill``'s vector from any point x0 of its coset, with the
-    ``_mass_table`` of its weights."""
+def _min_mass_vector(complex: SimplicialComplex, table: tuple, x0: dict[int, int],
+                     node_budget: int) -> dict[int, int]:
+    """``min_mass_fill``'s vector, sparse with keys ascending, from any point
+    x0 of its coset, sparse too, with the ``_mass_table`` of its weights.
+    The search path refuses more than MIN_MASS_MAX_KERNEL_DIM columns."""
     big, one, totals = table
     cols, where = _mass_kernel(complex)
     if totals is not None:
         return _median_fill(x0, cols, where, big, one, totals)
-    cost = sum(abs(a) * w for a, w in zip(x0, big))
-    return list(coset_min(x0, cols, big, node_budget, incumbent=(cost, tuple(x0)),
-                          slack=lambda least: _tie_slack(one, least))[1])
+    start = dense_vector(x0, len(big))
+    if len(cols) > MIN_MASS_MAX_KERNEL_DIM:
+        raise CapacityError(
+            f"homogeneous lattice dimension {len(cols)} exceeds "
+            f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
+            incumbent=start)
+    cost = sum(abs(a) * w for a, w in zip(start, big))
+    _, best, _ = coset_min(start, cols, big, node_budget, incumbent=(cost, tuple(start)),
+                           slack=lambda least: _tie_slack(one, least))
+    return {i: a for i, a in enumerate(best) if a}
 
 
 def min_mass_fill(
@@ -306,8 +327,9 @@ def min_mass_fill(
     No visiting order and no start enter this rule.  When the echelon kernel
     columns of the boundary are disjoint with +-1 entries, as the
     fundamental classes of closed orientable surfaces are, ``_median_fill``
-    computes E with no search, so with no use of ``node_budget``; any other
-    kernel is searched by ``coset_min`` from the Smith solution, held to
+    computes E with no search, so with no use of ``node_budget``, at a cost
+    of what the Smith solution's support touches; any other kernel is
+    searched by ``coset_min`` from the Smith solution, held to
     ``node_budget``, and one of more than MIN_MASS_MAX_KERNEL_DIM (20)
     columns is refused with a CapacityError.  The integer weights and column
     totals are derived once per weight table.  The mass returned is E's own,
@@ -319,24 +341,14 @@ def min_mass_fill(
     if complex.dimension < 2:
         raise DomainError("complex has no 2-simplices")
     w2 = weights[2]
-    n1 = complex.n_simplices(1)
-    n2 = complex.n_simplices(2)
-    if len(w2) < n2:
+    if len(w2) < complex.n_simplices(2):
         raise DomainError("missing 2-simplex weights")
     table = _mass_table(complex, w2)
-    snf = boundary_smith(complex, 2)
-    x0, obstruction = snf.solve_with_obstruction(z.to_vector(n1))
+    x0, obstruction = boundary_smith(complex, 2).solve_with_obstruction(dict(z.items()))
     if x0 is None:
         raise DomainError(f"cycle does not bound: {obstruction}")
-    kernel = snf.kernel_columns()
     try:
-        # the median path searches nothing, so its kernels take no limit
-        if table[2] is None and len(kernel) > MIN_MASS_MAX_KERNEL_DIM:
-            raise CapacityError(
-                f"homogeneous lattice dimension {len(kernel)} exceeds "
-                f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
-                incumbent=x0)
-        best = Chain.from_vector(2, _min_mass_vector(complex, table, x0, node_budget))
+        best = Chain(2, _min_mass_vector(complex, table, x0, node_budget))
     except CapacityError as err:
         err.incumbent = Chain.from_vector(2, err.incumbent)
         err.incumbent_cost = mass(w2, err.incumbent)
@@ -382,7 +394,12 @@ def enumerate_simple_cycles(
     are produced shortest first (iterative deepening on the edge count), so
     a tight ``limit`` keeps the short cycles that drive the filling profile
     at small lengths.  Hop-distance pruning keeps each sweep out of regions
-    that cannot close in time.
+    that cannot close in time.  A root's hop distances are found when the
+    sweep of each length reaches it, by a breadth-first search that stops at
+    half that length: no cycle of that length through the root passes a
+    vertex farther away, and such a vertex reads length + 1, which fails
+    the pruning test as its distance would.  So the work before the first
+    cycle is that root's neighbourhood, not the whole graph.
     """
     n = complex.n_vertices
     nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -393,19 +410,21 @@ def enumerate_simple_cycles(
         lst.sort()
     out: list[list[int]] = []
 
-    def hop_distances(root: int) -> list[int]:
-        dist = [-1] * n
-        dist[root] = 0
-        frontier = [root]
-        while frontier:
+    def hop_distances(root: int, depth: int, hops: list[int]) -> list[int]:
+        """Set hops[v] for every v within ``depth`` hops of root, whose
+        entries are larger on entry; return the vertices set."""
+        hops[root] = 0
+        reached, frontier = [root], [root]
+        for d in range(1, depth + 1):
             nxt_frontier = []
             for v in frontier:
                 for w in nbrs[v]:
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
+                    if hops[w] > d:
+                        hops[w] = d
                         nxt_frontier.append(w)
+            reached += nxt_frontier
             frontier = nxt_frontier
-        return dist
+        return reached
 
     def dfs(root: int, hops: list[int], length: int, path: list[int], on_path: set):
         if len(out) >= limit:
@@ -428,13 +447,16 @@ def enumerate_simple_cycles(
                 on_path.discard(nxt)
                 path.pop()
 
-    root_hops = [hop_distances(root) for root in range(n)]
     try:
         for length in range(3, max_edges + 1):
+            hops = [length + 1] * n  # each root's search resets what it set
             for root in range(n):
                 if len(out) >= limit:
                     return out
-                dfs(root, root_hops[root], length, [root], {root})
+                reached = hop_distances(root, length // 2, hops)
+                dfs(root, hops, length, [root], {root})
+                for v in reached:
+                    hops[v] = length + 1
     finally:
         del dfs  # dfs refers to itself: drop that cycle, so a call frees all it made
     return out

@@ -14,8 +14,8 @@ that replays the dense minimal-pivot rule exactly (same pivots, same row
 and column operations, same order), so its U, D and V are the dense
 routine's, which the tests keep as the differential oracle.  It is kept
 sparse: U and V as sparse columns and D as its diagonal, so a solve
-against a cached decomposition costs the nonzeros on the right-hand
-side's support.  The H1 verdict built on these decompositions is memoized
+against a cached decomposition, sparse in and sparse out, costs the
+nonzeros on the right-hand side's support.  The H1 verdict built on these decompositions is memoized
 per complex in ``filling``.
 
 A kernel has one format: sparse columns (rows ascending, values), as
@@ -39,7 +39,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, DomainError, StructuralError
 
@@ -201,24 +201,29 @@ class SmithDecomposition:
         self._u_cols = u_cols
         self._v_cols = v_cols
 
-    def solve_with_obstruction(self, b: Sequence[int]):
-        """Solve A x = b; on failure return (None, reason string).
+    def solve_with_obstruction(self, b: Mapping[int, int]):
+        """Solve A x = b for b given as {row: value}; on failure return
+        (None, reason string).
 
         c = U b is accumulated from the U columns on b's support, and its
         nonzero rows are checked in increasing order, so the reason names
-        the first failing row.
+        the first failing row.  x is accumulated from the V columns on c's
+        support and returned as {index: value}, keys ascending and no
+        zeros, so a solve costs what b's support touches.  A row of b
+        outside the matrix is the StructuralError that ``Chain.to_vector``
+        raises for an index out of range, as b is a chain's coefficients.
         """
-        if len(b) != self.rows:
-            raise StructuralError(f"rhs length {len(b)} != row count {self.rows}")
         c: dict[int, int] = {}
         u_cols = self._u_cols
-        for j, bj in enumerate(b):
+        for j, bj in b.items():
+            if not 0 <= j < self.rows:
+                raise StructuralError(f"chain index {j} out of range {self.rows}")
             if bj:
                 rows, vals = u_cols[j]
                 for i, x in zip(rows, vals):
                     c[i] = c.get(i, 0) + bj * x
         k = len(self.diagonal)
-        x = [0] * self.cols
+        x: dict[int, int] = {}
         v_cols = self._v_cols
         for i in sorted(c):
             ci = c[i]
@@ -234,8 +239,8 @@ class SmithDecomposition:
             yi = ci // di
             rows, vals = v_cols[i]
             for r, val in zip(rows, vals):
-                x[r] += yi * val
-        return x, None
+                x[r] = x.get(r, 0) + yi * val
+        return {r: x[r] for r in sorted(x) if x[r]}, None
 
     def kernel_columns(self) -> list:
         """Sparse columns (rows, values) of V spanning ker(A) over the integers."""
@@ -250,6 +255,14 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
             dst[c] = y
         else:
             del dst[c]
+
+
+def dense_vector(x: Mapping[int, int], n: int) -> list[int]:
+    """The length-n list of a sparse vector {index: value}."""
+    out = [0] * n
+    for i, a in x.items():
+        out[i] = a
+    return out
 
 
 def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
@@ -455,8 +468,10 @@ def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCert
             m=0, max_a=0, max_b=max_b, hadamard_bound_ceiling=max_b,
             minor_max=None, solution=tuple([0] * a.cols), hadamard_case="b_column",
         )
+    if len(b) != a.rows:
+        raise StructuralError(f"rhs length {len(b)} != row count {a.rows}")
     snf = smith_decomposition(a)
-    x0, _ = snf.solve_with_obstruction(list(b))
+    x0, _ = snf.solve_with_obstruction(dict(enumerate(b)))
     if x0 is None:
         return None
     m = snf.rank
@@ -467,7 +482,7 @@ def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCert
     except CapacityError:
         minor_max = None
     box = minor_max if minor_max is not None else bound_ceiling
-    solution = _maxnorm_coset_min(x0, snf, box, DEFAULT_NODE_BUDGET)
+    solution = _maxnorm_coset_min(dense_vector(x0, a.cols), snf, box, DEFAULT_NODE_BUDGET)
     return BoundCertificate(
         m=m,
         max_a=max_a,
@@ -525,33 +540,43 @@ def _round_div(a: int, b: int) -> int:
     return q + (2 * rem > abs(b) or (2 * rem == abs(b) and q & 1))
 
 
-def _greedy_reduce_maxnorm(x: list[int], cols: list) -> list[int]:
+def _greedy_index(cols: list, n: int) -> tuple[list, list]:
+    """What ``_greedy_reduce_maxnorm`` reads off its columns besides their
+    entries: the columns through each of the n rows, and each column's sum of
+    |entries|.  It depends on the columns only, so a caller that reduces
+    along one kernel many times builds it once."""
+    through: list = [[] for _ in range(n)]
+    norms = []
+    for j, (rows, vals) in enumerate(cols):
+        for i in rows:
+            through[i].append(j)
+        norms.append(sum(map(abs, vals)))
+    return through, norms
+
+
+def _greedy_reduce_maxnorm(x: list[int], cols: list, index: tuple[list, list]) -> list[int]:
     """Shrink the max-norm of x by integer shifts along sparse columns.
 
     Columns are (rows, nonzero values), visited in order until a pass changes
     nothing; each takes the shift, among the rounded quotients on its support
     and their neighbours, that most lowers (max |x_i|, sum |x_i|), strictly.
     Trials are scored on the support only: l1 runs as an integer and the max
-    off the support comes from a histogram of |x_i|.
+    off the support comes from a histogram of |x_i|.  ``index`` is the
+    columns' ``_greedy_index``.
 
     Columns that no shift can improve are skipped unscored.  A column whose
     support misses x's is one: a shift along it raises l1 and cannot lower
     the max.  More generally, with s the sum of |x_i| on a column and N the
     sum of its |c_i|, a shift q != 0 adds at least |q| N - 2 s to l1; so if
     2 s <= N and some entry of value max |x_i| lies off the column, no shift
-    lowers (max, l1) strictly.  Each column's s is kept running through a
+    lowers (max, l1) strictly.  Each column's s is kept running through the
     row -> columns index, updated only when an x_i changes, so both tests
     cost O(1) when more entries reach the max than the column has rows.
     """
     x = x[:]
     hist = Counter(map(abs, x))
     top, l1 = max(hist, default=0), sum(map(abs, x))
-    through: list = [[] for _ in x]  # the columns through each row
-    norms = []
-    for j, (rows, vals) in enumerate(cols):
-        for i in rows:
-            through[i].append(j)
-        norms.append(sum(map(abs, vals)))
+    through, norms = index
     s_on = [0] * len(norms)
     for i, a in enumerate(x):
         if a:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fillbound.filling
@@ -19,11 +20,12 @@ from fillbound.chains import (
     mass,
     path_chain,
 )
-from fillbound.errors import CapacityError, DomainError
+from fillbound.errors import CapacityError, DomainError, StructuralError
 from fillbound.filling import (
     _mass_kernel,
     _mass_table,
     _min_mass_vector,
+    _tie_slack,
     amin_upper_bound,
     boundary_smith,
     enumerate_simple_cycles,
@@ -34,13 +36,14 @@ from fillbound.filling import (
     rank_d1,
 )
 from fillbound.intlin import (
-    _greedy_reduce_maxnorm,
     column_echelon_basis,
     coset_min,
+    dense_vector,
     rank,
     smith_decomposition,
 )
-from fillbound.shapes import icosphere, octahedron
+from fillbound.geom import MetricComplex
+from fillbound.shapes import capped_prism, icosphere, octahedron
 
 from conftest import (
     collected_after,
@@ -48,10 +51,16 @@ from conftest import (
     octahedron_necklace,
     random_boundary,
     random_complex,
-    squared_norm,
 )
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
-from test_intlin import dense_column, dense_echelon_oracle, smith_matrices
+from test_intlin import (
+    dense_column,
+    dense_echelon_oracle,
+    greedy_reduce,
+    list_solve_oracle,
+    smith_matrices,
+    solve_dense,
+)
 
 
 def heron(p, q, r):
@@ -167,13 +176,28 @@ class TestFillBoundary:
         k = complete_complex(16, 2)
         z = boundary(k, Chain(2, {0: 1, 7: -2, 30: 1, 100: 3}))
         snf = boundary_smith(k, 2)
-        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
         assert (len(snf.kernel_columns()), len(x0)) == (455, 560)
         filled, cert = fill_boundary(k, z)
-        assert filled == Chain.from_vector(2, _greedy_reduce_maxnorm(x0, snf.kernel_columns()))
+        assert filled == Chain.from_vector(2, greedy_reduce(x0, snf.kernel_columns()))
         assert (cert.output_max_coeff, cert.output_l1) == (2, 9)
         assert max(map(abs, x0)) == 3
         assert boundary(k, filled) == z and cert.bounds_hold()
+
+    def test_greedy_index_built_once_per_kernel(self, monkeypatch):
+        # the row -> columns index is cached on the complex beside the
+        # kernel's Smith form, so a second fill reuses it
+        k = complete_complex(16, 2)
+        z = boundary(k, Chain(2, {0: 1, 7: -2, 30: 1, 100: 3}))
+        first = fill_boundary(k, z)
+        kernel = boundary_smith(k, 2).kernel_columns()
+        assert k._memo[("greedy index", 2)] == fillbound.intlin._greedy_index(kernel, 560)
+
+        def no_rebuild(*args):
+            raise AssertionError("the greedy index was rebuilt")
+
+        monkeypatch.setattr(fillbound.filling, "_greedy_index", no_rebuild)
+        assert fill_boundary(k, z) == first
 
     def test_fill_2_boundary_in_solid_tetra(self):
         solid = SimplicialComplex.from_simplices([(0, 1, 2, 3)])
@@ -301,6 +325,11 @@ class TestMinMassFill:
         chain, m = min_mass_fill(TRIANGLE, w, z)
         fb_chain, _ = fill_boundary(TRIANGLE, z)
         assert mass(w[2], fb_chain) == pytest.approx(m, rel=1e-12)
+
+
+def sparse(vec):
+    """A dense vector as {index: value}, keys ascending and no zeros."""
+    return {i: a for i, a in enumerate(vec) if a}
 
 
 def vector_mass(weights, vec):
@@ -444,31 +473,65 @@ def greedy_start(x0, kernel, weights):
     return greedy_weighted_oracle(x0, [dense_column(col, len(x0)) for col in kernel], weights)
 
 
-def pairwise_reduced(cols):
-    """The same lattice on shorter columns: subtract the nearest integer
-    multiple of one column from another while that shortens it."""
-    cols = [col[:] for col in cols]
-    improved = True
-    while improved:
-        improved = False
-        for i, j in itertools.permutations(range(len(cols)), 2):
-            a, b = cols[i], cols[j]
-            nb = squared_norm(b)
-            q = (2 * sum(x * y for x, y in zip(a, b)) + nb) // (2 * nb)
-            cand = [x - q * y for x, y in zip(a, b)]
-            if squared_norm(cand) < squared_norm(a):
-                cols[i] = cand
-                improved = True
-    return cols
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def gram_schmidt(basis):
+    """The Gram-Schmidt vectors of a basis and their coefficients mu[i][j],
+    in exact rationals."""
+    ortho, mu = [], []
+    for v in basis:
+        w = [Fraction(a) for a in v]
+        mu.append([Fraction(dot(v, u), dot(u, u)) for u in ortho])
+        for m, u in zip(mu[-1], ortho):
+            w = [a - m * c for a, c in zip(w, u)]
+        ortho.append(w)
+    return ortho, mu
+
+
+def lll_reduced(cols):
+    """An LLL-reduced basis, with delta 3/4, of the lattice that the dense
+    columns span (Lenstra, Lenstra and Lovasz 1982), in exact rationals."""
+    b = [col[:] for col in cols]
+    ortho, mu = gram_schmidt(b)
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                ortho, mu = gram_schmidt(b)
+        lovasz = (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(ortho[k - 1], ortho[k - 1])
+        if dot(ortho[k], ortho[k]) >= lovasz:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            ortho, mu = gram_schmidt(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def nearest_plane(x, basis):
+    """x less the lattice vector that Babai's nearest-plane rounding in
+    ``basis`` picks for it: a point of the same coset."""
+    ortho, _ = gram_schmidt(basis)
+    y = list(x)
+    for v, w in zip(reversed(basis), reversed(ortho)):
+        q = round(Fraction(dot(y, w)) / dot(w, w))
+        y = [a - q * c for a, c in zip(y, v)]
+    return y
 
 
 def reduced_start(x0, kernel, weights):
-    """greedy_start, then the greedy reduction along the pairwise reduced
-    kernel too.  Along nearly parallel columns greedy_start can stop near
-    10^6, where the oracle's search from it runs past 10^6 nodes."""
+    """The weighted greedy reduction along the kernel and its LLL-reduced
+    basis, from the point of x0's coset that nearest-plane rounding in that
+    basis gives.  Along nearly parallel columns the greedy reduction alone
+    can stop near 10^6, and from raw Smith solutions near 10^8 it did, where
+    the oracle's search from it runs past 10^6 nodes."""
     dense = [dense_column(col, len(x0)) for col in kernel]
-    return greedy_weighted_oracle(greedy_start(x0, kernel, weights),
-                                  dense + pairwise_reduced(dense), weights)
+    reduced = lll_reduced(dense)
+    return greedy_weighted_oracle(nearest_plane(x0, reduced), dense + reduced, weights)
 
 
 def outcome(search, *args):
@@ -490,7 +553,7 @@ def weighted_coset_cases(draw):
     snf = smith_decomposition(a)
     x = draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
     if draw(st.booleans()):
-        x = snf.solve_with_obstruction(a.mul_vec(x))[0]
+        x = solve_dense(snf, a.mul_vec(x))[0]
     weight = st.sampled_from(NEAR_TIE_WEIGHTS) | st.floats(0.5, 3.0)
     weights = draw(st.lists(weight, min_size=a.cols, max_size=a.cols))
     tol = draw(st.sampled_from([fillbound.filling.REL_TOL, 0.0, 1e-6]))
@@ -504,6 +567,14 @@ class TestWeightedCosetDifferential:
 
     @settings(max_examples=500, deadline=None)
     @given(case=weighted_coset_cases())
+    # a draw on which the oracle passed 10^6 nodes from the greedy start
+    # along the pairwise reduced kernel, at (-2, -4519155, 258966, ...)
+    @example(case=([-11867798, -17245476, 7992, 0, 613500, -1260738, 1888447],
+                   [([0, 1, 3], [-9, -10, 1]), ([0, 1, 4, 5, 6], [-38, -55, 2, -4, 6]),
+                    ([0, 1, 2, 4, 5, 6], [13367, 19424, -9, -691, 1420, -2127])],
+                   [1.99999999999, 0.5, 0.7107659261660222, 0.7107659261660222,
+                    0.4330127018922193, 0.4330127018922193, 0.4330127018922193],
+                   0.0, 20))
     def test_matches_oracle(self, case):
         x, kernel, weights, tol, budget = case
         big, one = integer_weights(weights)
@@ -539,7 +610,7 @@ class TestWeightedCosetDifferential:
             z = random_boundary(rng, k, max_coeff=2)
             w = {1: [1.0] * k.n_simplices(1), 2: [rng.choice(NEAR_TIE_WEIGHTS) for _ in range(n2)]}
             snf = boundary_smith(k, 2)
-            x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+            x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
             big, one = integer_weights(w[2])
             vec, _, _ = weighted_coset_oracle(x0, snf.kernel_columns(), big,
                                               tie_slack(fillbound.filling.REL_TOL, one), 10 ** 6)
@@ -585,7 +656,7 @@ class TestStartDifferential:
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n2, max_size=n2))
         z = boundary(k, Chain.from_vector(2, coeffs))
         snf = boundary_smith(k, 2)
-        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
         kernel = snf.kernel_columns()
         big, one = integer_weights(w2)
         vec, _, _ = weighted_coset_oracle(greedy_start(x0, kernel, w2), kernel, big,
@@ -618,7 +689,7 @@ class TestMedianDifferential:
         coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n2, max_size=n2))
         z = boundary(k, Chain.from_vector(2, coeffs))
         snf = boundary_smith(k, 2)
-        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
         big, one = integer_weights(w2)
         vec, _, _ = weighted_coset_min(x0, snf.kernel_columns(), big,
                                        tie_slack(fillbound.filling.REL_TOL, one), 10 ** 7)
@@ -698,7 +769,7 @@ def rule_box_oracle(complex, w2, z, upper):
     exact = [Fraction(w) for w in w2]
     bound = upper + tol * (1 + upper)
     snf = boundary_smith(complex, 2)
-    x0, _ = snf.solve_with_obstruction(z.to_vector(complex.n_simplices(1)))
+    x0, _ = solve_dense(snf, z.to_vector(complex.n_simplices(1)))
     n = len(x0)
     cols, pivots = dense_echelon_oracle([dense_column(c, n) for c in snf.kernel_columns()], n)
     ends = pivots[1:] + [n]
@@ -748,7 +819,7 @@ class TestTieRule:
         assert got == rule_box_oracle(k, w2, z, exact_mass(w2, got))
         # the other path on the same coset: coset_min on the median surfaces
         snf = boundary_smith(k, 2)
-        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
         big, one = integer_weights(w2)
         vec, _, _ = weighted_coset_min(x0, snf.kernel_columns(), big,
                                        tie_slack(fillbound.filling.REL_TOL, one), 10 ** 7)
@@ -764,7 +835,7 @@ class TestTieRule:
         w2 = data.draw(near_tie_weights(n2))
         z = boundary(k, Chain(2, data.draw(sparse_fills(n2))))
         snf = boundary_smith(k, 2)
-        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
         kernel = snf.kernel_columns()
         qs = data.draw(st.lists(st.integers(-10 ** 4, 10 ** 4),
                                 min_size=len(kernel), max_size=len(kernel)))
@@ -773,8 +844,8 @@ class TestTieRule:
             for i, v in zip(rows, vals):
                 shifted[i] += q * v
         table = _mass_table(k, w2)
-        assert (_min_mass_vector(k, table, shifted, 10 ** 7)
-                == _min_mass_vector(k, table, x0, 10 ** 7))
+        assert (_min_mass_vector(k, table, sparse(shifted), 10 ** 7)
+                == _min_mass_vector(k, table, sparse(x0), 10 ** 7))
 
     def test_near_tie_goes_to_the_smaller_fill(self):
         # (12, -11, -2, 3) has the least mass; (4, -3, -10, 11) is heavier by
@@ -814,7 +885,7 @@ class TestTieRule:
         chain, _ = min_mass_fill(k, {1: [1.0] * k.n_simplices(1), 2: w2}, z)
         got = chain.to_vector(len(w2))
         snf = boundary_smith(k, 2)
-        x0, _ = snf.solve_with_obstruction(z.to_vector(k.n_simplices(1)))
+        x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
         big, one = integer_weights(w2)
         tol = fillbound.filling.REL_TOL
         assert got == weighted_coset_oracle(x0, snf.kernel_columns(), big,
@@ -838,6 +909,158 @@ class TestTieRule:
         face = re.escape(str(OCTA.simplices(2)[bad]))
         with pytest.raises(DomainError, match=f"^triangle {face} has weight"):
             min_mass_fill(OCTA, {1: [1.0] * 12, 2: w2}, equator_cycle())
+
+
+def dense_median_fill(x0, cols, where, big, one, totals):
+    """``_median_fill`` as it ran on a dense x0, giving a dense fill."""
+    weight_at = [{0: total} for total in totals]
+    least = 0
+    for i, a in enumerate(x0):
+        if a and where[i] is None:
+            least += abs(a) * big[i]
+        elif a:
+            j, c = where[i]
+            weight_at[j][0] -= big[i]
+            weight_at[j][-a * c] = weight_at[j].get(-a * c, 0) + big[i]
+    medians = []
+    for at, total in zip(weight_at, totals):
+        points, below = sorted(at), 0
+        for k, t in enumerate(points):
+            if 2 * (below + at[t]) >= total:
+                break
+            below += at[t]
+        least += sum(w * abs(b - t) for b, w in at.items())
+        medians.append((points[:k], t, below))
+    slack = _tie_slack(one, least)
+    fill = x0[:]
+    for (rows, vals), at, total, (lower, t, below) in zip(cols, weight_at, totals, medians):
+        rate = total - 2 * below
+        for b in reversed(lower):
+            if (t - b) * rate > slack:
+                break
+            slack -= (t - b) * rate
+            t, below = b, below - at[b]
+            rate = total - 2 * below
+        t -= slack // rate
+        slack %= rate
+        if t:
+            for i, c in zip(rows, vals):
+                fill[i] += t * c
+    return fill
+
+
+def dense_min_mass_fill(complex, w2, z, node_budget):
+    """``min_mass_fill`` as it ran on dense vectors: the list solve, then the
+    dense weighted median or coset_min from the dense Smith solution, and the
+    refusal past MIN_MASS_MAX_KERNEL_DIM.  Gives (chain, mass bits), a
+    CapacityError's (message, incumbent, incumbent_cost) or a DomainError's
+    message."""
+    x0, reason = list_solve_oracle(boundary_smith(complex, 2),
+                                   z.to_vector(complex.n_simplices(1)))
+    if x0 is None:
+        return f"cycle does not bound: {reason}"
+    big, one, totals = _mass_table(complex, w2)
+    cols, where = _mass_kernel(complex)
+    try:
+        if totals is not None:
+            vec = dense_median_fill(x0, cols, where, big, one, totals)
+        elif len(cols) > fillbound.filling.MIN_MASS_MAX_KERNEL_DIM:
+            raise CapacityError(
+                f"homogeneous lattice dimension {len(cols)} exceeds "
+                f"{fillbound.filling.MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
+                incumbent=x0)
+        else:
+            cost = sum(abs(a) * w for a, w in zip(x0, big))
+            vec = coset_min(x0, cols, big, node_budget, incumbent=(cost, tuple(x0)),
+                            slack=lambda least: _tie_slack(one, least))[1]
+    except CapacityError as err:
+        incumbent = Chain.from_vector(2, err.incumbent)
+        return str(err), incumbent, mass(w2, incumbent)
+    chain = Chain.from_vector(2, vec)
+    return chain, mass(w2, chain).hex()
+
+
+def fill_outcome(complex, w2, z, node_budget):
+    """``min_mass_fill``'s answer in ``dense_min_mass_fill``'s terms."""
+    try:
+        chain, m = min_mass_fill(complex, {1: [1.0] * complex.n_simplices(1), 2: w2}, z,
+                                 node_budget=node_budget)
+    except CapacityError as err:
+        return str(err), err.incumbent, err.incumbent_cost
+    except DomainError as err:
+        return str(err)
+    return chain, m.hex()
+
+
+@functools.cache
+def relabelled_icosphere(level: int, seed: int):
+    """icosphere(level) with its vertices shuffled by ``seed``: the same
+    surface, with other Smith pivots and so other Smith solutions."""
+    base = icosphere(level)
+    n = base.complex.n_vertices
+    perm = list(range(n))
+    random.Random(f"relabel/{level}/{seed}").shuffle(perm)
+    coords = [None] * n
+    for v in range(n):
+        coords[perm[v]] = base.coords[v]
+    faces = [tuple(perm[v] for v in f) for f in base.complex.simplices(2)]
+    return MetricComplex(complex=SimplicialComplex.from_simplices(faces, n_vertices=n),
+                         coords=tuple(coords))
+
+
+@st.composite
+def fill_cases(draw):
+    """A complex, its 2-weights and a 1-chain, bounding or not.
+
+    The complex is a random one, a space of RULE_SPACES or a relabelled
+    icosphere(1-3) with its triangle areas; the chain is the boundary of at
+    most four triangles, or any chain on at most four edges."""
+    kind = draw(st.sampled_from(["random", "rule", "icosphere"]))
+    if kind == "icosphere":
+        space = relabelled_icosphere(draw(st.integers(1, 3)), draw(st.integers(0, 1)))
+        k, w2 = space.complex, space.triangle_areas
+    else:
+        if kind == "rule":
+            k = RULE_SPACES[draw(st.sampled_from(sorted(RULE_SPACES)))]
+        else:
+            k = random_complex(random.Random(draw(st.integers(0, 10 ** 6))),
+                               max_vertices=8, max_faces=14)
+        w2 = draw(near_tie_weights(k.n_simplices(2)))
+    if draw(st.booleans()):
+        z = boundary(k, Chain(2, draw(sparse_fills(k.n_simplices(2)))))
+    else:
+        z = Chain(1, draw(st.dictionaries(st.integers(0, k.n_simplices(1) - 1),
+                                          st.integers(-3, 3), max_size=4)))
+    return k, w2, z
+
+
+class TestSparseFillDifferential:
+    """The sparse solve and median fill give the dense code's Smith
+    solutions, obstructions, fills and mass bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=fill_cases())
+    def test_matches_dense_code(self, case):
+        k, w2, z = case
+        snf = boundary_smith(k, 2)
+        x0, reason = snf.solve_with_obstruction(dict(z.items()))
+        expected = list_solve_oracle(snf, z.to_vector(k.n_simplices(1)))
+        assert reason == expected[1]
+        if x0 is not None:
+            assert list(x0) == sorted(x0) and all(x0.values())
+            assert dense_vector(x0, snf.cols) == expected[0]
+            if _mass_kernel(k)[1] is not None:
+                fill = _min_mass_vector(k, _mass_table(k, w2), x0, 0)
+                assert list(fill) == sorted(fill) and all(fill.values())
+        assert fill_outcome(k, w2, z, 10 ** 5) == dense_min_mass_fill(k, w2, z, 10 ** 5)
+
+    def test_index_out_of_range(self):
+        # the dense rhs came from Chain.to_vector, which raised this error
+        z = Chain(1, {3: 1, 12: -1})
+        for fill in (lambda: min_mass_fill(OCTA, octa_weights(), z),
+                     lambda: fill_boundary(OCTA, z)):
+            with pytest.raises(StructuralError, match="^chain index 12 out of range 12$"):
+                fill()
 
 
 class TestH1Check:
@@ -944,6 +1167,65 @@ class TestHf1Profile:
             hf1_profile(circle, {1: [1.0] * 3, 2: []}, [1.0], cycle_budget=10)
 
 
+def eager_hop_cycles(complex, max_edges, limit):
+    """``enumerate_simple_cycles`` as it ran with every root's whole-graph
+    hop distances found before the first sweep (-1 where unreachable)."""
+    n = complex.n_vertices
+    nbrs = [[] for _ in range(n)]
+    for (u, v) in complex.simplices(1):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    for lst in nbrs:
+        lst.sort()
+    out = []
+
+    def hop_distances(root):
+        dist = [-1] * n
+        dist[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt_frontier = []
+            for v in frontier:
+                for w in nbrs[v]:
+                    if dist[w] < 0:
+                        dist[w] = dist[v] + 1
+                        nxt_frontier.append(w)
+            frontier = nxt_frontier
+        return dist
+
+    def dfs(root, hops, length, path, on_path):
+        if len(out) >= limit:
+            return
+        for nxt in nbrs[path[-1]]:
+            if len(out) >= limit:
+                return
+            if nxt == root and len(path) == length and path[1] < path[-1]:
+                out.append(path[:])
+            elif (nxt > root and nxt not in on_path and len(path) < length
+                  and hops[nxt] <= length - len(path)):
+                path.append(nxt)
+                on_path.add(nxt)
+                dfs(root, hops, length, path, on_path)
+                on_path.discard(nxt)
+                path.pop()
+
+    root_hops = [hop_distances(root) for root in range(n)]
+    for length in range(3, max_edges + 1):
+        for root in range(n):
+            if len(out) >= limit:
+                return out
+            dfs(root, root_hops[root], length, [root], {root})
+    return out
+
+
+ENUMERATION_SHAPES = {
+    "octahedron": OCTA,
+    "icosphere1": icosphere(1).complex,
+    "capped_prism": capped_prism(6, 2).complex,
+    "shared_face": two_octahedra_sharing_a_face(),
+}
+
+
 class TestCycleEnumeration:
     def test_tetra_counts(self):
         # oracle: K4 has exactly 3 + 4 = 7 simple cycles (4 triangles, 3 squares)
@@ -960,6 +1242,16 @@ class TestCycleEnumeration:
     def test_budget_respected(self):
         loops = enumerate_simple_cycles(OCTA, max_edges=8, limit=5)
         assert len(loops) == 5
+
+    @pytest.mark.parametrize("name", sorted(ENUMERATION_SHAPES))
+    @pytest.mark.parametrize("max_edges,limit", [(3, 10 ** 6), (5, 40), (6, 10 ** 6),
+                                                 (8, 300), (12, 150)])
+    def test_matches_eager_hops(self, name, max_edges, limit):
+        # hop distances found per root and cut at the cycle length prune
+        # exactly as whole-graph ones did
+        k = ENUMERATION_SHAPES[name]
+        assert (enumerate_simple_cycles(k, max_edges, limit)
+                == eager_hop_cycles(k, max_edges, limit))
 
     def test_leaves_no_cycles(self):
         # the recursive dfs drops its reference to itself on return

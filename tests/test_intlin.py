@@ -6,11 +6,13 @@ from fillbound.errors import CapacityError, DomainError, StructuralError
 from fillbound.intlin import (
     DEFAULT_NODE_BUDGET,
     IntMatrix,
+    _greedy_index,
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
     bfrt_bound_ceiling,
     certify_small_solution,
     column_echelon_basis,
+    dense_vector,
     max_minor_abs,
     rank,
     smith_decomposition,
@@ -55,9 +57,20 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return dense_transforms(smith_decomposition(a))
 
 
+def solve_dense(snf, b):
+    """``solve_with_obstruction`` on a dense rhs list, with x0 as a dense list."""
+    x, reason = snf.solve_with_obstruction(dict(enumerate(b)))
+    return (None if x is None else dense_vector(x, snf.cols)), reason
+
+
+def greedy_reduce(x, cols):
+    """``_greedy_reduce_maxnorm`` along columns with the index built for them."""
+    return _greedy_reduce_maxnorm(x, cols, _greedy_index(cols, len(x)))
+
+
 def solve_integer(a: IntMatrix, b) -> list[int] | None:
     """Some integer x with A x = b, or None when no integer solution exists."""
-    return smith_decomposition(a).solve_with_obstruction(b)[0]
+    return solve_dense(smith_decomposition(a), b)[0]
 
 
 def solve_integer_small(a: IntMatrix, b, budget_box: int,
@@ -65,7 +78,7 @@ def solve_integer_small(a: IntMatrix, b, budget_box: int,
     """Integer solution of A x = b minimizing max-norm, then l1, then
     lexicographic order; None iff no solution lies in the box."""
     snf = smith_decomposition(a)
-    x0, _ = snf.solve_with_obstruction(list(b))
+    x0, _ = solve_dense(snf, b)
     if x0 is None:
         return None
     return _maxnorm_coset_min(x0, snf, budget_box, node_budget)
@@ -302,6 +315,37 @@ def dense_solve_oracle(snf, b):
     return v.mul_vec(y), None
 
 
+def list_solve_oracle(snf, b):
+    """The solve on a dense rhs list with a dense x, as ``solve_with_obstruction``
+    ran before it took and gave {index: value}: U b from the U columns on b's
+    support, then V y from the V columns of y's support."""
+    if len(b) != snf.rows:
+        raise StructuralError(f"rhs length {len(b)} != row count {snf.rows}")
+    c = {}
+    for j, bj in enumerate(b):
+        if bj:
+            rows, vals = snf._u_cols[j]
+            for i, x in zip(rows, vals):
+                c[i] = c.get(i, 0) + bj * x
+    k = len(snf.diagonal)
+    x = [0] * snf.cols
+    for i in sorted(c):
+        ci = c[i]
+        if ci == 0:
+            continue
+        if i >= k:
+            return None, f"transformed rhs is {ci} on row {i} beyond the diagonal"
+        di = snf.diagonal[i]
+        if di == 0:
+            return None, f"transformed rhs is {ci} on zero diagonal row {i}"
+        if ci % di != 0:
+            return None, f"invariant factor d[{i}]={di} does not divide transformed rhs {ci}"
+        rows, vals = snf._v_cols[i]
+        for r, val in zip(rows, vals):
+            x[r] += ci // di * val
+    return x, None
+
+
 def _sparse_columns(m):
     """Per column of a dense row-major matrix: (row indices, values) of its nonzeros."""
     out = []
@@ -459,7 +503,7 @@ class TestSparseSolveDifferential:
     def test_matches_dense_oracle(self, system):
         a, b = system
         snf = smith_decomposition(a)
-        got = snf.solve_with_obstruction(b)
+        got = solve_dense(snf, b)
         assert got == dense_solve_oracle(snf, b)
         x, _ = got
         if x is not None:
@@ -473,7 +517,7 @@ class TestSparseSolveDifferential:
         }
         for phrase, (a, b) in cases.items():
             snf = smith_decomposition(a)
-            x, reason = snf.solve_with_obstruction(b)
+            x, reason = solve_dense(snf, b)
             assert x is None and phrase in reason
             assert (x, reason) == dense_solve_oracle(snf, b)
 
@@ -559,7 +603,7 @@ class CountedPasses(list):
 
 
 def greedy(x: list[int], cols: list) -> list[int]:
-    return _greedy_reduce_maxnorm(x, CountedPasses(cols, x))
+    return greedy_reduce(x, CountedPasses(cols, x))
 
 
 @st.composite
@@ -649,14 +693,14 @@ class TestGreedyMaxnormDifferential:
             c, _, _ = project_cycle_to_graph(space, cover, graph, z)
             if c.is_zero():
                 continue
-            x0, _ = snf.solve_with_obstruction(c.to_vector(k.n_simplices(1)))
+            x0, _ = solve_dense(snf, c.to_vector(k.n_simplices(1)))
             assert greedy(x0, kernel) == greedy_maxnorm_oracle(x0, dense)
             checked += 1
 
     def test_leaves_no_cycles(self):
         # a reduction frees everything it made when it returns
         x, kernel = [5, -3, 0, 7], [([0, 1, 3], [2, -1, 3]), ([1, 2], [1, 1])]
-        assert collected_after(lambda: _greedy_reduce_maxnorm(x, kernel)) == 0
+        assert collected_after(lambda: greedy_reduce(x, kernel)) == 0
 
 
 def _boundary_cases():
@@ -900,7 +944,7 @@ def maxnorm_coset_oracle(x0, snf, box: int, node_budget: int):
     """
     n = len(x0)
     kernel = snf.kernel_columns()
-    xr = _greedy_reduce_maxnorm(x0, kernel)
+    xr = greedy_reduce(x0, kernel)
     if not kernel:
         return (xr if max(map(abs, xr), default=0) <= box else None), 0
     cols, pivots = dense_echelon_oracle([dense_column(col, n) for col in kernel], n)
@@ -957,7 +1001,7 @@ def coset_cases(draw):
     x = draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
     snf = smith_decomposition(a)
     if draw(st.booleans()):
-        x = snf.solve_with_obstruction(a.mul_vec(x))[0]
+        x = solve_dense(snf, a.mul_vec(x))[0]
     return x, snf, draw(st.integers(0, 6))
 
 

@@ -4,15 +4,16 @@
 
 PARENT and CHANGE are checkouts (each with ``src/``, ``perfbench/`` and
 ``tests/``), for instance two ``git archive`` copies.  For each seed, the
-PARENT tree writes the input documents: six spaces (the octahedron,
-icosphere(1), icosphere(2), capped_prism(6, 2), and the golden tests' two
-unit octahedra pinched at a vertex and sharing a face) and three
+PARENT tree writes the input documents: seven spaces (the octahedron,
+icosphere(1), icosphere(2), icosphere(3), capped_prism(6, 2), and the golden
+tests' two unit octahedra pinched at a vertex and sharing a face) and three
 ``perfbench/workloads.random_cycle`` cycles on each.  Then each tree, in its
 own copy of the inputs and a fresh interpreter per command, runs
 ``fill --chain-out`` on every cycle, ``hf1`` on every space and
-``bfrt-check --verbose`` once: 25 commands.  Every command's exit code,
-stdout and stderr, and the bytes of every file either tree leaves behind,
-must be equal.  Each difference is printed, and the exit status is 1 if
+``bfrt-check --verbose`` once: 29 commands.  icosphere(3) brings the
+largest solves and fills, on 1,920 edges and 1,280 triangles.  Every
+command's exit code, stdout and stderr, and the bytes of every file either
+tree leaves behind, must be equal.  Each difference is printed, and the exit status is 1 if
 there is any, else 0.
 """
 
@@ -27,7 +28,7 @@ from pathlib import Path
 
 # (space name, cover radius)
 SPACES = [("octahedron", "0.8"), ("icosphere1", "0.8"), ("icosphere2", "0.8"),
-          ("capped_prism", "1.2"), ("pinched_octahedra", "0.8"),
+          ("icosphere3", "0.8"), ("capped_prism", "1.2"), ("pinched_octahedra", "0.8"),
           ("octahedra_sharing_a_face", "0.8")]
 CYCLES_PER_SPACE = 3
 
@@ -42,6 +43,7 @@ spaces = {
     "octahedron": shapes.octahedron(1.0),
     "icosphere1": shapes.icosphere(1),
     "icosphere2": shapes.icosphere(2),
+    "icosphere3": shapes.icosphere(3),
     "capped_prism": shapes.capped_prism(6, 2, 1.0),
     "pinched_octahedra": pinched_octahedra(),
     "octahedra_sharing_a_face": octahedra_sharing_a_face(),
