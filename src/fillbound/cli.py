@@ -116,6 +116,13 @@ def cmd_hf1(args) -> int:
     if not (math.isfinite(args.l_max) and args.l_max >= 0):
         raise DomainError(f"--l-max must be finite and in [0, inf), got {args.l_max}")
     _require_at_least(("--steps", args.steps, 1), ("--cycle-budget", args.cycle_budget, 1))
+    try:
+        top = args.l_max * args.steps  # the grid's l_max * i / steps reaches it
+    except OverflowError:  # a --steps beyond binary64
+        top = math.inf
+    if not math.isfinite(top):
+        raise DomainError(f"--l-max {args.l_max} times --steps {args.steps} "
+                          "overflows binary64")
     space = load_space(args.space)
     grid = [args.l_max * i / args.steps for i in range(args.steps + 1)]
     diameter = skeleton_diameter(space)

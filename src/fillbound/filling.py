@@ -234,10 +234,11 @@ def _tie_slack(one: int, least: int) -> int:
     return num * (one + least) // den
 
 
-def _median_fill(x0: dict[int, int], cols: list, where: list, big: list, one: int,
-                 totals: list) -> dict[int, int]:
-    """``min_mass_fill``'s answer when the echelon columns are disjoint with
-    +-1 entries, with no search.
+def _median_fill(x0: dict[int, int], multiples: Sequence[int], cols: list, where: list,
+                 big: list, one: int, totals: list) -> list[dict[int, int]]:
+    """``min_mass_fill``'s answers for q * x0, one per q in ``multiples``
+    (each q > 0), when the echelon columns are disjoint with +-1 entries,
+    with no search.
 
     A column's mass is sum_i W_i |t - b_i| over its rows: convex and piecewise
     linear in its shift t, with breakpoints b_i = -x0_i c_i (the rows where
@@ -250,9 +251,13 @@ def _median_fill(x0: dict[int, int], cols: list, where: list, big: list, one: in
     Pivot entries are +1, so the order of the shift tuples is that of the
     fills.
 
-    x0 and the fill are sparse {index: value}, keys ascending and no zeros:
-    the work is x0's support, the kernel dimension and the rows of the
-    columns that shift.
+    For q * x0 the weights are the same and every breakpoint is q b_i, so
+    the sort, the median and the weight below it are shared, and m* is
+    q times x0's; only the walk, with the slack of q m*, runs per q.
+
+    x0 and each fill are sparse {index: value}, keys ascending and no zeros:
+    the work is x0's support, the kernel dimension and, per q, the rows of
+    the columns that shift.
     """
     weight_at = [{0: total} for total in totals]
     least = 0
@@ -272,43 +277,72 @@ def _median_fill(x0: dict[int, int], cols: list, where: list, big: list, one: in
             below += at[t]
         least += sum(w * abs(b - t) for b, w in at.items())
         medians.append((points[:k], t, below))
-    slack = _tie_slack(one, least)
-    fill = dict(x0)
-    for (rows, vals), at, total, (lower, t, below) in zip(cols, weight_at, totals, medians):
-        rate = total - 2 * below  # the mass that a unit step down from t adds
-        for b in reversed(lower):
-            if (t - b) * rate > slack:
-                break
-            slack -= (t - b) * rate
-            t, below = b, below - at[b]
-            rate = total - 2 * below
-        t -= slack // rate
-        slack %= rate
-        if t:
-            for i, c in zip(rows, vals):
-                fill[i] = fill.get(i, 0) + t * c
-    return {i: fill[i] for i in sorted(fill) if fill[i]}
+    fills = []
+    for q in multiples:
+        slack = _tie_slack(one, q * least)
+        fill = {i: q * a for i, a in x0.items()}
+        for (rows, vals), at, total, (lower, t, below) in zip(cols, weight_at, totals, medians):
+            t *= q
+            rate = total - 2 * below  # the mass that a unit step down from t adds
+            for b in reversed(lower):
+                if (t - q * b) * rate > slack:
+                    break
+                slack -= (t - q * b) * rate
+                t, below = q * b, below - at[b]
+                rate = total - 2 * below
+            t -= slack // rate
+            slack %= rate
+            if t:
+                for i, c in zip(rows, vals):
+                    fill[i] = fill.get(i, 0) + t * c
+        fills.append({i: fill[i] for i in sorted(fill) if fill[i]})
+    return fills
 
 
 def _min_mass_vector(complex: SimplicialComplex, table: tuple, x0: dict[int, int],
-                     node_budget: int) -> dict[int, int]:
-    """``min_mass_fill``'s vector, sparse with keys ascending, from any point
-    x0 of its coset, sparse too, with the ``_mass_table`` of its weights.
-    The search path refuses more than MIN_MASS_MAX_KERNEL_DIM columns."""
+                     multiples: Sequence[int], node_budget: int) -> list[dict[int, int]]:
+    """``min_mass_fill``'s vectors for q * x0, one per q in ``multiples``,
+    sparse with keys ascending, from any point x0 of its coset, sparse too,
+    with the ``_mass_table`` of its weights.  The search path runs per q from
+    the dense q * x0 and refuses more than MIN_MASS_MAX_KERNEL_DIM columns."""
     big, one, totals = table
     cols, where = _mass_kernel(complex)
     if totals is not None:
-        return _median_fill(x0, cols, where, big, one, totals)
-    start = dense_vector(x0, len(big))
-    if len(cols) > MIN_MASS_MAX_KERNEL_DIM:
-        raise CapacityError(
-            f"homogeneous lattice dimension {len(cols)} exceeds "
-            f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
-            incumbent=start)
-    cost = sum(abs(a) * w for a, w in zip(start, big))
-    _, best, _ = coset_min(start, cols, big, node_budget, incumbent=(cost, tuple(start)),
-                           slack=lambda least: _tie_slack(one, least))
-    return {i: a for i, a in enumerate(best) if a}
+        return _median_fill(x0, multiples, cols, where, big, one, totals)
+    fills = []
+    for q in multiples:
+        start = [q * a for a in dense_vector(x0, len(big))]
+        if len(cols) > MIN_MASS_MAX_KERNEL_DIM:
+            raise CapacityError(
+                f"homogeneous lattice dimension {len(cols)} exceeds "
+                f"{MIN_MASS_MAX_KERNEL_DIM}; incumbent is not certified optimal",
+                incumbent=start)
+        cost = sum(abs(a) * w for a, w in zip(start, big))
+        _, best, _ = coset_min(start, cols, big, node_budget, incumbent=(cost, tuple(start)),
+                               slack=lambda least: _tie_slack(one, least))
+        fills.append({i: a for i, a in enumerate(best) if a})
+    return fills
+
+
+def _min_mass_fills(complex: SimplicialComplex, w2: Sequence[float], z: Chain,
+                    multiples: Sequence[int], node_budget: int) -> list[tuple[Chain, float]]:
+    """``min_mass_fill`` of q * z with its mass, one per q in ``multiples``,
+    from one weight-table lookup and one Smith solve: the solve is linear,
+    so the Smith solution of q * z is q times z's."""
+    if len(w2) < complex.n_simplices(2):
+        raise DomainError("missing 2-simplex weights")
+    table = _mass_table(complex, w2)
+    x0, obstruction = boundary_smith(complex, 2).solve_with_obstruction(dict(z.items()))
+    if x0 is None:
+        raise DomainError(f"cycle does not bound: {obstruction}")
+    try:
+        fills = [Chain(2, vec) for vec in _min_mass_vector(complex, table, x0, multiples,
+                                                           node_budget)]
+    except CapacityError as err:
+        err.incumbent = Chain.from_vector(2, err.incumbent)
+        err.incumbent_cost = mass(w2, err.incumbent)
+        raise
+    return [(best, mass(w2, best)) for best in fills]
 
 
 def min_mass_fill(
@@ -334,26 +368,15 @@ def min_mass_fill(
     columns is refused with a CapacityError.  The integer weights and column
     totals are derived once per weight table.  The mass returned is E's own,
     ``chains.mass``.  A CapacityError's incumbent is an uncertified 2-chain
-    with boundary z, and its incumbent_cost is that chain's mass.
+    with boundary z, and its incumbent_cost is that chain's mass.  This is
+    the one-multiple case of the fills ``hf1_profile`` takes of z, 2z and 3z
+    from one solve.
     """
     if z.dim != 1:
         raise DomainError("min_mass_fill expects a 1-chain")
     if complex.dimension < 2:
         raise DomainError("complex has no 2-simplices")
-    w2 = weights[2]
-    if len(w2) < complex.n_simplices(2):
-        raise DomainError("missing 2-simplex weights")
-    table = _mass_table(complex, w2)
-    x0, obstruction = boundary_smith(complex, 2).solve_with_obstruction(dict(z.items()))
-    if x0 is None:
-        raise DomainError(f"cycle does not bound: {obstruction}")
-    try:
-        best = Chain(2, _min_mass_vector(complex, table, x0, node_budget))
-    except CapacityError as err:
-        err.incumbent = Chain.from_vector(2, err.incumbent)
-        err.incumbent_cost = mass(w2, err.incumbent)
-        raise
-    return best, mass(w2, best)
+    return _min_mass_fills(complex, weights[2], z, (1,), node_budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +504,9 @@ def hf1_profile(
     cycle family is every simple skeleton cycle up to an edge-count budget
     (derived from the grid, capped at DEFAULT_MAX_CYCLE_EDGES), plus integer
     multiples up to mass l (capped at x3).  A smaller family only lowers the
-    estimate, which keeps its direction honest.
+    estimate, which keeps its direction honest.  Each kept cycle and its
+    multiples are filled from one Smith solve and, on the median path, one
+    median set-up; each fill is ``min_mass_fill``'s of that multiple.
     """
     if not h1_is_trivial(complex):
         raise DomainError("H1 is nontrivial: some 1-cycle does not bound")
@@ -491,21 +516,22 @@ def hf1_profile(
     w1 = weights[1]
     l_max = grid[-1]
     min_edge = min(w1) if len(w1) else 1.0
-    derived = max(3, int(l_max / min_edge) + 1) if l_max > 0 else 3
-    max_edges = min(derived, DEFAULT_MAX_CYCLE_EDGES)
+    ratio = l_max / min_edge if l_max > 0 else 0.0  # inf when the quotient overflows
+    if ratio >= DEFAULT_MAX_CYCLE_EDGES:
+        max_edges = DEFAULT_MAX_CYCLE_EDGES
+    else:
+        max_edges = max(3, int(ratio) + 1)
     loops = enumerate_simple_cycles(complex, max_edges, cycle_budget)
 
     members: list[tuple[float, float]] = []  # (mass, exact fill mass)
     for loop in loops:
         z = path_chain(complex, loop + [loop[0]])
         m1 = mass(w1, z)
-        if m1 > l_max + ABS_TOL:
+        multiples = [q for q in range(1, MAX_CYCLE_MULTIPLE + 1) if q * m1 <= l_max + ABS_TOL]
+        if not multiples:
             continue
-        q = 1
-        while q <= MAX_CYCLE_MULTIPLE and q * m1 <= l_max + ABS_TOL:
-            _, fill_mass = min_mass_fill(complex, weights, z.scale(q))
-            members.append((q * m1, fill_mass))
-            q += 1
+        fills = _min_mass_fills(complex, weights[2], z, multiples, DEFAULT_NODE_BUDGET)
+        members += [(q * m1, fill_mass) for q, (_, fill_mass) in zip(multiples, fills)]
 
     samples = []
     census = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -39,7 +40,9 @@ def _heron(p, q, r) -> Optional[float]:
 
     Sides are scaled by a power of two to a maximum in [0.5, 1), which is
     exact and keeps the product from overflowing: the area has the unscaled
-    formula's bits wherever that is finite.  OverflowError if it is not.
+    formula's bits wherever that is finite and at least sys.float_info.min.
+    OverflowError if it is not finite; a caller refuses a smaller area, which
+    the scaling back has rounded to a subnormal or 0.
     """
     sides = (math.dist(p, q), math.dist(q, r), math.dist(p, r))
     e = math.frexp(max(sides))[1]
@@ -117,6 +120,8 @@ class MetricComplex:
                 raise StructuralError(f"area of triangle {(a, b, c)} overflows binary64") from None
             if area is None:
                 raise StructuralError(f"degenerate triangle {(a, b, c)}")
+            if area < sys.float_info.min:
+                raise StructuralError(f"area of triangle {(a, b, c)} underflows binary64")
             areas.append(area)
         self._memo["lengths"] = tuple(lengths)
         self._memo["areas"] = tuple(areas)

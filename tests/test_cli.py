@@ -134,6 +134,12 @@ class TestGen:
         assert space.complex.n_simplices(1) == edges
         assert space.complex.n_simplices(2) == faces
 
+    def test_area_underflow_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "tiny.json"
+        assert main(["gen", "--shape", "octahedron", "--scale", "1e-170", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: area of triangle (0, 2, 4) underflows binary64\n"
+        assert not out.exists()
+
     def test_out_of_range(self, tmp_path):
         code = main(
             ["gen", "--shape", "icosphere", "--level", "9", "--out", str(tmp_path / "x")]
@@ -326,6 +332,25 @@ class TestHf1Command:
         assert doc["fitted_f1"] == 0.0
         assert doc["fitted_f2"] == max(e for _, e in doc["samples"])
 
+    def test_l_max_near_the_largest_float(self, tmp_path, capsys):
+        # l_max / min_edge overflows to inf: the edge budget is the cap, and
+        # the report is the one a finite huge --l-max gives at its grid points
+        space_path = tmp_path / "ico2.json"
+        assert main(["gen", "--shape", "icosphere", "--level", "2", "--out", str(space_path)]) == 0
+        docs = []
+        for l_max in ("1e308", "1e300"):
+            assert main(["hf1", "--space", str(space_path), "--l-max", l_max,
+                         "--steps", "1", "--cycle-budget", "60"]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            docs.append(json.loads(out))
+        huge, big = docs
+        assert huge["samples"][-1][0] == 1e308 and big["samples"][-1][0] == 1e300
+        assert [e for _, e in huge["samples"]] == [e for _, e in big["samples"]]
+        assert [c for _, c in huge["cycle_census"]] == [c for _, c in big["cycle_census"]]
+        assert huge["cycle_census"][-1][1] == 3 * 60  # each loop, x2 and x3
+        assert huge["hf1_at_2_diameter"] == big["hf1_at_2_diameter"] > 0
+
     def test_l_max_zero(self, tmp_path, capsys):
         space_path = tmp_path / "tetra.json"
         assert main(["gen", "--shape", "tetra_boundary", "--out", str(space_path)]) == 0
@@ -369,6 +394,8 @@ class TestInputContracts:
         ["hf1", "--l-max", "2", "--steps", "-3"],
         ["hf1", "--l-max", "2", "--cycle-budget", "0"],
         ["hf1", "--l-max", "2", "--cycle-budget", "-5"],
+        ["hf1", "--l-max", "1e308", "--steps", "2"],
+        ["hf1", "--l-max", "0", "--steps", "1" + "0" * 400],
     ])
     def test_rejected_before_work(self, tmp_path, ico_files, capsys, monkeypatch, extra):
         import fillbound.cli
@@ -417,6 +444,12 @@ class TestInputContracts:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err == "error: fillbound: unrecognized arguments: --tolerance 0\n"
+
+    def test_grid_overflow_message(self, capsys):
+        # the grid's l_max * i / steps would reach inf at i = steps
+        assert main(["hf1", "--space", "s.json", "--l-max", "1e308", "--steps", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --l-max 1e+308 times --steps 2 overflows binary64\n")
 
     def test_l_max_message(self, capsys):
         assert main(["hf1", "--space", "s.json", "--l-max", "-1"]) == 2
@@ -545,6 +578,18 @@ class TestNonFiniteGeometry:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: area of triangle (0, 2, 4) overflows binary64\n"
+
+    def test_area_underflow_exits_2(self, tmp_path, octa_files, capsys):
+        _, space_path, cycle_path = octa_files
+        doc = json.loads(open(space_path).read())
+        doc["vertices"] = [[1e-170 * x for x in p] for p in doc["vertices"]]
+        bad_path = tmp_path / "tiny.json"
+        bad_path.write_text(json.dumps(doc))
+        code = main(["fill", "--space", str(bad_path), "--cycle", cycle_path,
+                     "--radius", "0.8", "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: area of triangle (0, 2, 4) underflows binary64\n"
 
 
 class TestInvariantExit:

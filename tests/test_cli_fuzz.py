@@ -85,7 +85,7 @@ def documents(draw, valid):
 
 
 float_args = st.sampled_from([
-    "0.8", "1.2", "0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "abc", "", "2",
+    "0.8", "1.2", "0", "-1", "1e-300", "1e300", "1e308", "nan", "inf", "-inf", "abc", "", "2",
 ])
 int_args = st.sampled_from(["0", "1", "3", "-2", "x", "1.5"])
 

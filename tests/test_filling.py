@@ -22,8 +22,11 @@ from fillbound.chains import (
 )
 from fillbound.errors import CapacityError, DomainError, StructuralError
 from fillbound.filling import (
+    ABS_TOL,
+    DEFAULT_MAX_CYCLE_EDGES,
     _mass_kernel,
     _mass_table,
+    _median_fill,
     _min_mass_vector,
     _tie_slack,
     amin_upper_bound,
@@ -53,6 +56,7 @@ from conftest import (
     random_complex,
 )
 from test_chains import OCTA, OCTA_COORDS, TRIANGLE, equator_cycle
+from test_golden import octahedra_sharing_a_face, pinched_octahedra
 from test_intlin import (
     dense_column,
     dense_echelon_oracle,
@@ -844,8 +848,8 @@ class TestTieRule:
             for i, v in zip(rows, vals):
                 shifted[i] += q * v
         table = _mass_table(k, w2)
-        assert (_min_mass_vector(k, table, sparse(shifted), 10 ** 7)
-                == _min_mass_vector(k, table, sparse(x0), 10 ** 7))
+        assert (_min_mass_vector(k, table, sparse(shifted), (1,), 10 ** 7)
+                == _min_mass_vector(k, table, sparse(x0), (1,), 10 ** 7))
 
     def test_near_tie_goes_to_the_smaller_fill(self):
         # (12, -11, -2, 3) has the least mass; (4, -3, -10, 11) is heavier by
@@ -909,6 +913,133 @@ class TestTieRule:
         face = re.escape(str(OCTA.simplices(2)[bad]))
         with pytest.raises(DomainError, match=f"^triangle {face} has weight"):
             min_mass_fill(OCTA, {1: [1.0] * 12, 2: w2}, equator_cycle())
+
+
+def median_fill_oracle(x0, cols, where, big, one, totals):
+    """``_median_fill`` as it ran for one multiple: the median set-up and the
+    walk for a sparse x0, giving a sparse fill with keys ascending."""
+    weight_at = [{0: total} for total in totals]
+    least = 0
+    for i, a in x0.items():
+        if where[i] is None:
+            least += abs(a) * big[i]
+        else:
+            j, c = where[i]
+            weight_at[j][0] -= big[i]
+            weight_at[j][-a * c] = weight_at[j].get(-a * c, 0) + big[i]
+    medians = []
+    for at, total in zip(weight_at, totals):
+        points, below = sorted(at), 0
+        for k, t in enumerate(points):
+            if 2 * (below + at[t]) >= total:
+                break
+            below += at[t]
+        least += sum(w * abs(b - t) for b, w in at.items())
+        medians.append((points[:k], t, below))
+    slack = _tie_slack(one, least)
+    fill = dict(x0)
+    for (rows, vals), at, total, (lower, t, below) in zip(cols, weight_at, totals, medians):
+        rate = total - 2 * below
+        for b in reversed(lower):
+            if (t - b) * rate > slack:
+                break
+            slack -= (t - b) * rate
+            t, below = b, below - at[b]
+            rate = total - 2 * below
+        t -= slack // rate
+        slack %= rate
+        if t:
+            for i, c in zip(rows, vals):
+                fill[i] = fill.get(i, 0) + t * c
+    return {i: fill[i] for i in sorted(fill) if fill[i]}
+
+
+@st.composite
+def multiple_cases(draw):
+    """A median surface, near-tie 2-weights, the coefficients of a fill and
+    some multiples."""
+    name = draw(st.sampled_from(sorted(MEDIAN_SURFACES)))
+    n2 = MEDIAN_SURFACES[name].n_simplices(2)
+    return (name, draw(near_tie_weights(n2)),
+            draw(st.lists(st.integers(-3, 3), min_size=n2, max_size=n2)),
+            draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True)))
+
+
+class TestMultipleFills:
+    """One solve and one median set-up fill a cycle and its multiples, with
+    the fills, key orders and mass bits of filling each multiple alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=multiple_cases())
+    # half the octahedron's fundamental class F, whose other half weighs
+    # 4.8e-9 more: each unit shift of q * z's fill by -F costs 4.8e-9, and
+    # q * z has m* = 4q and slack 1e-9 * (1 + 4q), less than q times z's
+    # 5e-9, so 2z and 3z shift one step less than that slack would take
+    @example(case=("octahedron", [1.0] * 4 + [1.0 + 4.8e-9, 1.0, 1.0, 1.0],
+                   [1, -1, -1, 1, 0, 0, 0, 0], [1, 2, 3]))
+    def test_median_matches_single_fills(self, case):
+        name, w2, coeffs, multiples = case
+        k = MEDIAN_SURFACES[name]
+        z = boundary(k, Chain.from_vector(2, coeffs))
+        x0, _ = boundary_smith(k, 2).solve_with_obstruction(dict(z.items()))
+        big, one, totals = _mass_table(k, w2)
+        cols, where = _mass_kernel(k)
+        fills = _median_fill(x0, multiples, cols, where, big, one, totals)
+        assert len(fills) == len(multiples)
+        for q, fill in zip(multiples, fills):
+            want = median_fill_oracle({i: q * a for i, a in x0.items()},
+                                      cols, where, big, one, totals)
+            assert list(fill.items()) == list(want.items())
+            assert mass(w2, Chain(2, fill)).hex() == mass(w2, Chain(2, want)).hex()
+
+    @pytest.mark.parametrize("make", [octahedra_sharing_a_face, pinched_octahedra])
+    def test_profile_multiples_match_min_mass_fill(self, make, monkeypatch):
+        # the shared face runs coset_min per multiple, the pinched pair the median
+        space = make()
+        k = space.complex
+        calls = []
+        fills_of = fillbound.filling._min_mass_fills
+
+        def recorded(complex, w2, z, multiples, node_budget):
+            fills = fills_of(complex, w2, z, multiples, node_budget)
+            calls.append((z, tuple(multiples), fills))
+            return fills
+
+        monkeypatch.setattr(fillbound.filling, "_min_mass_fills", recorded)
+        hf1_profile(k, space.volumes, [0.0, 4.5, 9.0, 13.0], cycle_budget=90)
+        monkeypatch.undo()
+        assert any(len(multiples) == 3 for _, multiples, _ in calls)
+        for z, multiples, fills in calls:
+            assert len(fills) == len(multiples)
+            for q, (chain, m) in zip(multiples, fills):
+                want, want_mass = min_mass_fill(k, space.volumes, z.scale(q))
+                assert list(chain.items()) == list(want.items())
+                assert m.hex() == want_mass.hex()
+
+    def test_one_solve_per_kept_loop(self, monkeypatch):
+        space = icosphere(1)
+        k, w1 = space.complex, space.volumes[1]
+        l_max = 3.5
+        h1_is_trivial(k)  # the Smith form of d2, outside the count
+        solves = []
+        solve = fillbound.intlin.SmithDecomposition.solve_with_obstruction
+
+        def counted(self, b):
+            solves.append(b)
+            return solve(self, b)
+
+        monkeypatch.setattr(fillbound.intlin.SmithDecomposition, "solve_with_obstruction",
+                            counted)
+        prof = hf1_profile(k, space.volumes, [0.0, 2.0, l_max], cycle_budget=2000)
+        monkeypatch.undo()
+        max_edges = min(int(l_max / min(w1)) + 1, DEFAULT_MAX_CYCLE_EDGES)
+        masses = [mass(w1, path_chain(k, loop + [loop[0]]))
+                  for loop in enumerate_simple_cycles(k, max_edges, 2000)]
+        kept = [m for m in masses if m <= l_max + ABS_TOL]
+        assert 0 < len(kept) < len(masses)
+        assert len(solves) == len(kept)
+        # the census counts each kept loop's multiples: more fills than solves
+        assert dict(prof.cycle_census)[l_max] > len(kept)
 
 
 def dense_median_fill(x0, cols, where, big, one, totals):
@@ -1050,7 +1181,7 @@ class TestSparseFillDifferential:
             assert list(x0) == sorted(x0) and all(x0.values())
             assert dense_vector(x0, snf.cols) == expected[0]
             if _mass_kernel(k)[1] is not None:
-                fill = _min_mass_vector(k, _mass_table(k, w2), x0, 0)
+                fill = _min_mass_vector(k, _mass_table(k, w2), x0, (1,), 0)[0]
                 assert list(fill) == sorted(fill) and all(fill.values())
         assert fill_outcome(k, w2, z, 10 ** 5) == dense_min_mass_fill(k, w2, z, 10 ** 5)
 

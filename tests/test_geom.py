@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,20 @@ class TestMetricComplex:
     def test_area_overflow_rejected(self):
         with pytest.raises(StructuralError, match=r"area of triangle \(0, 2, 4\) overflows"):
             octahedron(1e160)
+
+    def test_area_underflow_rejected(self):
+        # the scaled area is exact, but ldexp back to 1e-340 is a subnormal 0
+        with pytest.raises(StructuralError, match=r"^area of triangle \(0, 2, 4\) underflows binary64$"):
+            octahedron(1e-170)
+
+    def test_smallest_normal_area_kept(self):
+        # the octahedron's faces have area sqrt(3)/2 * scale^2: normal at
+        # scale 2^-510, subnormal at 2^-511
+        kept = octahedron(math.ldexp(1.0, -510))
+        assert kept.triangle_areas == tuple(math.ldexp(a, -1020) for a in OCTA.triangle_areas)
+        assert min(kept.triangle_areas) >= sys.float_info.min
+        with pytest.raises(StructuralError, match="underflows binary64"):
+            octahedron(math.ldexp(1.0, -511))
 
     def test_edge_length_overflow_rejected(self):
         k = SimplicialComplex.from_simplices([(0, 1)])

@@ -6,15 +6,19 @@ PARENT and CHANGE are checkouts (each with ``src/``, ``perfbench/`` and
 ``tests/``), for instance two ``git archive`` copies.  For each seed, the
 PARENT tree writes the input documents: seven spaces (the octahedron,
 icosphere(1), icosphere(2), icosphere(3), capped_prism(6, 2), and the golden
-tests' two unit octahedra pinched at a vertex and sharing a face) and three
-``perfbench/workloads.random_cycle`` cycles on each.  Then each tree, in its
-own copy of the inputs and a fresh interpreter per command, runs
-``fill --chain-out`` on every cycle, ``hf1`` on every space and
-``bfrt-check --verbose`` once: 29 commands.  icosphere(3) brings the
-largest solves and fills, on 1,920 edges and 1,280 triangles.  Every
-command's exit code, stdout and stderr, and the bytes of every file either
-tree leaves behind, must be equal.  Each difference is printed, and the exit status is 1 if
-there is any, else 0.
+tests' two unit octahedra pinched at a vertex and sharing a face), three
+``perfbench/workloads.random_cycle`` cycles on each, and a copy of each space
+with its vertices shuffled by the seed, as ``perfbench/workloads.Hf1Ico2``
+relabels icosphere(2) (complex and coordinates only, which is what ``hf1``
+reads).  Then each tree, in its own copy of the inputs and a fresh
+interpreter per command, runs ``fill --chain-out`` on every cycle, ``hf1`` on
+every space and every shuffled copy, and ``bfrt-check --verbose`` once: 36
+commands and 106 files per seed.  The shuffled copies give each seed other
+cycle families and Smith pivots in ``hf1``.  icosphere(3) brings the largest
+solves and fills, on 1,920 edges and 1,280 triangles.  Every command's exit
+code, stdout and stderr, and the bytes of every file either tree leaves
+behind, must be equal.  Each difference is printed, and the exit status is 1
+if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ CYCLES_PER_SPACE = 3
 WRITE_INPUTS = """
 import random, sys
 from fillbound import fileio, shapes
+from fillbound.chains import SimplicialComplex
+from fillbound.geom import MetricComplex
 from test_golden import octahedra_sharing_a_face, pinched_octahedra
 from workloads import random_cycle
 
@@ -48,12 +54,27 @@ spaces = {
     "pinched_octahedra": pinched_octahedra(),
     "octahedra_sharing_a_face": octahedra_sharing_a_face(),
 }
+
+
+def shuffled(space, rng):  # the same complex and coordinates, vertex v renamed perm[v]
+    n = space.complex.n_vertices
+    perm = list(range(n))
+    rng.shuffle(perm)
+    coords = [None] * n
+    for v in range(n):
+        coords[perm[v]] = space.coords[v]
+    simplices = [tuple(perm[v] for v in s) for k in (1, 2) for s in space.complex.simplices(k)]
+    return MetricComplex(complex=SimplicialComplex.from_simplices(simplices, n_vertices=n),
+                         coords=tuple(coords))
+
+
 for name in sys.argv[3:]:
     space = spaces[name]
     fileio.save_space(f"{name}.json", space)
     rng = random.Random(f"{name}/{seed}")
     for i in range(n_cycles):
         fileio.save_chain(f"{name}_cycle{i}.json", space, random_cycle(rng, space, rng.randint(1, 3)))
+    fileio.save_space(f"{name}_shuffled.json", shuffled(space, random.Random(f"shuffle/{name}/{seed}")))
 """
 
 
@@ -64,8 +85,10 @@ def commands(seed: str) -> list[list[str]]:
             out.append(["fill", "--space", f"{name}.json", "--cycle", f"{name}_cycle{i}.json",
                         "--radius", radius, "--out", f"fill_{name}_{i}.json",
                         "--chain-out", f"chain_{name}_{i}.json"])
-        out.append(["hf1", "--space", f"{name}.json", "--l-max", "9.0", "--steps", "6",
-                    "--cycle-budget", "90", "--out", f"hf1_{name}.json", "--csv", f"hf1_{name}.csv"])
+        for space in (name, f"{name}_shuffled"):
+            out.append(["hf1", "--space", f"{space}.json", "--l-max", "9.0", "--steps", "6",
+                        "--cycle-budget", "90", "--out", f"hf1_{space}.json",
+                        "--csv", f"hf1_{space}.csv"])
     out.append(["bfrt-check", "--trials", "40", "--seed", seed, "--verbose", "--out", "bfrt.json"])
     return out
 
