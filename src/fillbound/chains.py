@@ -12,10 +12,11 @@ the integer algebra.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import DomainError, StructuralError
-from .intlin import IntMatrix
+from .intlin import IntMatrix, _axpy
 
 T = TypeVar("T")
 
@@ -185,7 +186,8 @@ class Chain:
 
     Keys of ``coeffs`` are simplex indices within the ambient complex;
     values are nonzero integers.  Chains are value objects: arithmetic
-    returns new instances.
+    returns new instances.  Sums go through ``intlin._axpy``, so an entry
+    that cancels is dropped and a new one is appended, in that item order.
     """
 
     __slots__ = ("dim", "_c")
@@ -206,6 +208,15 @@ class Chain:
         self._c = clean
 
     @classmethod
+    def _of(cls, dim: int, coeffs: dict[int, int]) -> "Chain":
+        """The chain that takes ``coeffs`` as it is: a dict the library has
+        built, of valid indices and nonzero integers, owned by no one else."""
+        res = cls.__new__(cls)
+        res.dim = dim
+        res._c = coeffs
+        return res
+
+    @classmethod
     def zero(cls, dim: int) -> "Chain":
         return cls(dim)
 
@@ -222,39 +233,26 @@ class Chain:
     def is_zero(self) -> bool:
         return not self._c
 
-    def __add__(self, other: "Chain") -> "Chain":
+    def _plus(self, other: "Chain", q: int) -> "Chain":
         if self.dim != other.dim:
             raise StructuralError("cannot add chains of different dimensions")
         out = dict(self._c)
-        for idx, a in other._c.items():
-            s = out.get(idx, 0) + a
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
-        res = Chain.__new__(Chain)
-        res.dim = self.dim
-        res._c = out
-        return res
+        _axpy(out, other._c.items(), q)
+        return Chain._of(self.dim, out)
 
-    def __neg__(self) -> "Chain":
-        res = Chain.__new__(Chain)
-        res.dim = self.dim
-        res._c = {i: -a for i, a in self._c.items()}
-        return res
+    def __add__(self, other: "Chain") -> "Chain":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Chain":
+        return self.scale(-1)
 
     def scale(self, n: int) -> "Chain":
         if not isinstance(n, int):
             raise StructuralError("scale factor must be an integer")
-        if n == 0:
-            return Chain(self.dim)
-        res = Chain.__new__(Chain)
-        res.dim = self.dim
-        res._c = {i: n * a for i, a in self._c.items()}
-        return res
+        return Chain._of(self.dim, {i: n * a for i, a in self._c.items()} if n else {})
 
     def __mul__(self, n: int) -> "Chain":
         return self.scale(n)
@@ -320,7 +318,8 @@ def path_chain(complex: SimplicialComplex, path: Sequence[int]) -> Chain:
         else:
             idx, sgn = complex.index_of(1, (b, a)), -1
         acc[idx] = acc.get(idx, 0) + sgn
-    return Chain(1, acc)
+    # a -> b -> a keeps its key where it first came, so drop the zeros last
+    return Chain._of(1, {i: a for i, a in acc.items() if a})
 
 
 def _check_chain(complex: SimplicialComplex, c: Chain):
@@ -332,12 +331,14 @@ def _check_chain(complex: SimplicialComplex, c: Chain):
             )
 
 
-def face_table(complex: SimplicialComplex, k: int) -> list[tuple[int, ...]]:
-    """Per k-simplex [v0..vk], the indices of its faces [v0..v̂j..vk] for
-    j = 0..k, so in sign order (+, -, +, ...); cached per complex and k."""
+def face_table(complex: SimplicialComplex, k: int) -> list[tuple[tuple[int, int], ...]]:
+    """Per k-simplex [v0..vk], its faces [v0..v̂j..vk] for j = 0..k as
+    (index, sign) pairs, the signs alternating (+, -, +, ...); cached per
+    complex and k."""
 
     def build():
-        return [tuple(complex.index_of(k - 1, s[:j] + s[j + 1:]) for j in range(len(s)))
+        return [tuple((complex.index_of(k - 1, s[:j] + s[j + 1:]), (-1) ** j)
+                      for j in range(len(s)))
                 for s in complex.simplices(k)]
 
     return cached(complex, ("faces", k), build)
@@ -355,17 +356,8 @@ def boundary(complex: SimplicialComplex, c: Chain) -> Chain:
     table = face_table(complex, c.dim)
     acc: dict[int, int] = {}
     for idx, a in c._c.items():
-        for f in table[idx]:
-            val = acc.get(f, 0) + a
-            if val:
-                acc[f] = val
-            else:
-                acc.pop(f, None)
-            a = -a  # the faces alternate in sign
-    res = Chain.__new__(Chain)
-    res.dim = c.dim - 1
-    res._c = acc
-    return res
+        _axpy(acc, table[idx], a)
+    return Chain._of(c.dim - 1, acc)
 
 
 def boundary_matrix(complex: SimplicialComplex, k: int) -> IntMatrix:
@@ -380,11 +372,9 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> IntMatrix:
     if k < 1 or k > complex.dimension:
         raise DomainError(f"boundary matrix order {k} out of range")
     mat = IntMatrix.zeros(complex.n_simplices(k - 1), complex.n_simplices(k))
-    for j, face_ids in enumerate(face_table(complex, k)):
-        sign = 1
-        for i in face_ids:
+    for j, faces in enumerate(face_table(complex, k)):
+        for i, sign in faces:
             mat._r[i][j] = sign
-            sign = -sign
     return mat
 
 
@@ -392,15 +382,16 @@ def mass(weights: Sequence[float], c: Chain) -> float:
     """Weighted l1 norm: sum_i |a_i| * vol(sigma_i).
 
     ``weights`` are the volumes of all simplices of dimension c.dim, indexed
-    like the canonical simplex order.  Zero iff the chain is zero.
+    like the canonical simplex order.  Zero iff the chain is zero.  A weight
+    it reads that is not finite and positive is a DomainError.
     """
     total = 0.0
     for idx, a in c.items():
         if idx >= len(weights):
             raise StructuralError(f"no weight for simplex index {idx}")
         w = weights[idx]
-        if not w > 0:
-            raise DomainError(f"nonpositive weight {w} for simplex {idx}")
+        if not 0 < w < math.inf:
+            raise DomainError(f"simplex {idx} has weight {w}, which is not finite and positive")
         total += abs(a) * w
     return total
 

@@ -14,9 +14,10 @@ homological filling function.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .chains import Chain, SimplicialComplex, boundary_matrix, cached, mass, path_chain
 from .errors import CapacityError, DomainError, InvariantError
@@ -387,24 +388,23 @@ def min_mass_fill(
 class Hf1Profile:
     """Lower envelope of the first homological filling function.
 
-    ``samples`` holds (l, estimate) pairs where the estimate is the largest
-    exact minimum filling mass among enumerated cycles of mass <= l; it is a
-    LOWER estimate of HF1(l), as recorded in ``estimate_kind``.  The fitted
-    line f1 * l + f2 dominates every sample.
+    ``samples`` holds (l, estimate) pairs, l ascending, where the estimate
+    is the largest exact minimum filling mass among enumerated cycles of
+    mass <= l, so the estimates never decrease; it is a LOWER estimate of
+    HF1(l), as ``estimate_kind`` says.  The fitted line f1 * l + f2
+    dominates every sample.
     """
 
     samples: tuple[tuple[float, float], ...]
     fitted_f1: float
     fitted_f2: float
     cycle_census: tuple[tuple[float, int], ...]
-    estimate_kind: str = "lower"
+    estimate_kind: ClassVar[str] = "lower"
 
     def estimate_at(self, l: float) -> float:
-        best = 0.0
-        for li, ei in self.samples:
-            if li <= l + ABS_TOL:
-                best = max(best, ei)
-        return best
+        """The staircase at l: the last sample at most l + ABS_TOL, else 0."""
+        i = bisect.bisect_right(self.samples, l + ABS_TOL, key=lambda s: s[0])
+        return self.samples[i - 1][1] if i else 0.0
 
 
 def enumerate_simple_cycles(
@@ -506,25 +506,27 @@ def hf1_profile(
     multiples up to mass l (capped at x3).  A smaller family only lowers the
     estimate, which keeps its direction honest.  Each kept cycle and its
     multiples are filled from one Smith solve and, on the median path, one
-    median set-up; each fill is ``min_mass_fill``'s of that multiple.
+    median set-up; each fill is ``min_mass_fill``'s of that multiple.  A
+    1-weight that is not finite and positive is a DomainError naming its
+    edge.  One sweep of the grid over the members sorted by mass gives the
+    samples and the census (``_staircase``).
     """
     if not h1_is_trivial(complex):
         raise DomainError("H1 is nontrivial: some 1-cycle does not bound")
     grid = sorted(set(float(l) for l in l_grid))
     if not grid:
         raise DomainError("empty length grid")
-    w1 = weights[1]
+    w1 = weights[1][:complex.n_simplices(1)]
+    for edge, w in zip(complex.simplices(1), w1):
+        if not 0 < w < math.inf:
+            raise DomainError(f"edge {edge} has weight {w}, which is not finite and positive")
     l_max = grid[-1]
-    min_edge = min(w1) if len(w1) else 1.0
-    ratio = l_max / min_edge if l_max > 0 else 0.0  # inf when the quotient overflows
-    if ratio >= DEFAULT_MAX_CYCLE_EDGES:
-        max_edges = DEFAULT_MAX_CYCLE_EDGES
-    else:
-        max_edges = max(3, int(ratio) + 1)
-    loops = enumerate_simple_cycles(complex, max_edges, cycle_budget)
+    ratio = l_max / min(w1, default=1.0) if l_max > 0 else 0.0  # inf when the quotient overflows
+    max_edges = (DEFAULT_MAX_CYCLE_EDGES if ratio >= DEFAULT_MAX_CYCLE_EDGES
+                 else max(3, int(ratio) + 1))
 
     members: list[tuple[float, float]] = []  # (mass, exact fill mass)
-    for loop in loops:
+    for loop in enumerate_simple_cycles(complex, max_edges, cycle_budget):
         z = path_chain(complex, loop + [loop[0]])
         m1 = mass(w1, z)
         multiples = [q for q in range(1, MAX_CYCLE_MULTIPLE + 1) if q * m1 <= l_max + ABS_TOL]
@@ -533,25 +535,25 @@ def hf1_profile(
         fills = _min_mass_fills(complex, weights[2], z, multiples, DEFAULT_NODE_BUDGET)
         members += [(q * m1, fill_mass) for q, (_, fill_mass) in zip(multiples, fills)]
 
-    samples = []
-    census = []
+    samples, census = _staircase(members, grid)
+    return Hf1Profile(samples, *_fit_upper_line(samples), census)
+
+
+def _staircase(members: Sequence[tuple[float, float]],
+               grid: Sequence[float]) -> tuple[tuple, tuple]:
+    """(samples, census) on an ascending grid: per l, the largest fill mass
+    of the members (mass, fill mass) of mass at most l + ABS_TOL, and their
+    count.  One sweep of the grid over the members sorted by mass."""
+    members = sorted(members)
+    samples, census = [], []
+    est, count = 0.0, 0
     for l in grid:
-        est = 0.0
-        count = 0
-        for m1, fm in members:
-            if m1 <= l + ABS_TOL:
-                count += 1
-                est = max(est, fm)
+        while count < len(members) and members[count][0] <= l + ABS_TOL:
+            est = max(est, members[count][1])
+            count += 1
         samples.append((l, est))
         census.append((l, count))
-
-    f1, f2 = _fit_upper_line(samples)
-    return Hf1Profile(
-        samples=tuple(samples),
-        fitted_f1=f1,
-        fitted_f2=f2,
-        cycle_census=tuple(census),
-    )
+    return tuple(samples), tuple(census)
 
 
 def _fit_upper_line(samples: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Mapping, Optional, Sequence
@@ -33,6 +34,7 @@ from .filling import (
     h1_is_trivial,
     min_mass_fill,
 )
+from .intlin import _axpy
 
 
 def _heron(p, q, r) -> Optional[float]:
@@ -428,11 +430,10 @@ class GeodesicGraph:
 
     def realize(self, space: MetricComplex, graph_chain: Chain) -> Chain:
         """Skeleton 1-chain realizing a chain on graph edges."""
-        total = Chain.zero(1)
+        total: dict[int, int] = {}
         for idx, coeff in graph_chain.items():
-            e = self.edges[idx]
-            total = total + path_chain(space.complex, e.path).scale(coeff)
-        return total
+            _axpy(total, path_chain(space.complex, self.edges[idx].path).items(), coeff)
+        return Chain._of(1, total)
 
 
 def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
@@ -475,7 +476,7 @@ def peel_content(c: Chain) -> tuple[int, Chain]:
     for _, a in c.items():
         g = math.gcd(g, abs(a))
     content = g if g else 1
-    return content, Chain(c.dim, {i: a // content for i, a in c.items()})
+    return content, Chain._of(c.dim, {i: a // content for i, a in c.items()})
 
 
 def chain_to_closed_walks(complex: SimplicialComplex, c: Chain) -> list[list[int]]:
@@ -560,13 +561,13 @@ def fill_walk_on_faces(complex: SimplicialComplex, walk: Sequence[int]) -> Optio
 
 def fill_loop_locally(space: MetricComplex, loop: Chain) -> Optional[Chain]:
     """Face-reduction fill of a 1-cycle, walk by walk; None when blocked."""
-    total = Chain.zero(2)
+    total: dict[int, int] = {}
     for walk in chain_to_closed_walks(space.complex, loop):
         part = fill_walk_on_faces(space.complex, walk)
         if part is None:
             return None
-        total = total + part
-    return total
+        _axpy(total, part.items(), 1)
+    return Chain._of(2, total)
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +613,9 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
             raise DomainError(f"no path from {(u, v)} to apex {apex}")
         if parent[u] == v or parent[v] == u:
             continue
-        flat = cached(space, ("wedge", apex, idx), lambda: wedge_fill(idx, u, v))
-        for i in range(0, len(flat), 2):
-            t = flat[i]
-            s = acc.get(t, 0) + a * flat[i + 1]
-            if s:
-                acc[t] = s
-            else:
-                acc.pop(t, None)
-    total = Chain(2, acc)
+        flat = iter(cached(space, ("wedge", apex, idx), lambda: wedge_fill(idx, u, v)))
+        _axpy(acc, zip(flat, flat), a)  # (triangle, coefficient) pairs
+    total = Chain._of(2, acc)
     if boundary(space.complex, total) != loop:
         raise InvariantError("cone fill has the wrong boundary")
     return total
@@ -669,7 +664,7 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
         )
     edges = space.complex.simplices(1)
     cur = c
-    total = Chain.zero(2)
+    total: dict[int, int] = {}
     rounds = 0
     while True:
         support_vertices = set()
@@ -683,7 +678,7 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
             raise StructuralError("radial projection does not terminate")
         succ = _successor_map(space, above)
         next_acc: dict[int, int] = {}
-        sweep = Chain.zero(2)
+        sweep: dict[int, int] = {}
         for idx, a in sorted(cur.items()):
             u, v = edges[idx]
             pu = succ.get(u, u)
@@ -708,18 +703,15 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
                     f"swept cell of edge {(u, v)} is not filled by faces: "
                     "neck is not vertically structured"
                 )
-            sweep = sweep + part.scale(a)
-            if pu != pv:
-                if pu < pv:
-                    jdx, sgn = space.complex.index_of(1, (pu, pv)), 1
-                else:
-                    jdx, sgn = space.complex.index_of(1, (pv, pu)), -1
+            _axpy(sweep, part.items(), a)
+            for jdx, sgn in path_chain(space.complex, (pu, pv)).items():
                 next_acc[jdx] = next_acc.get(jdx, 0) + sgn * a
         cur = Chain(1, next_acc)
-        total = total + sweep
-    if boundary(space.complex, total) != c - cur:
+        _axpy(total, sweep.items(), 1)
+    swept = Chain._of(2, total)
+    if boundary(space.complex, swept) != c - cur:
         raise InvariantError("neck sweep has the wrong boundary")
-    return cur, total
+    return cur, swept
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +765,7 @@ def _pair_junctions(space, neck_label, balance) -> Chain:
     for v in sorted(balance):
         pos, neg = groups.setdefault(space.region[v], ([], []))
         (pos if balance[v] > 0 else neg).extend([v] * abs(balance[v]))
-    connectors = Chain.zero(1)
+    connectors: dict[int, int] = {}
     # bodies in sorted order, each one's vertices ascending: (body, vertex) order
     leftovers_pos: list[int] = []
     leftovers_neg: list[int] = []
@@ -782,13 +774,13 @@ def _pair_junctions(space, neck_label, balance) -> Chain:
         # prefer connectors along the interface ring itself
         ring = frozenset(v for v in star if space.region[v] == body)
         for p, q in zip(pos, neg):
-            connectors = connectors + connect(p, q, ring, star)
+            _axpy(connectors, connect(p, q, ring, star).items(), 1)
         n_pairs = min(len(pos), len(neg))
         leftovers_pos += pos[n_pairs:]
         leftovers_neg += neg[n_pairs:]
     for p, q in zip(leftovers_pos, leftovers_neg):
-        connectors = connectors + connect(p, q, star)
-    return connectors
+        _axpy(connectors, connect(p, q, star).items(), 1)
+    return Chain._of(1, connectors)
 
 
 def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
@@ -814,7 +806,7 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
     content, c_red = peel_content(c)
 
     pieces: list[tuple[str, Chain]] = []
-    remainder = c_red
+    remainder = dict(c_red.items())
     for _ in range(len(labels) + 1):
         neck_edges: dict[str, dict[int, int]] = {}
         for idx, a in remainder.items():
@@ -831,7 +823,7 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
             if not boundary(space.complex, piece).is_zero():
                 raise InvariantError(f"closed neck piece {label} is not a cycle")
             pieces.append((label, piece))
-            remainder = remainder - piece
+            _axpy(remainder, piece.items(), -1)
     else:
         raise DomainError("region decomposition did not stabilize")
 
@@ -847,10 +839,10 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
             raise InvariantError(f"body piece {label} is not a cycle")
         pieces.append((label, piece))
     pieces = [(label, piece.scale(content)) for label, piece in pieces]
-    total = Chain.zero(1)
+    total: dict[int, int] = {}
     for _, piece in pieces:
-        total = total + piece
-    if total != c:
+        _axpy(total, piece.items(), 1)
+    if Chain._of(1, total) != c:
         raise InvariantError("region pieces do not sum to the cycle")
     return sorted(pieces, key=lambda p: p[0])
 
@@ -926,7 +918,7 @@ def project_cycle_to_graph(
         return path_chain(k, tree_path(set_tree(si)[1], vertex))
 
     graph_acc: dict[int, int] = {}
-    e1 = Chain.zero(2)
+    e1: dict[int, int] = {}
 
     for walk in chain_to_closed_walks(k, c_red):
         # maximal cyclic runs of one cover set
@@ -936,7 +928,7 @@ def project_cycle_to_graph(
             runs[0] = (runs[0][0], last[1] + runs[0][1])
 
         if len(runs) == 1:
-            e1 = e1 + cone_fill(space, path_chain(k, walk), cover.centers[runs[0][0]])
+            _axpy(e1, cone_fill(space, path_chain(k, walk), cover.centers[runs[0][0]]).items(), 1)
             continue
 
         p = len(runs)
@@ -949,8 +941,10 @@ def project_cycle_to_graph(
             arc_chain = path_chain(k, [v_start] + [v for _, v in arc_steps])
             t_i = spoke(si, v_start)          # center_i -> start junction
             u_i = -spoke(si, v_end)           # end junction -> center_i
-            loop_a = t_i + arc_chain + u_i
-            e1 = e1 + cone_fill(space, loop_a, cover.centers[si])
+            loop_a = dict(t_i.items())
+            _axpy(loop_a, arc_chain.items(), 1)
+            _axpy(loop_a, u_i.items(), 1)
+            _axpy(e1, cone_fill(space, Chain._of(1, loop_a), cover.centers[si]).items(), 1)
 
             pair = (min(si, sj), max(si, sj))
             if not graph.nerve.has_simplex(1, pair):
@@ -964,11 +958,13 @@ def project_cycle_to_graph(
             gamma = graph.realize(space, Chain(1, {eidx: sign}))
             t_next = spoke(sj, v_end)
             # closed walk v_end -> center_i -> center_j -> v_end
-            loop_b = u_i + gamma + t_next
-            e1 = e1 - cone_fill(space, loop_b, v_end)
+            loop_b = dict(u_i.items())
+            _axpy(loop_b, gamma.items(), 1)
+            _axpy(loop_b, t_next.items(), 1)
+            _axpy(e1, cone_fill(space, Chain._of(1, loop_b), v_end).items(), -1)
 
     c_graph = Chain(1, graph_acc).scale(content)
-    e1 = e1.scale(content)
+    e1 = Chain._of(2, e1).scale(content)
     realized = graph.realize(space, c_graph)
     if boundary(k, e1) != c - realized:
         raise InvariantError("E1 projection fill has the wrong boundary")
@@ -1037,8 +1033,17 @@ def _finite_or_none(bound: float) -> Optional[float]:
     return bound if math.isfinite(bound) else None
 
 
-def _tagged(stage: str, err: FillboundError) -> FillboundError:
-    return type(err)(f"{stage}: {err}")
+@contextmanager
+def _stage(timing: dict[str, float], tag: str):
+    """Run one pipeline stage: a FillboundError it raises is re-raised with
+    the same type and the message prefixed by ``tag`` ("E0/decompose"), and
+    its wall time goes to ``timing`` under the tag's lower-cased stage ("e0")."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except FillboundError as err:
+        raise type(err)(f"{tag}: {err}") from err
+    timing[tag.split("/")[0].lower()] = time.perf_counter() - t0
 
 
 def _child_interface_level(space: MetricComplex, neck_label: str) -> float:
@@ -1084,17 +1089,16 @@ def pipeline_fill(
     warnings = list(cover.warnings)
 
     # stage E0: reduce to bodies
-    t0 = time.perf_counter()
-    e0 = Chain.zero(2)
+    e0: dict[int, int] = {}
     c_body = c
-    if space.region is not None and not c.is_zero():
-        try:
+    with _stage(timing, "E0/decompose"):
+        if space.region is not None and not c.is_zero():
             pieces = decompose_cycle(space, c)
             if space.mass1(c) > 0:
                 constants["decompose_mass_ratio"] = (
                     sum(space.mass1(p) for _, p in pieces) / space.mass1(c)
                 )
-            c_body = Chain.zero(1)
+            body: dict[int, int] = {}
             for label, piece in pieces:
                 if is_neck_label(label):
                     if space.radial is None:
@@ -1102,33 +1106,24 @@ def pipeline_fill(
                             "neck regions need a radial field for contraction"
                         )
                     target = _child_interface_level(space, label)
-                    contracted, swept = neck_contract(space, piece, target)
-                    e0 = e0 + swept
-                    c_body = c_body + contracted
-                else:
-                    c_body = c_body + piece
-        except FillboundError as err:
-            raise _tagged("E0/decompose", err) from err
-    timing["e0"] = time.perf_counter() - t0
+                    piece, swept = neck_contract(space, piece, target)
+                    _axpy(e0, swept.items(), 1)
+                _axpy(body, piece.items(), 1)
+            c_body = Chain._of(1, body)
 
     # stage E1: reroute through the geodesic graph (cached per cover)
-    t0 = time.perf_counter()
-    try:
+    with _stage(timing, "E1/project"):
         graph = cached(cover, "graph", lambda: geodesic_graph(space, cover))
         c_graph, e1, proj = project_cycle_to_graph(space, cover, graph, c_body)
-    except FillboundError as err:
-        raise _tagged("E1/project", err) from err
-    if proj.length_ratio is not None:
-        constants["graph_length_ratio"] = proj.length_ratio
-        constants["graph_area_ratio"] = proj.area_ratio
-    timing["e1"] = time.perf_counter() - t0
+        if proj.length_ratio is not None:
+            constants["graph_length_ratio"] = proj.length_ratio
+            constants["graph_area_ratio"] = proj.area_ratio
 
     # stage E2: combinatorial fill on the nerve plus geodesic-triangle lifts
-    t0 = time.perf_counter()
     certificate: Optional[FillCertificate] = None
-    e2 = Chain.zero(2)
-    if not c_graph.is_zero():
-        try:
+    e2: dict[int, int] = {}
+    with _stage(timing, "E2/nerve-fill"):
+        if not c_graph.is_zero():
             mass1_c = space.mass1(c)
             if mass1_c > 0:
                 constants["nerve_coeff_per_length"] = c_graph.max_abs() / mass1_c
@@ -1138,12 +1133,12 @@ def pipeline_fill(
                 # the realized boundary (j,l) - (i,l) + (i,j), coned from set i
                 loop = graph.realize(space, boundary(graph.nerve, Chain(2, {tidx: 1})))
                 apex = graph.centers[triangles[tidx][0]]
-                e2 = e2 + cone_fill(space, loop, apex).scale(coeff)
-        except FillboundError as err:
-            raise _tagged("E2/nerve-fill", err) from err
-    timing["e2"] = time.perf_counter() - t0
+                _axpy(e2, cone_fill(space, loop, apex).items(), coeff)
 
-    total = e0 + e1 + e2
+    total = dict(e0)
+    _axpy(total, e1.items(), 1)
+    _axpy(total, e2.items(), 1)
+    e0, e2, total = Chain._of(2, e0), Chain._of(2, e2), Chain._of(2, total)
     if boundary(space.complex, total) != c:
         raise InvariantError("pipeline produced a chain with the wrong boundary")
 

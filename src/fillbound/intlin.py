@@ -39,7 +39,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, DomainError, StructuralError
 
@@ -247,9 +247,13 @@ class SmithDecomposition:
         return self._v_cols[self.rank:]
 
 
-def _axpy(dst: dict, src: dict, q: int) -> None:
-    """dst += q * src for sparse vectors kept free of zeros."""
-    for c, x in src.items():
+def _axpy(dst: dict, pairs: Iterable[tuple[int, int]], q: int) -> None:
+    """dst += q * src, for the (index, value) pairs of src and a nonzero q.
+
+    The package's one sparse sum: dst is kept free of zeros, so an entry
+    that cancels is deleted and a new one is appended.  Chains and their
+    masses depend on that item order."""
+    for c, x in pairs:
         y = dst.get(c, 0) + q * x
         if y:
             dst[c] = y
@@ -331,8 +335,8 @@ def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
                     continue
                 q = x // piv
                 if q:
-                    _axpy(d[i], d[t], -q)
-                    _axpy(u[i], u[t], -q)
+                    _axpy(d[i], d[t].items(), -q)
+                    _axpy(u[i], u[t].items(), -q)
                 if pc in d[i]:
                     swap_rows(i, t)
                     restart = True
@@ -344,7 +348,7 @@ def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
                 x = row.pop(phys[j])
                 q = x // piv
                 if q:
-                    _axpy(v[j], v[t], -q)
+                    _axpy(v[j], v[t].items(), -q)
                 if x % piv:
                     row[phys[j]] = x % piv
                     swap_cols(j, t)
@@ -361,8 +365,8 @@ def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
             )
             if offender is None:
                 break
-            _axpy(d[t], d[offender], 1)
-            _axpy(u[t], u[offender], 1)
+            _axpy(d[t], d[offender].items(), 1)
+            _axpy(u[t], u[offender].items(), 1)
         t += 1
 
     u_cols: list = [([], []) for _ in range(lrows)]
@@ -516,13 +520,12 @@ def column_echelon_basis(cols: list) -> list:
         while len(live) > 1:
             live.sort(key=lambda j: (abs(work[j][1][0]), j))
             j0 = live[0]
-            base = dict(zip(*work[j0]))
             pivot_val = work[j0][1][0]
             for j in live[1:]:
                 q = work[j][1][0] // pivot_val
                 if q:
                     col = dict(zip(*work[j]))
-                    _axpy(col, base, -q)
+                    _axpy(col, zip(*work[j0]), -q)
                     rows = sorted(col)
                     work[j] = (rows, [col[i] for i in rows])
             live = [j for j in live if work[j][0][0] == row]

@@ -94,7 +94,7 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     out = IntMatrix(a.rows, b.cols)
     for row, acc in zip(a._r, out._r):
         for k, x in row.items():
-            _axpy(acc, b._r[k], x)
+            _axpy(acc, b._r[k].items(), x)
     return out
 
 

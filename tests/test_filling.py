@@ -24,10 +24,12 @@ from fillbound.errors import CapacityError, DomainError, StructuralError
 from fillbound.filling import (
     ABS_TOL,
     DEFAULT_MAX_CYCLE_EDGES,
+    Hf1Profile,
     _mass_kernel,
     _mass_table,
     _median_fill,
     _min_mass_vector,
+    _staircase,
     _tie_slack,
     amin_upper_bound,
     boundary_smith,
@@ -1296,6 +1298,63 @@ class TestHf1Profile:
         circle = SimplicialComplex.from_simplices([(0, 1), (1, 2), (0, 2)])
         with pytest.raises(DomainError):
             hf1_profile(circle, {1: [1.0] * 3, 2: []}, [1.0], cycle_budget=10)
+
+    @pytest.mark.parametrize("w", [0.0, math.inf])
+    def test_bad_edge_weight_rejected(self, w):
+        # a zero weight divided l_max (ZeroDivisionError); an infinite one
+        # dropped every cycle through its edge (census 6 and 37, not 8 and 58)
+        space = octahedron(1.0)
+        w1 = list(space.edge_lengths)
+        w1[3] = w
+        with pytest.raises(DomainError, match=r"edge \(0, 5\) has weight .* not finite and positive"):
+            hf1_profile(space.complex, {1: w1, 2: space.triangle_areas}, [0.0, 5.0, 9.0],
+                        cycle_budget=50)
+
+    def test_valid_edge_census(self):
+        # the census the infinite-weight case above got wrong
+        space = octahedron(1.0)
+        prof = hf1_profile(space.complex, space.volumes, [0.0, 5.0, 9.0], cycle_budget=50)
+        assert [n for _, n in prof.cycle_census] == [0, 8, 58]
+
+
+def double_loop_staircase(members, grid):
+    """``hf1_profile``'s samples and census as it found them before the
+    sweep: every grid point scans every member."""
+    samples, census = [], []
+    for l in grid:
+        est, count = 0.0, 0
+        for m1, fm in members:
+            if m1 <= l + ABS_TOL:
+                count += 1
+                est = max(est, fm)
+        samples.append((l, est))
+        census.append((l, count))
+    return tuple(samples), tuple(census)
+
+
+def max_loop_estimate(samples, l):
+    """``Hf1Profile.estimate_at`` before it read the staircase by bisection."""
+    best = 0.0
+    for li, ei in samples:
+        if li <= l + ABS_TOL:
+            best = max(best, ei)
+    return best
+
+
+class TestStaircaseDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sweep_matches_double_loop(self, data):
+        grid = sorted(set(data.draw(st.lists(st.floats(0, 20), min_size=1, max_size=10))))
+        # masses on a grid point, exactly at l + ABS_TOL, just past it, or anywhere
+        at_edge = [x for l in grid for x in (l, l + ABS_TOL, math.nextafter(l + ABS_TOL, math.inf))]
+        m1 = st.one_of(st.sampled_from(at_edge), st.floats(0, 25))
+        members = data.draw(st.lists(st.tuples(m1, st.floats(0, 50)), max_size=30))
+        samples, census = _staircase(members, grid)
+        assert (samples, census) == double_loop_staircase(members, grid)
+        prof = Hf1Profile(samples, 0.0, 0.0, census)
+        for l in at_edge + [x - ABS_TOL for x in at_edge] + [-1.0, 30.0]:
+            assert prof.estimate_at(l) == max_loop_estimate(samples, l)
 
 
 def eager_hop_cycles(complex, max_edges, limit):

@@ -953,6 +953,17 @@ class TestProjection:
 
 
 class TestPipeline:
+    def test_stage_error_keeps_type_and_cause(self):
+        z = cycle_from_loop(TWO_NECKS, [9, 41, 8, 30, 17, 16, 15, 22])
+        with pytest.raises(DomainError, match="^E0/decompose: region decomposition did not "
+                           "stabilize$") as info:
+            pipeline_fill(TWO_NECKS, ball_cover(TWO_NECKS, 0.8), z)
+        assert type(info.value.__cause__) is DomainError
+
+    def test_stage_timings(self):
+        _, report = pipeline_fill(OCTA, ball_cover(OCTA, 0.8), octa_equator())
+        assert list(report.timing) == ["e0", "e1", "e2", "total"]
+
     def test_zero_cycle(self):
         cover = ball_cover(OCTA, 0.8)
         e, report = pipeline_fill(OCTA, cover, Chain.zero(1))

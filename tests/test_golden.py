@@ -26,6 +26,8 @@ from fillbound.fileio import save_chain, save_space
 from fillbound.geom import MetricComplex
 from fillbound.shapes import capped_prism, icosphere, octahedron
 
+from test_geom import tall_composite
+
 
 def pinched_octahedra() -> MetricComplex:
     """Two unit octahedra, the second at (2 - x, y, z): they meet only at
@@ -64,6 +66,7 @@ SPACES = {
     "icosphere1": (lambda: icosphere(1, 1.0), "0.8"),
     "icosphere2": (lambda: icosphere(2, 1.0), "0.8"),
     "pinched_octahedra": (pinched_octahedra, "0.8"),
+    "tall_composite": (lambda: tall_composite()[0], "1.2"),
 }
 
 FILL_DIGESTS = {
@@ -99,6 +102,10 @@ FILL_DIGESTS = {
         "ee787bc6f1eb253712ca512cd41359c636a659d4db767fc2fc2174619e6b12ae",
     ("octahedron", 4):
         "eba8b1c6aff5d7b82f391539dcd683f7916e1584f882884f125225d41ef9c83b",
+    # three bodies and two necks: the cycle decomposes into both necks, so
+    # E0 sums two contractions, and it reaches E2
+    ("tall_composite", 0):
+        "37747756de11325be941a5645b09d56bca841a43e894a5a9d4949b8ad7c37b99",
 }
 
 HF1_DIGEST = "e32036e7a0ba3109b6781005d70a847f4fa4e11c6041df9b5faf077d62b755b1"
