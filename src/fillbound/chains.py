@@ -382,16 +382,24 @@ def mass(weights: Sequence[float], c: Chain) -> float:
     """Weighted l1 norm: sum_i |a_i| * vol(sigma_i).
 
     ``weights`` are the volumes of all simplices of dimension c.dim, indexed
-    like the canonical simplex order.  Zero iff the chain is zero.  A weight
-    it reads that is not finite and positive is a DomainError.
+    like the canonical simplex order.  The mass is the correctly rounded sum
+    (``math.fsum``) of the binary64 terms ``abs(a_i) * w_i``, so it depends
+    on the chain alone, not on its item order.  Zero iff the chain is zero.
+    A weight it reads that is not finite and positive is a DomainError, and
+    so is a mass whose terms or sum overflow binary64.
     """
-    total = 0.0
-    for idx, a in c.items():
-        if idx >= len(weights):
-            raise StructuralError(f"no weight for simplex index {idx}")
-        w = weights[idx]
-        if not 0 < w < math.inf:
-            raise DomainError(f"simplex {idx} has weight {w}, which is not finite and positive")
-        total += abs(a) * w
+    terms = []
+    try:
+        for idx, a in c.items():
+            if idx >= len(weights):
+                raise StructuralError(f"no weight for simplex index {idx}")
+            w = weights[idx]
+            if not 0 < w < math.inf:
+                raise DomainError(f"simplex {idx} has weight {w}, which is not finite and positive")
+            terms.append(abs(a) * w)
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"the mass of a {c.dim}-chain overflows binary64")
     return total
-

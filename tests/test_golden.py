@@ -71,29 +71,29 @@ SPACES = {
 
 FILL_DIGESTS = {
     ("capped_prism", 0):
-        "75827e6478457b22f4a6d6d9d4825dd9f59bf22bb8a8364fa732201bb845df44",
+        "a35ce852cef895cc042a93e96690d9f6eb25f54b57db2da661065b53c8853d9b",
     ("capped_prism", 1):
         "932105d310ec7552c85d2a0d238c4b1442a3364eeedc5025529478f4bbc16c05",
     ("capped_prism", 2):
         "464b24e8cfd4052a97e6642198bd604cde3f9496cc56fafcd3b8cc407d1dbfed",
     ("capped_prism", 3):
-        "94902defcec7b58b423138400164aa8ffa47d2ebacc05c06ba73e0779589e2c8",
+        "38710015d148f107c597981bfc52e3b792057b9c9eb81d0e749e250d52600cb6",
     ("icosphere1", 0):
-        "18296cfe836561d742c383dc7654e84a30be24e70456372e91052d8ecab05b42",
+        "c3d7063c20d6d6fe24ff05eb7d733994f548e2a2f27cb36cce92d19af667aa11",
     ("icosphere1", 1):
         "1d4b7bb3c1b119b827e2b921c17e0ba41790d59381b21343beb9a98d90c9ecaf",
     ("icosphere1", 2):
-        "781b7e4d664a43e66eb7a8b32cabdc70cd83b7a942eae676936a4e0fb79cdfb2",
+        "55b458aa86e328af0a7fe9580c705cd4e2d6a88849f05c1919253bbdf4518f6d",
     ("icosphere1", 3):
-        "8acdad57042995c1e066cb7846492a47bd6944d156c5534c7e579c92c0151463",
+        "2768ea75babcb883106a526a89e8c8718b6ad5d866248a47d6272ace58de2370",
     # the nerve's boundary kernel has dimension 298 here, so these fills take
     # the greedy max-norm reduction, which changes each Smith solution
     ("icosphere2", 0):
-        "c80fd3919e6036083d36ea4e622fccffcbf6a816a6fbc7cedbe4a77dbd84f009",
+        "2a08e0896586b5744ee3741c89b0e4bd51aa6e0d7e95e1fecd4522947a11d4a2",
     ("icosphere2", 6):
-        "d5a75a012668a3e5b27d439d8805dc7041806d28a56be745cffcfbee12d8182a",
+        "3012232f5b4295628da78e4f7be9381aa7241d81e7317f6c578ce8277f0621ae",
     ("icosphere2", 15):
-        "cc74110ee215376cb1d9d09a3ca28ec0bb058047e53013b804f2ce8b3a3cac47",
+        "624bda0a90a13e583559d32f898f2a07de7d0883034278f03d0b9318081fb3e3",
     ("octahedron", 0):
         "327da5c2a571a0b86c8de5feff4290a3d61c3a52a1c432dc1f9735c30212a7a3",
     ("octahedron", 1):
@@ -105,7 +105,7 @@ FILL_DIGESTS = {
     # three bodies and two necks: the cycle decomposes into both necks, so
     # E0 sums two contractions, and it reaches E2
     ("tall_composite", 0):
-        "37747756de11325be941a5645b09d56bca841a43e894a5a9d4949b8ad7c37b99",
+        "b6cdadf39cc5bdef1c1194a2f4355e00b3ccb8b9091cd45b04c42e2628e713b1",
 }
 
 HF1_DIGEST = "e32036e7a0ba3109b6781005d70a847f4fa4e11c6041df9b5faf077d62b755b1"
