@@ -1083,6 +1083,7 @@ def pipeline_fill(
         raise DomainError("pipeline input is not a cycle")
     if not h1_is_trivial(space.complex):
         raise DomainError("H1 is nontrivial: some 1-cycle does not bound")
+    input_mass = space.mass1(c)
 
     timing: dict[str, float] = {}
     constants: dict[str, float] = {}
@@ -1094,10 +1095,9 @@ def pipeline_fill(
     with _stage(timing, "E0/decompose"):
         if space.region is not None and not c.is_zero():
             pieces = decompose_cycle(space, c)
-            if space.mass1(c) > 0:
-                constants["decompose_mass_ratio"] = (
-                    sum(space.mass1(p) for _, p in pieces) / space.mass1(c)
-                )
+            constants["decompose_mass_ratio"] = (
+                sum(space.mass1(p) for _, p in pieces) / input_mass
+            )
             body: dict[int, int] = {}
             for label, piece in pieces:
                 if is_neck_label(label):
@@ -1124,9 +1124,7 @@ def pipeline_fill(
     e2: dict[int, int] = {}
     with _stage(timing, "E2/nerve-fill"):
         if not c_graph.is_zero():
-            mass1_c = space.mass1(c)
-            if mass1_c > 0:
-                constants["nerve_coeff_per_length"] = c_graph.max_abs() / mass1_c
+            constants["nerve_coeff_per_length"] = c_graph.max_abs() / input_mass
             nerve_fill, certificate = fill_boundary(graph.nerve, c_graph)
             triangles = graph.nerve.simplices(2)
             for tidx, coeff in sorted(nerve_fill.items()):
@@ -1142,7 +1140,6 @@ def pipeline_fill(
     if boundary(space.complex, total) != c:
         raise InvariantError("pipeline produced a chain with the wrong boundary")
 
-    input_mass = space.mass1(c)
     m0, m1, m2 = space.mass2(e0), space.mass2(e1), space.mass2(e2)
     total_mass = m0 + m1 + m2
     timing["total"] = time.perf_counter() - t_start
