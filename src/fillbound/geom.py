@@ -20,7 +20,7 @@ import sys
 import time
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
@@ -999,32 +999,23 @@ class FillingReport:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "input_max_coeff": self.certificate.input_max_coeff,
-                "output_max_coeff": self.certificate.output_max_coeff,
-                "output_l1": self.certificate.output_l1,
-                "bound_max": _finite_or_none(self.certificate.bound_max),
-                "bound_l1": _finite_or_none(self.certificate.bound_l1),
-                "rank_used": self.certificate.rank_used,
-                "bounds_hold": self.certificate.bounds_hold(),
-            }
-        return {
-            "input_mass1": self.input_mass1,
-            "mass_e0": self.mass_e0,
-            "mass_e1": self.mass_e1,
-            "mass_e2": self.mass_e2,
-            "total_mass2": self.total_mass2,
-            "nerve_vertices": self.nerve_vertices,
-            "certificate": cert,
-            "measured_f1": self.measured_f1,
-            "amin_bound": self.amin_bound,
-            "boundary_verified": self.boundary_verified,
-            "timing": dict(self.timing),
-            "measured_constants": dict(self.measured_constants),
-            "warnings": list(self.warnings),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        cert = self.certificate
+        out.update(
+            certificate=None if cert is None else {
+                "input_max_coeff": cert.input_max_coeff,
+                "output_max_coeff": cert.output_max_coeff,
+                "output_l1": cert.output_l1,
+                "bound_max": _finite_or_none(cert.bound_max),
+                "bound_l1": _finite_or_none(cert.bound_l1),
+                "rank_used": cert.rank_used,
+                "bounds_hold": cert.bounds_hold(),
+            },
+            timing=dict(self.timing),
+            measured_constants=dict(self.measured_constants),
+            warnings=list(self.warnings),
+        )
+        return out
 
 
 def _finite_or_none(bound: float) -> Optional[float]:
