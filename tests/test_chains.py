@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,28 @@ class TestMass:
         for w in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="not finite and positive"):
                 mass([1.0, w], Chain(1, {0: 1, 1: 2}))
+
+    def test_overflow(self):
+        # a term beyond binary64, and finite terms whose sum is beyond it
+        for weights, c in (([1.0], Chain(1, {0: 10 ** 400})),
+                           ([1e308, 1e308], Chain(1, {0: 1, 1: 1}))):
+            with pytest.raises(DomainError, match="overflows binary64"):
+                mass(weights, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           terms=st.lists(st.tuples(st.sampled_from([1.0, 0.1, 1e16, 3e-17, 2.0 ** 53 + 2, 1 / 3]),
+                                    st.integers(-10 ** 6, 10 ** 6).filter(bool)),
+                          max_size=12))
+    def test_correctly_rounded_in_any_order(self, data, terms):
+        # running sums of 1e16 and 1 disagree with each other and with the
+        # exact sum; fsum's rounding does not
+        weights = [w for w, _ in terms]
+        items = list(enumerate(a for _, a in terms))
+        exact = float(sum(Fraction(abs(a) * w) for w, a in terms))
+        shuffled = data.draw(st.permutations(items))
+        assert mass(weights, Chain(1, dict(items))).hex() == exact.hex()
+        assert mass(weights, Chain(1, dict(shuffled))).hex() == exact.hex()
 
 
 class TestIsCycle:

@@ -1,7 +1,9 @@
 import argparse
 import ast
 import json
+import importlib.util
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,16 @@ from fillbound.fileio import (
 from fillbound.shapes import capped_prism, icosphere, octahedron
 
 from conftest import octahedron_necklace
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """The benchmark's workload module, for its seeded ``random_cycle``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -219,6 +231,22 @@ class TestFill:
             ) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+        # masses are correctly rounded sums, so reversing a cycle document's
+        # entries changes only the echoed path
+        space = icosphere(2)
+        space_path = tmp_path / "ico2.json"
+        save_space(str(space_path), space)
+        cycle = load_workloads().random_cycle(random.Random(2), space, 3)
+        doc = chain_to_dict(space, cycle)
+        reports = []
+        for name, entries in (("cycle", doc["entries"]), ("reversed", doc["entries"][::-1])):
+            cycle_path = tmp_path / f"{name}.json"
+            cycle_path.write_text(json.dumps({**doc, "entries": entries}))
+            out = tmp_path / f"{name}_report.json"
+            assert main(["fill", "--space", str(space_path), "--cycle", str(cycle_path),
+                         "--radius", "0.8", "--out", str(out)]) == 0
+            reports.append(out.read_text().replace(json.dumps(str(cycle_path)), '"CYCLE"'))
+        assert reports[0] == reports[1]
 
     def test_labeled_composite_space(self, tmp_path):
         # region + radial fields round-trip through the file format and the
@@ -503,10 +531,17 @@ class TestDocumentContracts:
         ("cycle", lambda d: {**d, "entries": [[[0, 2.0], "1"]]}, "must be int"),
         ("cycle", lambda d: {**d, "entries": [[[0, 9], "1"]]}, "not a 1-simplex"),
         ("cycle", lambda d: {**d, "entries": [[5, "1"]]}, "must be list"),
+        # the input mass's terms overflow binary64
+        ("cycle", lambda d: {**d, "entries": [[v, a + "0" * 400] for v, a in d["entries"]]},
+         "overflows binary64"),
+        # the masses fit, but the area bound 60 * total_mass2 does not
+        ("cycle", lambda d: {**d, "entries": [[v, a + "0" * 307] for v, a in d["entries"]]},
+         "non-finite float in document"),
     ], ids=["bad-utf8", "truncated", "inf-literal", "float-vertex-id", "triangles-not-list",
             "string-coordinate", "huge-int-coordinate", "radial-not-list", "int-region-label",
             "missing-key", "string-dim", "bool-coefficient", "float-entry-vertex",
-            "out-of-range-vertex", "entry-vertices-not-list"])
+            "out-of-range-vertex", "entry-vertices-not-list", "mass-overflow",
+            "area-bound-overflow"])
     def test_rejected(self, tmp_path, octa_files, capsys, which, edit, phrase):
         _, space_path, cycle_path = octa_files
         path = space_path if which == "space" else cycle_path
