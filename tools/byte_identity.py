@@ -19,13 +19,18 @@ cycle families and Smith pivots in ``hf1``.  icosphere(3) brings the largest
 solves and fills, on 1,920 edges and 1,280 triangles.  Every command's exit
 code, stdout and stderr, and the bytes of every file either tree leaves
 behind, must be equal.  Each difference is printed, and the exit status is 1
-if there is any, else 0.
+if there is any, else 0.  Under a JSON file that differs, each key path whose
+values differ is printed too, with the distance in ulps of two numbers that
+differ.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -105,6 +110,46 @@ def files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _ordinal(x: float) -> int:
+    """x's place in the order of binary64 values, so that adjacent floats
+    are one apart and -0.0 and 0.0 share a place."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_ABSENT = object()
+
+
+def _show(x) -> str:
+    return "(absent)" if x is _ABSENT else json.dumps(x)[:60]
+
+
+def field_diffs(a, b, path: str = "") -> list[str]:
+    """The key paths at which two parsed JSON values differ.  Two numbers
+    are compared as binary64, since a canonical float such as 1.0 reads
+    back as the int 1, and their line gives their distance in ulps."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [line for key in sorted(a.keys() | b.keys())
+                for line in field_diffs(a.get(key, _ABSENT), b.get(key, _ABSENT),
+                                         f"{path}.{key}" if path else key)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [line for i, (x, y) in enumerate(zip(a, b))
+                for line in field_diffs(x, y, f"{path}[{i}]")]
+    if a == b and type(a) is type(b):
+        return []
+    if _is_number(a) and _is_number(b) and any(isinstance(x, float) for x in (a, b)):
+        x, y = float(a), float(b)
+        if x == y:
+            return []
+        if math.isfinite(x) and math.isfinite(y):
+            return [f"{path}: {x!r} -> {y!r} ({abs(_ordinal(x) - _ordinal(y))} ulps)"]
+    return [f"{path}: {_show(a)} -> {_show(b)}"]
+
+
 def compare_seed(parent: Path, change: Path, seed: str, work: Path) -> list[str]:
     inputs = work / "inputs"
     inputs.mkdir()
@@ -127,6 +172,9 @@ def compare_seed(parent: Path, change: Path, seed: str, work: Path) -> list[str]
     for name in sorted(before.keys() | after.keys()):
         if before.get(name) != after.get(name):
             diffs.append(f"seed {seed}: file {name} differs")
+            if name.endswith(".json") and name in before and name in after:
+                docs = [json.loads(side[name]) for side in (before, after)]
+                diffs += [f"seed {seed}:   {line}" for line in field_diffs(*docs)]
     failed = sum(r.returncode != 0 for r in results["change"])
     print(f"seed {seed}: {len(results['change'])} commands ({failed} nonzero exits at the change), "
           f"{len(after)} files, {len(diffs)} differences")
