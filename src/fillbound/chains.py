@@ -187,7 +187,7 @@ class Chain:
     Keys of ``coeffs`` are simplex indices within the ambient complex;
     values are nonzero integers.  Chains are value objects: arithmetic
     returns new instances.  Sums go through ``intlin._axpy``, so an entry
-    that cancels is dropped and a new one is appended, in that item order.
+    that cancels is dropped.
     """
 
     __slots__ = ("dim", "_c")

@@ -251,8 +251,7 @@ def _axpy(dst: dict, pairs: Iterable[tuple[int, int]], q: int) -> None:
     """dst += q * src, for the (index, value) pairs of src and a nonzero q.
 
     The package's one sparse sum: dst is kept free of zeros, so an entry
-    that cancels is deleted and a new one is appended.  Chains and their
-    masses depend on that item order."""
+    that cancels is deleted and a new one is appended."""
     for c, x in pairs:
         y = dst.get(c, 0) + q * x
         if y:

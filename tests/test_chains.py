@@ -377,8 +377,7 @@ def cancelling_chains(draw):
 
 
 class TestSumOrderDifferential:
-    """Chain sums against the copying reference, items and their order:
-    a report's masses are binary64 sums in item order."""
+    """Chain sums against the copying reference, items and their order."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=cancelling_chains(), n=st.integers(-3, 3))
