@@ -1,7 +1,7 @@
 import argparse
 import ast
-import json
 import importlib.util
+import json
 import math
 import random
 from pathlib import Path
