@@ -10,6 +10,12 @@ spanned by disjoint +-1 columns (the fundamental classes of closed
 orientable surfaces), and by branch and bound otherwise;
 ``hf1_profile`` turns a cycle census into a lower envelope for the first
 homological filling function.
+
+The space's d2 is read off its dual graph (``DualGraph``) when every edge
+lies in at most two triangles: the H1 verdict, the echelon kernel and the
+particular solution of each minimum-mass fill, every solution checked
+exactly.  Other complexes, and every nerve that ``fill_boundary`` fills,
+take the Smith form of their boundary matrix.
 """
 
 from __future__ import annotations
@@ -19,10 +25,19 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
-from .chains import Chain, SimplicialComplex, boundary_matrix, cached, mass, path_chain
-from .errors import CapacityError, DomainError, InvariantError
+from .chains import (
+    Chain,
+    SimplicialComplex,
+    boundary_matrix,
+    cached,
+    face_table,
+    mass,
+    path_chain,
+)
+from .errors import CapacityError, DomainError, InvariantError, StructuralError
 from .intlin import (
     SmithDecomposition,
+    _axpy,
     _greedy_index,
     _greedy_reduce_maxnorm,
     _maxnorm_coset_min,
@@ -81,10 +96,170 @@ def _h1_is_trivial(complex: SimplicialComplex) -> bool:
     cycle_rank = complex.n_simplices(1) - rank_d1(complex)
     if complex.dimension < 2:
         return cycle_rank == 0
+    dual = dual_graph(complex)
+    if dual is not None:
+        return dual.rank == cycle_rank and not dual.torsion
     snf2 = boundary_smith(complex, 2)
     if snf2.rank != cycle_rank:
         return False
     return all(d in (0, 1) for d in snf2.diagonal)
+
+
+class DualGraph:
+    """d2 of a complex whose every edge lies in at most two triangles (a
+    2-pseudomanifold, which may have a boundary and pinched vertices), read
+    off its dual graph: what the Smith form of d2 gives, in one traversal.
+
+    The nodes are the triangles, joined across the edges they share.  Each
+    strong component is walked depth first from its least triangle, and a
+    triangle g reached from f across edge e takes the orientation
+    o_g = -o_f s_f(e) s_g(e), s the face signs, so that e cancels in
+    o_f f + o_g g.  ``order`` lists the triangles in that preorder, so each
+    subtree of the walk is a run of positions.  A component is closed if its
+    every edge lies in two triangles, and orientable if every such edge
+    cancels.  ker d2 is spanned by o on each closed orientable component,
+    so rank d2 = n2 - their number, and coker d2 has torsion (Z/2 per
+    component) exactly when some closed component is not orientable
+    (Hatcher, *Algebraic Topology*, section 3.3).
+    """
+
+    __slots__ = ("edges", "faces", "order", "orient", "tree", "comp_of", "comps",
+                 "rank", "torsion")
+
+    def __init__(self, edges: Sequence[tuple[int, int]], faces: list,
+                 on: list[list[tuple[int, int]]]):
+        n2 = len(faces)
+        orient = [0] * n2  # 0 until the walk reaches the triangle
+        via: list = [None] * n2  # (f, e, s_f(e)) of the walk's step into a triangle
+        order: list[int] = []
+        comp_of = [-1] * len(edges)
+        comps: list = []  # [first position, end position, anchor, closed]
+        for root in range(n2):
+            if orient[root]:
+                continue
+            first, orient[root], stack = len(order), 1, [root]
+            while stack:
+                f = stack.pop()
+                order.append(f)
+                for e, s in faces[f]:
+                    comp_of[e] = len(comps)
+                    for g, t in on[e]:
+                        if not orient[g]:
+                            orient[g] = -orient[f] * s * t
+                            via[g] = (f, e, s)
+                            stack.append(g)
+            comps.append([first, len(order), None, True])
+        pos = [0] * n2
+        for p, f in enumerate(order):
+            pos[f] = p
+        size = [1] * n2
+        for f in reversed(order):
+            if via[f]:
+                size[via[f][0]] += size[f]
+        # per edge of the walk into g: g's subtree, a run of positions, and
+        # the step -o_f s_f(e) by which y = o x changes there per unit of z_e
+        tree: list = [None] * len(edges)
+        for g, step in enumerate(via):
+            if step:
+                f, e, s = step
+                tree[e] = (pos[g], pos[g] + size[g], -orient[f] * s)
+        # a component's anchor is its least edge that fixes o x there: a
+        # boundary edge, or one that does not cancel; (edge, sigma, positions)
+        # asks sigma * (sum of y over the positions) = z_e
+        for e, pairs in enumerate(on):
+            if not pairs:
+                continue
+            comp = comps[comp_of[e]]
+            (f, s), *other = pairs
+            if not other:
+                comp[3] = False
+            elif orient[f] * s + orient[other[0][0]] * other[0][1] == 0:
+                continue
+            if comp[2] is None:
+                comp[2] = (e, orient[f] * s, tuple(pos[g] for g, _ in pairs))
+        self.edges, self.faces, self.order, self.orient = edges, faces, order, orient
+        self.tree, self.comp_of = tree, comp_of
+        self.comps = [(first, end, anchor) for first, end, anchor, _ in comps]
+        self.rank = n2 - sum(anchor is None for _, _, anchor, _ in comps)
+        self.torsion = any(closed and anchor for _, _, anchor, closed in comps)
+
+    def kernel_columns(self) -> list:
+        """The echelon basis of ker d2: o on each closed orientable component,
+        by least triangle, +1 there (the root of the walk)."""
+        cols = []
+        for first, end, anchor in self.comps:
+            if anchor is None:
+                rows = sorted(self.order[first:end])
+                cols.append((rows, [self.orient[f] for f in rows]))
+        return cols
+
+    def solve(self, z: Mapping[int, int]):
+        """(x, None) with d2 x = z, x as {triangle: value} with keys ascending
+        and no zeros, or (None, the reason z does not bound); z has no zeros.
+
+        With y = o x, the walk's step into g across e asks
+        y_g = y_f - o_f s_f(e) z_e, so y is a sum of steps, each over a
+        subtree's run of positions, one per edge of z on the walk, plus a
+        value per component over all its run: 0 where the component is closed
+        and orientable, else what its anchor edge asks.  The runs' ends are
+        sorted and swept once, so the work is z's support and x's.  Every x
+        is checked exactly, d2 x = z through the face table; where it is not,
+        z does not bound, and the reason names the least edge that differs.
+        A row of z outside d2 is the StructuralError of an index out of
+        range, as ``SmithDecomposition.solve_with_obstruction`` raises it.
+        """
+        n1 = len(self.edges)
+        steps: list[tuple[int, int]] = []  # (position, change of y there)
+        comps = set()
+        for e, a in z.items():
+            if not 0 <= e < n1:
+                raise StructuralError(f"chain index {e} out of range {n1}")
+            if self.tree[e]:
+                lo, hi, step = self.tree[e]
+                steps += ((lo, step * a), (hi, -step * a))
+            comps.add(self.comp_of[e])
+        levels = []
+        for c in comps:
+            if c >= 0 and self.comps[c][2]:
+                first, end, (e, sigma, at) = self.comps[c]
+                level = (sigma * z.get(e, 0)
+                         - sum(d for p in at for q, d in steps if q <= p)) // len(at)
+                levels += ((first, level), (end, -level))
+        x: dict[int, int] = {}
+        y = prev = 0
+        for p, d in sorted(steps + levels):
+            if y and p > prev:
+                for f in self.order[prev:p]:
+                    x[f] = self.orient[f] * y
+            y, prev = y + d, p
+        x = {f: x[f] for f in sorted(x)}
+        got: dict[int, int] = {}
+        for f, a in x.items():
+            _axpy(got, self.faces[f], a)
+        if got == z:
+            return x, None
+        e = min(i for i in got.keys() | z.keys() if got.get(i, 0) != z.get(i, 0))
+        return None, (f"the dual-graph solution's boundary is {got.get(e, 0)}, "
+                      f"not {z.get(e, 0)}, on edge {self.edges[e]}")
+
+
+def dual_graph(complex: SimplicialComplex) -> DualGraph | None:
+    """The complex's ``DualGraph``, cached per complex; None if it has no
+    triangles or some edge lies in three or more."""
+
+    def build():
+        if complex.dimension < 2:
+            return None
+        faces = face_table(complex, 2)
+        on: list[list[tuple[int, int]]] = [[] for _ in range(complex.n_simplices(1))]
+        for f, tri in enumerate(faces):
+            for e, s in tri:
+                on[e].append((f, s))
+        if any(len(pairs) > 2 for pairs in on):
+            return None
+        return DualGraph(complex.simplices(1), faces, on)
+
+    return cached(complex, "dual graph", build)
 
 
 @dataclass(frozen=True)
@@ -178,11 +353,14 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
 
 
 def _mass_kernel(complex: SimplicialComplex) -> tuple[list, list | None]:
-    """The echelon basis of ker d2, cached per complex, and each row's (column,
+    """The echelon basis of ker d2, cached per complex (the dual graph's on a
+    2-pseudomanifold, else of the Smith kernel), and each row's (column,
     entry) (None off the columns) if the columns are disjoint and +-1."""
 
     def build():
-        cols = column_echelon_basis(boundary_smith(complex, 2).kernel_columns())
+        dual = dual_graph(complex)
+        cols = (column_echelon_basis(boundary_smith(complex, 2).kernel_columns())
+                if dual is None else dual.kernel_columns())
         where: list = [None] * complex.n_simplices(2)
         for j, (rows, vals) in enumerate(cols):
             for i, c in zip(rows, vals):
@@ -328,12 +506,14 @@ def _min_mass_vector(complex: SimplicialComplex, table: tuple, x0: dict[int, int
 def _min_mass_fills(complex: SimplicialComplex, w2: Sequence[float], z: Chain,
                     multiples: Sequence[int], node_budget: int) -> list[tuple[Chain, float]]:
     """``min_mass_fill`` of q * z with its mass, one per q in ``multiples``,
-    from one weight-table lookup and one Smith solve: the solve is linear,
-    so the Smith solution of q * z is q times z's."""
+    from one weight-table lookup and one solve of d2: the solve is linear,
+    so the solution of q * z is q times z's."""
     if len(w2) < complex.n_simplices(2):
         raise DomainError("missing 2-simplex weights")
     table = _mass_table(complex, w2)
-    x0, obstruction = boundary_smith(complex, 2).solve_with_obstruction(dict(z.items()))
+    dual = dual_graph(complex)
+    x0, obstruction = (dual.solve(dict(z.items())) if dual is not None else
+                       boundary_smith(complex, 2).solve_with_obstruction(dict(z.items())))
     if x0 is None:
         raise DomainError(f"cycle does not bound: {obstruction}")
     try:
@@ -363,8 +543,9 @@ def min_mass_fill(
     columns of the boundary are disjoint with +-1 entries, as the
     fundamental classes of closed orientable surfaces are, ``_median_fill``
     computes E with no search, so with no use of ``node_budget``, at a cost
-    of what the Smith solution's support touches; any other kernel is
-    searched by ``coset_min`` from the Smith solution, held to
+    of what the support of the solution of d2 x = z touches (the dual
+    graph's on a 2-pseudomanifold, else the Smith form's); any
+    other kernel is searched by ``coset_min`` from that solution, held to
     ``node_budget``, and one of more than MIN_MASS_MAX_KERNEL_DIM (20)
     columns is refused with a CapacityError.  The integer weights and column
     totals are derived once per weight table.  The mass returned is E's own,
@@ -500,12 +681,13 @@ def hf1_profile(
     """Lower estimate of HF1 on a grid of length thresholds.
 
     Requires trivial integer H1 (checked by ``h1_is_trivial``: the rank of
-    the first boundary by union-find, the Smith form of the second).  The
+    the first boundary by union-find, the dual graph of the second, or its
+    Smith form where some edge lies in three triangles or more).  The
     cycle family is every simple skeleton cycle up to an edge-count budget
     (derived from the grid, capped at DEFAULT_MAX_CYCLE_EDGES), plus integer
     multiples up to mass l (capped at x3).  A smaller family only lowers the
     estimate, which keeps its direction honest.  Each kept cycle and its
-    multiples are filled from one Smith solve and, on the median path, one
+    multiples are filled from one solve of d2 and, on the median path, one
     median set-up; each fill is ``min_mass_fill``'s of that multiple.  A
     1-weight that is not finite and positive is a DomainError naming its
     edge.  One sweep of the grid over the members sorted by mass gives the
@@ -583,9 +765,16 @@ def _fit_upper_line(samples: Sequence[tuple[float, float]]) -> tuple[float, floa
 
 
 def amin_upper_bound(hf1_at_2d: float, n: int) -> float:
-    """Minimal stationary-varifold area bound ((n+1)!/2) * HF1(2D)."""
+    """Minimal stationary-varifold area bound ((n+1)!/2) * HF1(2D); a bound
+    beyond binary64 is a DomainError."""
     if hf1_at_2d < 0:
         raise DomainError("filling estimate must be nonnegative")
     if n < 2:
         raise DomainError("ambient dimension must be at least 2")
-    return (math.factorial(n + 1) / 2.0) * hf1_at_2d
+    try:
+        bound = (math.factorial(n + 1) / 2.0) * hf1_at_2d
+    except OverflowError:  # (n+1)! beyond binary64
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise DomainError(f"the area bound ({n + 1}!/2) * {hf1_at_2d!r} overflows binary64")
+    return bound

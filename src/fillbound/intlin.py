@@ -15,8 +15,9 @@ and column operations, same order), so its U, D and V are the dense
 routine's, which the tests keep as the differential oracle.  It is kept
 sparse: U and V as sparse columns and D as its diagonal, so a solve
 against a cached decomposition, sparse in and sparse out, costs the
-nonzeros on the right-hand side's support.  The H1 verdict built on these decompositions is memoized
-per complex in ``filling``.
+nonzeros on the right-hand side's support.  ``filling`` caches them per
+complex; it reads a space's d2 off the dual graph instead wherever every
+edge lies in at most two triangles.
 
 A kernel has one format: sparse columns (rows ascending, values), as
 ``SmithDecomposition.kernel_columns`` hands them out.  The greedy max-norm

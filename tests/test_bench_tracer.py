@@ -15,6 +15,8 @@ from fillbound.chains import Chain, boundary
 from fillbound.geom import ball_cover, nerve
 from fillbound.shapes import icosphere, octahedron
 
+from test_filling import two_octahedra_sharing_a_face
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -26,16 +28,18 @@ def load_tracer_module():
 
 
 def test_tracer_counts_smith_shape_of_h1_check():
+    # an edge in three triangles: the H1 check takes the Smith form of d2
+    k = two_octahedra_sharing_a_face()
     tracer = load_tracer_module().Tracer()
     try:
         tracer.install()
         tracer.enabled = True
-        assert filling.h1_is_trivial(octahedron().complex)
+        assert filling.h1_is_trivial(k)
     finally:
         tracer.enabled = False
         tracer.uninstall()
-    assert tracer.counters["intlin.smith_decomposition.max_rows"] == 12
-    assert tracer.counters["intlin.smith_decomposition.max_cols"] == 8
+    assert tracer.counters["intlin.smith_decomposition.max_rows"] == k.n_simplices(1) == 21
+    assert tracer.counters["intlin.smith_decomposition.max_cols"] == k.n_simplices(2) == 15
     assert [span[0] for span in tracer.spans][:2] == [
         "filling.h1_is_trivial", "intlin.smith_decomposition"]
 

@@ -536,7 +536,7 @@ class TestDocumentContracts:
          "overflows binary64"),
         # the masses fit, but the area bound 60 * total_mass2 does not
         ("cycle", lambda d: {**d, "entries": [[v, a + "0" * 307] for v, a in d["entries"]]},
-         "non-finite float in document"),
+         "the area bound (5!/2) * "),
     ], ids=["bad-utf8", "truncated", "inf-literal", "float-vertex-id", "triangles-not-list",
             "string-coordinate", "huge-int-coordinate", "radial-not-list", "int-region-label",
             "missing-key", "string-dim", "bool-coefficient", "float-entry-vertex",

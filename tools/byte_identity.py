@@ -4,17 +4,19 @@
 
 PARENT and CHANGE are checkouts (each with ``src/``, ``perfbench/`` and
 ``tests/``), for instance two ``git archive`` copies.  For each seed, the
-PARENT tree writes the input documents: eight spaces (the octahedron,
+PARENT tree writes the input documents: ten spaces (the octahedron,
 icosphere(1), icosphere(2), icosphere(3), capped_prism(6, 2), the golden
-tests' two unit octahedra pinched at a vertex and sharing a face, and
-``tests/test_geom.tall_composite``, three bodies joined by two necks), three
+tests' two unit octahedra pinched at a vertex and sharing a face,
+``tests/test_geom.tall_composite``, three bodies joined by two necks, the
+flat disk, whose boundary kernel is empty, and the annulus prism(6, 1),
+whose H1 is not trivial, so that ``fill`` and ``hf1`` refuse it), three
 ``perfbench/workloads.random_cycle`` cycles on each, and a copy of each space
 with its vertices shuffled by the seed, as ``perfbench/workloads.Hf1Ico2``
 relabels icosphere(2) (complex and coordinates only, which is what ``hf1``
 reads).  Then each tree, in its own copy of the inputs and a fresh
 interpreter per command, runs ``fill --chain-out`` on every cycle, ``hf1`` on
-every space and every shuffled copy, and ``bfrt-check --verbose`` once: 41
-commands and 121 files per seed.  The shuffled copies give each seed other
+every space and every shuffled copy, and ``bfrt-check --verbose`` once: 51
+commands and 144 files per seed.  The shuffled copies give each seed other
 cycle families and Smith pivots in ``hf1``.  icosphere(3) brings the largest
 solves and fills, on 1,920 edges and 1,280 triangles.  Every command's exit
 code, stdout and stderr, and the bytes of every file either tree leaves
@@ -39,7 +41,8 @@ from pathlib import Path
 # (space name, cover radius)
 SPACES = [("octahedron", "0.8"), ("icosphere1", "0.8"), ("icosphere2", "0.8"),
           ("icosphere3", "0.8"), ("capped_prism", "1.2"), ("pinched_octahedra", "0.8"),
-          ("octahedra_sharing_a_face", "0.8"), ("tall_composite", "1.2")]
+          ("octahedra_sharing_a_face", "0.8"), ("tall_composite", "1.2"), ("disk", "0.5"),
+          ("annulus", "0.8")]
 CYCLES_PER_SPACE = 3
 
 WRITE_INPUTS = """
@@ -61,6 +64,8 @@ spaces = {
     "pinched_octahedra": pinched_octahedra(),
     "octahedra_sharing_a_face": octahedra_sharing_a_face(),
     "tall_composite": tall_composite()[0],
+    "disk": shapes.disk(),
+    "annulus": shapes.prism(6, 1),
 }
 
 
