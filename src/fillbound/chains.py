@@ -13,6 +13,7 @@ the integer algebra.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import DomainError, StructuralError
@@ -308,18 +309,13 @@ def chain_from_simplices(
 
 
 def path_chain(complex: SimplicialComplex, path: Sequence[int]) -> Chain:
-    """Oriented 1-chain of a vertex path (empty or single vertex -> zero)."""
+    """Oriented 1-chain of a vertex path (empty or single vertex -> zero):
+    the sum of its steps, each +-1 on its edge."""
+    steps = ((complex.index_of(1, (a, b)), 1) if a < b else (complex.index_of(1, (b, a)), -1)
+             for a, b in zip(path, path[1:]) if a != b)
     acc: dict[int, int] = {}
-    for a, b in zip(path, path[1:]):
-        if a == b:
-            continue
-        if a < b:
-            idx, sgn = complex.index_of(1, (a, b)), 1
-        else:
-            idx, sgn = complex.index_of(1, (b, a)), -1
-        acc[idx] = acc.get(idx, 0) + sgn
-    # a -> b -> a keeps its key where it first came, so drop the zeros last
-    return Chain._of(1, {i: a for i, a in acc.items() if a})
+    _axpy(acc, steps, 1)
+    return Chain._of(1, acc)
 
 
 def _check_chain(complex: SimplicialComplex, c: Chain):
@@ -365,9 +361,9 @@ def boundary_matrix(complex: SimplicialComplex, k: int) -> IntMatrix:
 
     Shape n_{k-1} x n_k, entries in {0, +-1}; column j is the boundary of
     the j-th k-simplex in the canonical (lexicographic) bases, read from
-    the ``face_table``.  Built as sparse rows on every call, uncached:
-    ``filling.boundary_smith`` caches the Smith form, which is all the
-    pipeline reads.
+    the ``face_table``.  Built as sparse rows on every call, uncached: its
+    one reader in the pipeline is ``filling.boundary_smith``, which caches
+    the Smith form.
     """
     if k < 1 or k > complex.dimension:
         raise DomainError(f"boundary matrix order {k} out of range")
@@ -384,7 +380,9 @@ def mass(weights: Sequence[float], c: Chain) -> float:
     ``weights`` are the volumes of all simplices of dimension c.dim, indexed
     like the canonical simplex order.  The mass is the correctly rounded sum
     (``math.fsum``) of the binary64 terms ``abs(a_i) * w_i``, so it depends
-    on the chain alone, not on its item order.  Zero iff the chain is zero.
+    on the chain alone, not on its item order.  Where |a_i| is beyond
+    binary64, which Python's product refuses, the term is the exact product
+    rounded.  Zero iff the chain is zero.
     A weight it reads that is not finite and positive is a DomainError, and
     so is a mass whose terms or sum overflow binary64.
     """
@@ -396,7 +394,10 @@ def mass(weights: Sequence[float], c: Chain) -> float:
             w = weights[idx]
             if not 0 < w < math.inf:
                 raise DomainError(f"simplex {idx} has weight {w}, which is not finite and positive")
-            terms.append(abs(a) * w)
+            try:
+                terms.append(abs(a) * w)
+            except OverflowError:  # |a| beyond binary64: round the exact product
+                terms.append(float(abs(a) * Fraction(w)))
         total = math.fsum(terms)
     except OverflowError:
         total = math.inf

@@ -11,11 +11,12 @@ orientable surfaces), and by branch and bound otherwise;
 ``hf1_profile`` turns a cycle census into a lower envelope for the first
 homological filling function.
 
-The space's d2 is read off its dual graph (``DualGraph``) when every edge
-lies in at most two triangles: the H1 verdict, the echelon kernel and the
-particular solution of each minimum-mass fill, every solution checked
-exactly.  Other complexes, and every nerve that ``fill_boundary`` fills,
-take the Smith form of their boundary matrix.
+A space's d2 is read through ``_d2``, the one place that chooses how: its
+dual graph (``DualGraph``) when every edge lies in at most two triangles,
+else the Smith form of its boundary matrix.  Both give the H1 verdict
+(``rank``, ``torsion``), the kernel (``kernel_columns``) and the particular
+solution of each minimum-mass fill (``solve_with_obstruction``).  Every
+nerve that ``fill_boundary`` fills takes the Smith form.
 """
 
 from __future__ import annotations
@@ -87,22 +88,25 @@ def h1_is_trivial(complex: SimplicialComplex) -> bool:
 
     The verdict is cached per complex.
     """
-    return cached(complex, "h1_trivial", lambda: _h1_is_trivial(complex))
+
+    def build():
+        if complex.dimension < 1:
+            return True
+        cycle_rank = complex.n_simplices(1) - rank_d1(complex)
+        if complex.dimension < 2:
+            return cycle_rank == 0
+        d2 = _d2(complex)
+        return d2.rank == cycle_rank and not d2.torsion
+
+    return cached(complex, "h1_trivial", build)
 
 
-def _h1_is_trivial(complex: SimplicialComplex) -> bool:
-    if complex.dimension < 1:
-        return True
-    cycle_rank = complex.n_simplices(1) - rank_d1(complex)
-    if complex.dimension < 2:
-        return cycle_rank == 0
-    dual = dual_graph(complex)
-    if dual is not None:
-        return dual.rank == cycle_rank and not dual.torsion
-    snf2 = boundary_smith(complex, 2)
-    if snf2.rank != cycle_rank:
-        return False
-    return all(d in (0, 1) for d in snf2.diagonal)
+def _d2(complex: SimplicialComplex):
+    """The complex's d2, from the caches of its builders: the ``DualGraph``
+    when every edge lies in at most two triangles, else the Smith form of
+    the boundary matrix.  Both answer ``rank``, ``torsion``,
+    ``kernel_columns()`` and ``solve_with_obstruction(z)``."""
+    return dual_graph(complex) or boundary_smith(complex, 2)
 
 
 class DualGraph:
@@ -193,9 +197,9 @@ class DualGraph:
                 cols.append((rows, [self.orient[f] for f in rows]))
         return cols
 
-    def solve(self, z: Mapping[int, int]):
-        """(x, None) with d2 x = z, x as {triangle: value} with keys ascending
-        and no zeros, or (None, the reason z does not bound); z has no zeros.
+    def solve_with_obstruction(self, z: Mapping[int, int]):
+        """(x, None) with d2 x = z, x as {triangle: value} with no zeros, or
+        (None, the reason z does not bound); z has no zeros.
 
         With y = o x, the walk's step into g across e asks
         y_g = y_f - o_f s_f(e) z_e, so y is a sum of steps, each over a
@@ -232,7 +236,6 @@ class DualGraph:
                 for f in self.order[prev:p]:
                     x[f] = self.orient[f] * y
             y, prev = y + d, p
-        x = {f: x[f] for f in sorted(x)}
         got: dict[int, int] = {}
         for f, a in x.items():
             _axpy(got, self.faces[f], a)
@@ -267,8 +270,9 @@ class FillCertificate:
     """Coefficient-growth certificate for one boundary-filling instance.
 
     ``bound_max`` is C(n0, k+1)^(C(n0, k+1)/2) * input_max_coeff and
-    ``bound_l1`` is C(n0, k+2) times that; both are reported in binary64
-    but verified exactly on squared integers by :meth:`bounds_hold`.
+    ``bound_l1`` is C(n0, k+2) times that; both are reported in binary64,
+    inf beyond it, but verified exactly on squared integers by
+    :meth:`bounds_hold`.
     """
 
     input_max_coeff: int
@@ -339,12 +343,17 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
     input_max = c_k.max_abs()
     # a zero input has zero bounds, even where the binomial bound is inf
     growth = _binomial_bound(complex.n_vertices, k) if input_max else 0.0
+    try:
+        bound_max = growth * input_max
+        bound_l1 = math.comb(complex.n_vertices, k + 2) * growth * input_max
+    except OverflowError:  # input_max beyond binary64; growth and the C(n0, k+2)
+        bound_max = bound_l1 = math.inf  # of a complex with (k+1)-simplices are >= 1
     cert = FillCertificate(
         input_max_coeff=input_max,
         output_max_coeff=filled.max_abs(),
         output_l1=filled.l1(),
-        bound_max=growth * input_max,
-        bound_l1=math.comb(complex.n_vertices, k + 2) * growth * input_max,
+        bound_max=bound_max,
+        bound_l1=bound_l1,
         rank_used=snf.rank,
         n_vertices=complex.n_vertices,
         k=k,
@@ -353,14 +362,12 @@ def fill_boundary(complex: SimplicialComplex, c_k: Chain) -> tuple[Chain, FillCe
 
 
 def _mass_kernel(complex: SimplicialComplex) -> tuple[list, list | None]:
-    """The echelon basis of ker d2, cached per complex (the dual graph's on a
-    2-pseudomanifold, else of the Smith kernel), and each row's (column,
-    entry) (None off the columns) if the columns are disjoint and +-1."""
+    """The echelon basis of ker d2, cached per complex, and each row's
+    (column, entry) (None off the columns) if the columns are disjoint and
+    +-1."""
 
     def build():
-        dual = dual_graph(complex)
-        cols = (column_echelon_basis(boundary_smith(complex, 2).kernel_columns())
-                if dual is None else dual.kernel_columns())
+        cols = column_echelon_basis(_d2(complex).kernel_columns())
         where: list = [None] * complex.n_simplices(2)
         for j, (rows, vals) in enumerate(cols):
             for i, c in zip(rows, vals):
@@ -434,9 +441,9 @@ def _median_fill(x0: dict[int, int], multiples: Sequence[int], cols: list, where
     the sort, the median and the weight below it are shared, and m* is
     q times x0's; only the walk, with the slack of q m*, runs per q.
 
-    x0 and each fill are sparse {index: value}, keys ascending and no zeros:
-    the work is x0's support, the kernel dimension and, per q, the rows of
-    the columns that shift.
+    x0 and each fill are sparse {index: value} with no zeros: the work is
+    x0's support, the kernel dimension and, per q, the rows of the columns
+    that shift.
     """
     weight_at = [{0: total} for total in totals]
     least = 0
@@ -444,9 +451,9 @@ def _median_fill(x0: dict[int, int], multiples: Sequence[int], cols: list, where
         if where[i] is None:
             least += abs(a) * big[i]
         else:
-            j, c = where[i]
+            j, c = where[i]  # row i's weight moves from the breakpoint 0 to -a c
             weight_at[j][0] -= big[i]
-            weight_at[j][-a * c] = weight_at[j].get(-a * c, 0) + big[i]
+            _axpy(weight_at[j], ((-a * c, big[i]),), 1)
     medians = []
     for at, total in zip(weight_at, totals):
         points, below = sorted(at), 0
@@ -472,17 +479,16 @@ def _median_fill(x0: dict[int, int], multiples: Sequence[int], cols: list, where
             t -= slack // rate
             slack %= rate
             if t:
-                for i, c in zip(rows, vals):
-                    fill[i] = fill.get(i, 0) + t * c
-        fills.append({i: fill[i] for i in sorted(fill) if fill[i]})
+                _axpy(fill, zip(rows, vals), t)
+        fills.append(fill)
     return fills
 
 
 def _min_mass_vector(complex: SimplicialComplex, table: tuple, x0: dict[int, int],
                      multiples: Sequence[int], node_budget: int) -> list[dict[int, int]]:
     """``min_mass_fill``'s vectors for q * x0, one per q in ``multiples``,
-    sparse with keys ascending, from any point x0 of its coset, sparse too,
-    with the ``_mass_table`` of its weights.  The search path runs per q from
+    sparse with no zeros, from any point x0 of its coset, sparse too, with
+    the ``_mass_table`` of its weights.  The search path runs per q from
     the dense q * x0 and refuses more than MIN_MASS_MAX_KERNEL_DIM columns."""
     big, one, totals = table
     cols, where = _mass_kernel(complex)
@@ -511,14 +517,12 @@ def _min_mass_fills(complex: SimplicialComplex, w2: Sequence[float], z: Chain,
     if len(w2) < complex.n_simplices(2):
         raise DomainError("missing 2-simplex weights")
     table = _mass_table(complex, w2)
-    dual = dual_graph(complex)
-    x0, obstruction = (dual.solve(dict(z.items())) if dual is not None else
-                       boundary_smith(complex, 2).solve_with_obstruction(dict(z.items())))
+    x0, obstruction = _d2(complex).solve_with_obstruction(dict(z.items()))
     if x0 is None:
         raise DomainError(f"cycle does not bound: {obstruction}")
     try:
-        fills = [Chain(2, vec) for vec in _min_mass_vector(complex, table, x0, multiples,
-                                                           node_budget)]
+        fills = [Chain._of(2, vec) for vec in _min_mass_vector(complex, table, x0, multiples,
+                                                               node_budget)]
     except CapacityError as err:
         err.incumbent = Chain.from_vector(2, err.incumbent)
         err.incumbent_cost = mass(w2, err.incumbent)
@@ -543,9 +547,8 @@ def min_mass_fill(
     columns of the boundary are disjoint with +-1 entries, as the
     fundamental classes of closed orientable surfaces are, ``_median_fill``
     computes E with no search, so with no use of ``node_budget``, at a cost
-    of what the support of the solution of d2 x = z touches (the dual
-    graph's on a 2-pseudomanifold, else the Smith form's); any
-    other kernel is searched by ``coset_min`` from that solution, held to
+    of what the support of the solution of d2 x = z touches; any other
+    kernel is searched by ``coset_min`` from that solution, held to
     ``node_budget``, and one of more than MIN_MASS_MAX_KERNEL_DIM (20)
     columns is refused with a CapacityError.  The integer weights and column
     totals are derived once per weight table.  The mass returned is E's own,
@@ -680,10 +683,8 @@ def hf1_profile(
 ) -> Hf1Profile:
     """Lower estimate of HF1 on a grid of length thresholds.
 
-    Requires trivial integer H1 (checked by ``h1_is_trivial``: the rank of
-    the first boundary by union-find, the dual graph of the second, or its
-    Smith form where some edge lies in three triangles or more).  The
-    cycle family is every simple skeleton cycle up to an edge-count budget
+    Requires trivial integer H1 (checked by ``h1_is_trivial``).  The cycle
+    family is every simple skeleton cycle up to an edge-count budget
     (derived from the grid, capped at DEFAULT_MAX_CYCLE_EDGES), plus integer
     multiples up to mass l (capped at x3).  A smaller family only lowers the
     estimate, which keeps its direction honest.  Each kept cycle and its

@@ -21,6 +21,7 @@ import time
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
@@ -600,7 +601,7 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
     def wedge_fill(idx: int, u: int, v: int) -> tuple[int, ...]:
         su = path_chain(space.complex, tree_path(parent, u))
         sv = path_chain(space.complex, tree_path(parent, v))
-        wedge = Chain(1, {idx: 1}) + su - sv
+        wedge = Chain._of(1, {idx: 1}) + su - sv
         part = fill_loop_locally(space, wedge)
         if part is None:
             part, _ = min_mass_fill(space.complex, space.volumes, wedge)
@@ -683,30 +684,28 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
             u, v = edges[idx]
             pu = succ.get(u, u)
             pv = succ.get(v, v)
-            if pu == u and pv == v:
-                next_acc[idx] = next_acc.get(idx, 0) + a
-                continue
-            if pu != pv and not space.complex.has_simplex(1, tuple(sorted((pu, pv)))):
-                raise StructuralError(
-                    f"projection of edge {(u, v)} lands on missing edge {(pu, pv)}"
-                )
-            # swept cell: u -> v -> pv -> pu -> u, degenerate corners dropped
-            cell_walk = [u, v]
-            if pv != v:
-                cell_walk.append(pv)
-            if pu != pv and pu != u:
-                cell_walk.append(pu)
-            cell_walk.append(u)
-            part = fill_loop_locally(space, path_chain(space.complex, cell_walk))
-            if part is None:
-                raise StructuralError(
-                    f"swept cell of edge {(u, v)} is not filled by faces: "
-                    "neck is not vertically structured"
-                )
-            _axpy(sweep, part.items(), a)
-            for jdx, sgn in path_chain(space.complex, (pu, pv)).items():
-                next_acc[jdx] = next_acc.get(jdx, 0) + sgn * a
-        cur = Chain(1, next_acc)
+            if (pu, pv) != (u, v):
+                if pu != pv and not space.complex.has_simplex(1, tuple(sorted((pu, pv)))):
+                    raise StructuralError(
+                        f"projection of edge {(u, v)} lands on missing edge {(pu, pv)}"
+                    )
+                # swept cell: u -> v -> pv -> pu -> u, degenerate corners dropped
+                cell_walk = [u, v]
+                if pv != v:
+                    cell_walk.append(pv)
+                if pu != pv and pu != u:
+                    cell_walk.append(pu)
+                cell_walk.append(u)
+                part = fill_loop_locally(space, path_chain(space.complex, cell_walk))
+                if part is None:
+                    raise StructuralError(
+                        f"swept cell of edge {(u, v)} is not filled by faces: "
+                        "neck is not vertically structured"
+                    )
+                _axpy(sweep, part.items(), a)
+            # the edge's projection, the edge itself where neither end moves
+            _axpy(next_acc, path_chain(space.complex, (pu, pv)).items(), a)
+        cur = Chain._of(1, next_acc)
         _axpy(total, sweep.items(), 1)
     swept = Chain._of(2, total)
     if boundary(space.complex, swept) != c - cur:
@@ -816,7 +815,7 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
         if not neck_edges:
             break
         for label in sorted(neck_edges):
-            restriction = Chain(1, neck_edges[label])
+            restriction = Chain._of(1, neck_edges[label])
             balance = dict(boundary(space.complex, restriction).items())
             connectors = _pair_junctions(space, label, balance)
             piece = restriction + connectors
@@ -834,7 +833,7 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
             raise DomainError("region decomposition did not stabilize")
         by_body.setdefault(label, {})[idx] = a
     for label in sorted(by_body):
-        piece = Chain(1, by_body[label])
+        piece = Chain._of(1, by_body[label])
         if not boundary(space.complex, piece).is_zero():
             raise InvariantError(f"body piece {label} is not a cycle")
         pieces.append((label, piece))
@@ -952,10 +951,9 @@ def project_cycle_to_graph(
                     f"no geodesic-graph edge between cover sets {si} and {sj}, "
                     "which share a junction vertex"
                 )
-            eidx = graph.nerve.index_of(1, pair)
-            sign = 1 if si < sj else -1
-            graph_acc[eidx] = graph_acc.get(eidx, 0) + sign
-            gamma = graph.realize(space, Chain(1, {eidx: sign}))
+            step = Chain._of(1, {graph.nerve.index_of(1, pair): 1 if si < sj else -1})
+            _axpy(graph_acc, step.items(), 1)
+            gamma = graph.realize(space, step)
             t_next = spoke(sj, v_end)
             # closed walk v_end -> center_i -> center_j -> v_end
             loop_b = dict(u_i.items())
@@ -963,7 +961,7 @@ def project_cycle_to_graph(
             _axpy(loop_b, t_next.items(), 1)
             _axpy(e1, cone_fill(space, Chain._of(1, loop_b), v_end).items(), -1)
 
-    c_graph = Chain(1, graph_acc).scale(content)
+    c_graph = Chain._of(1, graph_acc).scale(content)
     e1 = Chain._of(2, e1).scale(content)
     realized = graph.realize(space, c_graph)
     if boundary(k, e1) != c - realized:
@@ -1115,12 +1113,17 @@ def pipeline_fill(
     e2: dict[int, int] = {}
     with _stage(timing, "E2/nerve-fill"):
         if not c_graph.is_zero():
-            constants["nerve_coeff_per_length"] = c_graph.max_abs() / input_mass
+            top = c_graph.max_abs()
+            try:
+                per_length = top / input_mass
+            except OverflowError:  # top beyond binary64: round the exact quotient
+                per_length = float(top / Fraction(input_mass))
+            constants["nerve_coeff_per_length"] = per_length
             nerve_fill, certificate = fill_boundary(graph.nerve, c_graph)
             triangles = graph.nerve.simplices(2)
-            for tidx, coeff in sorted(nerve_fill.items()):
+            for tidx, coeff in nerve_fill.items():
                 # the realized boundary (j,l) - (i,l) + (i,j), coned from set i
-                loop = graph.realize(space, boundary(graph.nerve, Chain(2, {tidx: 1})))
+                loop = graph.realize(space, boundary(graph.nerve, Chain._of(2, {tidx: 1})))
                 apex = graph.centers[triangles[tidx][0]]
                 _axpy(e2, cone_fill(space, loop, apex).items(), coeff)
 

@@ -16,8 +16,7 @@ routine's, which the tests keep as the differential oracle.  It is kept
 sparse: U and V as sparse columns and D as its diagonal, so a solve
 against a cached decomposition, sparse in and sparse out, costs the
 nonzeros on the right-hand side's support.  ``filling`` caches them per
-complex; it reads a space's d2 off the dual graph instead wherever every
-edge lies in at most two triangles.
+complex.
 
 A kernel has one format: sparse columns (rows ascending, values), as
 ``SmithDecomposition.kernel_columns`` hands them out.  The greedy max-norm
@@ -184,7 +183,9 @@ class SmithDecomposition:
     matrices the transforms are a few percent nonzero, so a solve costs
     what the right-hand side's support touches, not a dense product.  The
     last columns of V, from ``rank`` on, are the kernel; ``kernel_columns``
-    is its only accessor, and nothing is cached on the object.
+    is its only accessor, and nothing is cached on the object.  ``torsion``
+    says whether some invariant factor exceeds 1, so that coker A has
+    torsion.
 
     Each column is a pair of lists (row indices ascending, values).  Lists,
     not tuples: freed small tuples stay on CPython's per-size free lists,
@@ -192,13 +193,14 @@ class SmithDecomposition:
     capped_prism(6, 2) rose by 1.2-1.6 MB.
     """
 
-    __slots__ = ("rows", "cols", "diagonal", "rank", "_u_cols", "_v_cols")
+    __slots__ = ("rows", "cols", "diagonal", "rank", "torsion", "_u_cols", "_v_cols")
 
     def __init__(self, diagonal: Sequence[int], u_cols: list, v_cols: list):
         self.rows = len(u_cols)
         self.cols = len(v_cols)
         self.diagonal = tuple(diagonal)
         self.rank = sum(1 for x in self.diagonal if x != 0)
+        self.torsion = any(x not in (0, 1) for x in self.diagonal)
         self._u_cols = u_cols
         self._v_cols = v_cols
 
@@ -206,30 +208,24 @@ class SmithDecomposition:
         """Solve A x = b for b given as {row: value}; on failure return
         (None, reason string).
 
-        c = U b is accumulated from the U columns on b's support, and its
-        nonzero rows are checked in increasing order, so the reason names
-        the first failing row.  x is accumulated from the V columns on c's
-        support and returned as {index: value}, keys ascending and no
-        zeros, so a solve costs what b's support touches.  A row of b
-        outside the matrix is the StructuralError that ``Chain.to_vector``
-        raises for an index out of range, as b is a chain's coefficients.
+        c = U b is summed from the U columns on b's support, and its rows
+        are checked in increasing order, so the reason names the first
+        failing row.  x is summed from the V columns on c's support and
+        returned as {index: value} with no zeros, so a solve costs what b's
+        support touches.  A row of b outside the matrix is the
+        StructuralError that ``Chain.to_vector`` raises for an index out of
+        range, as b is a chain's coefficients.
         """
         c: dict[int, int] = {}
-        u_cols = self._u_cols
         for j, bj in b.items():
             if not 0 <= j < self.rows:
                 raise StructuralError(f"chain index {j} out of range {self.rows}")
             if bj:
-                rows, vals = u_cols[j]
-                for i, x in zip(rows, vals):
-                    c[i] = c.get(i, 0) + bj * x
+                _axpy(c, zip(*self._u_cols[j]), bj)
         k = len(self.diagonal)
         x: dict[int, int] = {}
-        v_cols = self._v_cols
         for i in sorted(c):
             ci = c[i]
-            if ci == 0:
-                continue
             if i >= k:
                 return None, f"transformed rhs is {ci} on row {i} beyond the diagonal"
             di = self.diagonal[i]
@@ -237,11 +233,8 @@ class SmithDecomposition:
                 return None, f"transformed rhs is {ci} on zero diagonal row {i}"
             if ci % di != 0:
                 return None, f"invariant factor d[{i}]={di} does not divide transformed rhs {ci}"
-            yi = ci // di
-            rows, vals = v_cols[i]
-            for r, val in zip(rows, vals):
-                x[r] = x.get(r, 0) + yi * val
-        return {r: x[r] for r in sorted(x) if x[r]}, None
+            _axpy(x, zip(*self._v_cols[i]), ci // di)
+        return x, None
 
     def kernel_columns(self) -> list:
         """Sparse columns (rows, values) of V spanning ker(A) over the integers."""

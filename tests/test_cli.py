@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from fillbound.fileio import (
 from fillbound.shapes import capped_prism, icosphere, octahedron
 
 from conftest import octahedron_necklace
+from test_geom import tall_composite
+from test_golden import octahedra_sharing_a_face
 
 WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -231,22 +234,50 @@ class TestFill:
             ) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
-        # masses are correctly rounded sums, so reversing a cycle document's
-        # entries changes only the echoed path
+        # masses are correctly rounded sums and no fill depends on a cycle's
+        # item order, so reordering a cycle document's entries changes only
+        # the echoed path
         space = icosphere(2)
         space_path = tmp_path / "ico2.json"
         save_space(str(space_path), space)
         cycle = load_workloads().random_cycle(random.Random(2), space, 3)
         doc = chain_to_dict(space, cycle)
-        reports = []
-        for name, entries in (("cycle", doc["entries"]), ("reversed", doc["entries"][::-1])):
+        before, after = self.fill_outputs(tmp_path, space_path, "0.8", doc, doc["entries"][::-1])
+        assert before == after
+
+    @pytest.mark.parametrize("make, radius", [
+        (lambda: capped_prism(6, 2), "1.2"),  # E0 contracts the neck
+        (lambda: tall_composite()[0], "1.2"),  # two necks
+        (octahedra_sharing_a_face, "0.8"),  # the Smith form and coset_min
+        (lambda: icosphere(2), "0.8"),
+    ], ids=["capped_prism", "tall_composite", "octahedra_sharing_a_face", "icosphere2"])
+    def test_shuffled_cycle_fills_alike(self, tmp_path, make, radius):
+        space = make()
+        space_path = tmp_path / "space.json"
+        save_space(str(space_path), space)
+        rng = random.Random(2604)
+        for _ in range(4):
+            doc = chain_to_dict(space, load_workloads().random_cycle(rng, space, rng.randint(1, 3)))
+            entries = doc["entries"][:]
+            rng.shuffle(entries)
+            before, after = self.fill_outputs(tmp_path, space_path, radius, doc, entries)
+            assert before == after
+
+    @staticmethod
+    def fill_outputs(tmp_path, space_path, radius, doc, entries) -> list:
+        """``fill``'s report, with the echoed cycle path masked, and its
+        ``--chain-out`` bytes, for the cycle document ``doc`` and for its copy
+        with ``entries``."""
+        outputs = []
+        for name, items in (("cycle", doc["entries"]), ("reordered", entries)):
             cycle_path = tmp_path / f"{name}.json"
-            cycle_path.write_text(json.dumps({**doc, "entries": entries}))
-            out = tmp_path / f"{name}_report.json"
+            cycle_path.write_text(json.dumps({**doc, "entries": items}))
+            out, chain_out = tmp_path / f"{name}_report.json", tmp_path / f"{name}_chain.json"
             assert main(["fill", "--space", str(space_path), "--cycle", str(cycle_path),
-                         "--radius", "0.8", "--out", str(out)]) == 0
-            reports.append(out.read_text().replace(json.dumps(str(cycle_path)), '"CYCLE"'))
-        assert reports[0] == reports[1]
+                         "--radius", radius, "--out", str(out), "--chain-out", str(chain_out)]) == 0
+            outputs.append((out.read_text().replace(json.dumps(str(cycle_path)), '"CYCLE"'),
+                            chain_out.read_bytes()))
+        return outputs
 
     def test_labeled_composite_space(self, tmp_path):
         # region + radial fields round-trip through the file format and the
@@ -270,6 +301,37 @@ class TestFill:
         report = json.loads(out.read_text())["report"]
         assert report["boundary_verified"] is True
         assert report["mass_e0"] > 0  # the neck sweep did run
+
+    @pytest.mark.parametrize("radius", ["0.8", "1e-5"])
+    def test_coefficients_beyond_binary64(self, tmp_path, radius):
+        # the equator of octahedron(1e-5) at 10^310: no coefficient fits
+        # binary64, but every mass does; at 0.8 one cover set holds the
+        # octahedron (E1), and at 1e-5 the nerve fill runs (E2)
+        space = octahedron(1e-5)
+        loop, a = [0, 2, 1, 3], 10 ** 310
+        z = chain_from_simplices(space.complex, 1,
+                                 [((loop[i], loop[(i + 1) % 4]), a) for i in range(4)])
+        space_path, cycle_path = tmp_path / "octa.json", tmp_path / "equator.json"
+        save_space(str(space_path), space)
+        save_chain(str(cycle_path), space, z)
+        out, chain_out = tmp_path / "report.json", tmp_path / "chain.json"
+        assert main(["fill", "--space", str(space_path), "--cycle", str(cycle_path),
+                     "--radius", radius, "--out", str(out), "--chain-out", str(chain_out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        lengths = [space.edge_lengths[i] for i, _ in z.items()]
+        assert report["input_mass1"] == math.fsum(float(a * Fraction(w)) for w in lengths)
+        assert 0 < report["total_mass2"] < report["input_mass1"]
+        filled = chain_from_dict(space, json.loads(chain_out.read_text()))
+        assert boundary(space.complex, filled) == z
+        if radius == "1e-5":
+            assert report["mass_e2"] == report["total_mass2"]
+            assert (report["measured_constants"]["nerve_coeff_per_length"]
+                    == float(a / Fraction(report["input_mass1"])))
+            cert = report["certificate"]
+            assert cert["bound_max"] is None and cert["bound_l1"] is None
+            assert cert["input_max_coeff"] == a and cert["bounds_hold"] is True
+        else:
+            assert report["mass_e1"] == report["total_mass2"]
 
     def test_bound_beyond_binary64_is_null(self, tmp_path):
         # 42 cover sets: C(42, 2)^(C(42, 2)/2) overflows binary64

@@ -4,19 +4,22 @@
 
 PARENT and CHANGE are checkouts (each with ``src/``, ``perfbench/`` and
 ``tests/``), for instance two ``git archive`` copies.  For each seed, the
-PARENT tree writes the input documents: ten spaces (the octahedron,
+PARENT tree writes the input documents: twelve spaces (the octahedron,
 icosphere(1), icosphere(2), icosphere(3), capped_prism(6, 2), the golden
 tests' two unit octahedra pinched at a vertex and sharing a face,
 ``tests/test_geom.tall_composite``, three bodies joined by two necks, the
-flat disk, whose boundary kernel is empty, and the annulus prism(6, 1),
-whose H1 is not trivial, so that ``fill`` and ``hf1`` refuse it), three
+flat disk, whose boundary kernel is empty, and three spaces whose H1 is not
+trivial, so that ``fill`` and ``hf1`` refuse them: the annulus prism(6, 1),
+by rank, and by torsion the 6-vertex RP^2 of ``tests/test_filling.RP2`` on
+points of the unit sphere, a 2-pseudomanifold, and the same RP^2 with a
+fin, one more triangle on its edge (0, 1), which then lies in three), three
 ``perfbench/workloads.random_cycle`` cycles on each, and a copy of each space
 with its vertices shuffled by the seed, as ``perfbench/workloads.Hf1Ico2``
 relabels icosphere(2) (complex and coordinates only, which is what ``hf1``
 reads).  Then each tree, in its own copy of the inputs and a fresh
 interpreter per command, runs ``fill --chain-out`` on every cycle, ``hf1`` on
-every space and every shuffled copy, and ``bfrt-check --verbose`` once: 51
-commands and 144 files per seed.  The shuffled copies give each seed other
+every space and every shuffled copy, and ``bfrt-check --verbose`` once: 61
+commands and 160 files per seed.  The shuffled copies give each seed other
 cycle families and Smith pivots in ``hf1``.  icosphere(3) brings the largest
 solves and fills, on 1,920 edges and 1,280 triangles.  Every command's exit
 code, stdout and stderr, and the bytes of every file either tree leaves
@@ -42,7 +45,7 @@ from pathlib import Path
 SPACES = [("octahedron", "0.8"), ("icosphere1", "0.8"), ("icosphere2", "0.8"),
           ("icosphere3", "0.8"), ("capped_prism", "1.2"), ("pinched_octahedra", "0.8"),
           ("octahedra_sharing_a_face", "0.8"), ("tall_composite", "1.2"), ("disk", "0.5"),
-          ("annulus", "0.8")]
+          ("annulus", "0.8"), ("rp2", "0.8"), ("rp2_with_fin", "0.8")]
 CYCLES_PER_SPACE = 3
 
 WRITE_INPUTS = """
@@ -50,11 +53,14 @@ import random, sys
 from fillbound import fileio, shapes
 from fillbound.chains import SimplicialComplex
 from fillbound.geom import MetricComplex
+from test_filling import RP2
 from test_geom import tall_composite
 from test_golden import octahedra_sharing_a_face, pinched_octahedra
 from workloads import random_cycle
 
 seed, n_cycles = sys.argv[1], int(sys.argv[2])
+sphere_points = shapes.icosphere(0).coords  # twelve distinct points of the unit sphere
+with_fin = SimplicialComplex.from_simplices(RP2.simplices(2) + ((0, 1, 6),))
 spaces = {
     "octahedron": shapes.octahedron(1.0),
     "icosphere1": shapes.icosphere(1),
@@ -66,6 +72,8 @@ spaces = {
     "tall_composite": tall_composite()[0],
     "disk": shapes.disk(),
     "annulus": shapes.prism(6, 1),
+    "rp2": MetricComplex(complex=RP2, coords=sphere_points[:6]),
+    "rp2_with_fin": MetricComplex(complex=with_fin, coords=sphere_points[:7]),
 }
 
 
