@@ -296,16 +296,22 @@ def chain_from_simplices(
     Tuples given in non-increasing order are normalized; the coefficient is
     multiplied by the permutation sign.
     """
+    def signed():
+        for verts, coeff in terms:
+            if not isinstance(coeff, int):
+                raise StructuralError(f"coefficient {coeff!r} is not an integer")
+            if len(tuple(verts)) != dim + 1:
+                raise StructuralError(f"{tuple(verts)} is not a {dim}-simplex")
+            canon, sign = sort_with_sign(verts)
+            idx = complex.index_of(dim, canon)
+            if coeff:
+                yield idx, sign * coeff
+
     acc: dict[int, int] = {}
-    for verts, coeff in terms:
-        if not isinstance(coeff, int):
-            raise StructuralError(f"coefficient {coeff!r} is not an integer")
-        if len(tuple(verts)) != dim + 1:
-            raise StructuralError(f"{tuple(verts)} is not a {dim}-simplex")
-        canon, sign = sort_with_sign(verts)
-        idx = complex.index_of(dim, canon)
-        acc[idx] = acc.get(idx, 0) + sign * coeff
-    return Chain(dim, acc)
+    _axpy(acc, signed(), 1)
+    if dim < 0:  # only reached without terms: each term of a negative dim is refused
+        raise StructuralError("chain dimension must be nonnegative")
+    return Chain._of(dim, acc)
 
 
 def path_chain(complex: SimplicialComplex, path: Sequence[int]) -> Chain:

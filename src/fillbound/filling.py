@@ -744,7 +744,7 @@ def _fit_upper_line(samples: Sequence[tuple[float, float]]) -> tuple[float, floa
     corners = []
     prev = None
     for l, e in samples:
-        if prev is None or e > prev + 1e-15:
+        if prev is None or e > prev + ABS_TOL:
             corners.append((l, e))
         prev = e
     if len(corners) >= 2:

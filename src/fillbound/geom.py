@@ -335,11 +335,7 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
     def add_set(center: int, label: str, dist: list[float]):
         """The cover set of ``center``, from its shortest-path distances in its region."""
         ball = {v for v, d in enumerate(dist) if d <= 2.0 * radius + ABS_TOL}
-        if (
-            space.radial is not None
-            and label
-            and is_neck_label(label)
-        ):
+        if space.radial is not None and is_neck_label(label):
             rc = space.radial[center]
             ball = {v for v in ball if abs(space.radial[v] - rc) <= 2.0 * radius + ABS_TOL}
         sets.append(tuple(sorted(_connected_component(ball, center, adj))))
@@ -348,18 +344,16 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
     for label in sorted(regions):
         verts = regions[label]
         allowed = frozenset(verts)
-        seed = min(verts)
-        region_centers = [seed]
         mindist = {v: math.inf for v in verts}
-        dists = {}
 
         def relax(center):
-            dist = dists[center] = shortest_path_tree(adj, center, allowed=allowed)[0]
+            dist = shortest_path_tree(adj, center, allowed=allowed)[0]
             for v in verts:
                 if dist[v] < mindist[v]:
                     mindist[v] = dist[v]
+            add_set(center, label, dist)
 
-        relax(seed)
+        relax(min(verts))
         while True:
             far_v = None
             far_d = -1.0
@@ -369,10 +363,7 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
                     far_v = v
             if far_v is None or far_d <= radius + ABS_TOL:
                 break
-            region_centers.append(far_v)
             relax(far_v)
-        for c in region_centers:
-            add_set(c, label, dists[c])
 
     covered = {v for s in sets for v in s}
     for v in range(k.n_vertices):
@@ -575,6 +566,14 @@ def fill_loop_locally(space: MetricComplex, loop: Chain) -> Optional[Chain]:
 # cone fill
 
 
+def _require_cycle(space: MetricComplex, c: Chain, caller: str, subject: str) -> None:
+    """DomainError unless c is a 1-chain (checked first) and a cycle."""
+    if c.dim != 1:
+        raise DomainError(f"{caller} expects a 1-chain")
+    if not boundary(space.complex, c).is_zero():
+        raise DomainError(f"{subject} is not a cycle")
+
+
 def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
     """Discrete cone over a 1-cycle: per loop edge, fill the wedge between
     the edge and the shortest paths of its endpoints to the apex.
@@ -586,12 +585,9 @@ def cone_fill(space: MetricComplex, loop: Chain, apex: int) -> Chain:
     memo as a flat tuple ``(triangle, coefficient, ...)`` in the fill's item
     order.  The boundary of the sum is checked on every call.
     """
-    if loop.dim != 1:
-        raise DomainError("cone_fill expects a 1-chain")
+    _require_cycle(space, loop, "cone_fill", "cone_fill input")
     if loop.is_zero():
         return Chain.zero(2)
-    if not boundary(space.complex, loop).is_zero():
-        raise DomainError("cone_fill input is not a cycle")
     if not (0 <= apex < space.complex.n_vertices):
         raise StructuralError(f"apex {apex} is not a vertex")
     parent = cached(space, ("tree", apex),
@@ -653,10 +649,7 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
     """
     if space.radial is None:
         raise StructuralError("neck contraction needs a radial field")
-    if c.dim != 1:
-        raise DomainError("neck_contract expects a 1-chain")
-    if not boundary(space.complex, c).is_zero():
-        raise DomainError("neck_contract input is not a cycle")
+    _require_cycle(space, c, "neck_contract", "neck_contract input")
     radial = space.radial
     lo, hi = min(radial), max(radial)
     if not (lo - ABS_TOL <= target_level <= hi + ABS_TOL):
@@ -696,7 +689,7 @@ def neck_contract(space: MetricComplex, c: Chain, target_level: float) -> tuple[
                 if pu != pv and pu != u:
                     cell_walk.append(pu)
                 cell_walk.append(u)
-                part = fill_loop_locally(space, path_chain(space.complex, cell_walk))
+                part = fill_walk_on_faces(space.complex, cell_walk)
                 if part is None:
                     raise StructuralError(
                         f"swept cell of edge {(u, v)} is not filled by faces: "
@@ -732,14 +725,9 @@ def _edge_region(space: MetricComplex, u: int, v: int) -> str:
 
 
 def _closed_star_vertices(space: MetricComplex, label: str) -> frozenset:
-    k = space.complex
-    verts = {v for v in range(k.n_vertices) if space.region[v] == label}
-    for (u, v) in k.simplices(1):
-        if space.region[u] == label:
-            verts.add(v)
-        if space.region[v] == label:
-            verts.add(u)
-    return frozenset(verts)
+    adj = space.adjacency()
+    inside = [v for v, r in enumerate(space.region) if r == label]
+    return frozenset(inside).union(w for v in inside for (w, _) in adj[v])
 
 
 def _pair_junctions(space, neck_label, balance) -> Chain:
@@ -790,16 +778,9 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
     """
     if space.region is None:
         raise StructuralError("decompose_cycle needs region labels")
-    if c.dim != 1:
-        raise DomainError("decompose_cycle expects a 1-chain")
-    if not boundary(space.complex, c).is_zero():
-        raise DomainError("decompose_cycle input is not a cycle")
-    if c.is_zero():
-        return []
+    _require_cycle(space, c, "decompose_cycle", "decompose_cycle input")
     edges = space.complex.simplices(1)
-    labels = sorted({_edge_region(space, *edges[idx]) for idx in c.support})
-    if len(labels) == 1:
-        return [(labels[0], c)]
+    labels = {_edge_region(space, *edges[idx]) for idx in c.support}
 
     # junction pairing expands multiplicities, so peel the content first
     content, c_red = peel_content(c)
@@ -850,44 +831,24 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
 # cycle -> geodesic graph projection
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    input_mass1: float
-    rerouted_mass1: float
-    wedge_mass2: float
-
-    @property
-    def length_ratio(self) -> Optional[float]:
-        return self.rerouted_mass1 / self.input_mass1 if self.input_mass1 > 0 else None
-
-    @property
-    def area_ratio(self) -> Optional[float]:
-        return self.wedge_mass2 / self.input_mass1 if self.input_mass1 > 0 else None
-
-
 def project_cycle_to_graph(
     space: MetricComplex,
     cover: Cover,
     graph: GeodesicGraph,
     c: Chain,
-) -> tuple[Chain, Chain, ProjectionReport]:
+) -> tuple[Chain, Chain, Chain]:
     """Reroute a skeleton cycle through cover-set centers.
 
-    Returns (C', E1, report): C' is a chain on graph edges, that is a
-    1-chain of ``graph.nerve``, and E1 a 2-chain with boundary(E1) =
-    c - realize(C') exactly.  Arcs are maximal runs of consecutive cycle
-    edges assigned to one cover set; each arc is traded for the graph edge
-    between the centers of consecutive arc sets, and the difference loops
-    are cone-filled inside the relevant sets.  ``graph`` must come from
+    Returns (C', E1, R): C' is a chain on graph edges, that is a 1-chain of
+    ``graph.nerve``, R = ``graph.realize(space, C')`` its skeleton cycle,
+    and E1 a 2-chain with boundary(E1) = c - R exactly.  Arcs are maximal
+    runs of consecutive cycle edges assigned to one cover set; each arc is
+    traded for the graph edge between the centers of consecutive arc sets,
+    and the difference loops are cone-filled inside the relevant sets.  ``graph`` must come from
     ``geodesic_graph(space, cover)``, which checks that every set is
     connected and holds its center, so each set's tree reaches all of it.
     """
-    if c.dim != 1:
-        raise DomainError("project_cycle_to_graph expects a 1-chain")
-    if not boundary(space.complex, c).is_zero():
-        raise DomainError("projection input is not a cycle")
-    if c.is_zero():
-        return Chain.zero(1), Chain.zero(2), ProjectionReport(0.0, 0.0, 0.0)
+    _require_cycle(space, c, "project_cycle_to_graph", "projection input")
 
     # work on the primitive cycle; scale everything back at the end
     content, c_red = peel_content(c)
@@ -966,12 +927,7 @@ def project_cycle_to_graph(
     realized = graph.realize(space, c_graph)
     if boundary(k, e1) != c - realized:
         raise InvariantError("E1 projection fill has the wrong boundary")
-    report = ProjectionReport(
-        input_mass1=space.mass1(c),
-        rerouted_mass1=space.mass1(realized),
-        wedge_mass2=space.mass2(e1),
-    )
-    return c_graph, e1, report
+    return c_graph, e1, realized
 
 
 # ---------------------------------------------------------------------------
@@ -1036,19 +992,13 @@ def _stage(timing: dict[str, float], tag: str):
 
 
 def _child_interface_level(space: MetricComplex, neck_label: str) -> float:
-    """Radial level of the lower adjacent body's interface ring."""
-    k = space.complex
-    interface: dict[str, list[int]] = {}
-    for (u, v) in k.simplices(1):
-        ru, rv = space.region[u], space.region[v]
-        if ru == neck_label and rv != neck_label:
-            interface.setdefault(rv, []).append(v)
-        elif rv == neck_label and ru != neck_label:
-            interface.setdefault(ru, []).append(u)
-    levels = {
-        body: max(space.radial[v] for v in verts)
-        for body, verts in interface.items()
-    }
+    """Radial level of the lower adjacent body's interface ring: the neck's
+    closed star outside the neck."""
+    levels: dict[str, float] = {}
+    for v in _closed_star_vertices(space, neck_label):
+        body = space.region[v]
+        if body != neck_label:
+            levels[body] = max(levels.get(body, -math.inf), space.radial[v])
     return min(levels.values())
 
 
@@ -1063,13 +1013,12 @@ def pipeline_fill(
     remaining cycle for a cycle on the geodesic graph, which is a nerve
     1-cycle, and E2 fills that cycle on the nerve and lifts each nerve
     triangle, through the graph's realization of its boundary, as a
-    cone-filled geodesic triangle.
+    cone-filled geodesic triangle.  The measured graph length and area
+    ratios divide the mass of E1's realized cycle R, and E1's own, by the
+    body cycle's.
     """
     t_start = time.perf_counter()
-    if c.dim != 1:
-        raise DomainError("pipeline_fill expects a 1-chain")
-    if not boundary(space.complex, c).is_zero():
-        raise DomainError("pipeline input is not a cycle")
+    _require_cycle(space, c, "pipeline_fill", "pipeline input")
     if not h1_is_trivial(space.complex):
         raise DomainError("H1 is nontrivial: some 1-cycle does not bound")
     input_mass = space.mass1(c)
@@ -1103,10 +1052,12 @@ def pipeline_fill(
     # stage E1: reroute through the geodesic graph (cached per cover)
     with _stage(timing, "E1/project"):
         graph = cached(cover, "graph", lambda: geodesic_graph(space, cover))
-        c_graph, e1, proj = project_cycle_to_graph(space, cover, graph, c_body)
-        if proj.length_ratio is not None:
-            constants["graph_length_ratio"] = proj.length_ratio
-            constants["graph_area_ratio"] = proj.area_ratio
+        c_graph, e1, realized = project_cycle_to_graph(space, cover, graph, c_body)
+        m1 = space.mass2(e1)
+        body_mass = space.mass1(c_body)
+        if body_mass > 0:
+            constants["graph_length_ratio"] = space.mass1(realized) / body_mass
+            constants["graph_area_ratio"] = m1 / body_mass
 
     # stage E2: combinatorial fill on the nerve plus geodesic-triangle lifts
     certificate: Optional[FillCertificate] = None
@@ -1134,7 +1085,7 @@ def pipeline_fill(
     if boundary(space.complex, total) != c:
         raise InvariantError("pipeline produced a chain with the wrong boundary")
 
-    m0, m1, m2 = space.mass2(e0), space.mass2(e1), space.mass2(e2)
+    m0, m2 = space.mass2(e0), space.mass2(e2)
     total_mass = m0 + m1 + m2
     timing["total"] = time.perf_counter() - t_start
     report = FillingReport(

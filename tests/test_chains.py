@@ -87,6 +87,15 @@ class TestConstruction:
         c = chain_from_simplices(TRIANGLE, 2, [((1, 0, 2), 1)])
         assert c.get(0) == -1
 
+    def test_chain_from_simplices_drops_zeros_and_checks_every_term(self):
+        # (0, 1) and (1, 0) cancel; a zero coefficient adds nothing
+        c = chain_from_simplices(TRIANGLE, 1, [((0, 1), 2), ((1, 0), 2), ((1, 2), 0), ((0, 2), 3)])
+        assert list(c.items()) == [(TRIANGLE.index_of(1, (0, 2)), 3)]
+        with pytest.raises(StructuralError, match="not a 1-simplex"):
+            chain_from_simplices(TRIANGLE, 1, [((0, 3), 0)])
+        with pytest.raises(StructuralError, match="nonnegative"):
+            chain_from_simplices(TRIANGLE, -1, [])
+
 
 class TestBoundary:
     def test_triangle_boundary(self):

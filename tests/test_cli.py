@@ -690,6 +690,15 @@ class TestNonFiniteGeometry:
 
 
 class TestInvariantExit:
+    def test_package_exports_every_error_class(self):
+        import fillbound.errors
+
+        classes = {name for name, obj in vars(fillbound.errors).items()
+                   if isinstance(obj, type) and issubclass(obj, fillbound.FillboundError)}
+        assert "InvariantError" in classes
+        assert classes <= set(fillbound.__all__)
+        assert all(getattr(fillbound, name) is getattr(fillbound.errors, name) for name in classes)
+
     def test_no_assert_statement_in_src(self):
         # python -O strips assert statements, and every check must survive it
         for path in sorted(Path(fillbound.__file__).parent.rglob("*.py")):

@@ -903,15 +903,16 @@ class TestProjection:
     def test_zero(self):
         cover = ball_cover(OCTA, 0.8)
         graph = geodesic_graph(OCTA, cover)
-        cg, e1, rep = project_cycle_to_graph(OCTA, cover, graph, Chain.zero(1))
-        assert cg.is_zero() and e1.is_zero()
+        cg, e1, realized = project_cycle_to_graph(OCTA, cover, graph, Chain.zero(1))
+        assert cg.is_zero() and e1.is_zero() and realized.is_zero()
+        assert (cg.dim, e1.dim, realized.dim) == (1, 2, 1)
 
     def test_octahedron_equator_is_fixed(self):
         cover = ball_cover(OCTA, 0.8)
         graph = geodesic_graph(OCTA, cover)
         z = octa_equator()
-        cg, e1, rep = project_cycle_to_graph(OCTA, cover, graph, z)
-        assert graph.realize(OCTA, cg) == z
+        cg, e1, realized = project_cycle_to_graph(OCTA, cover, graph, z)
+        assert realized == graph.realize(OCTA, cg) == z
         assert e1.is_zero()
 
     def test_exactness_on_icosphere(self, rng):
@@ -920,8 +921,9 @@ class TestProjection:
         graph = geodesic_graph(space, cover)
         for _ in range(10):
             z = _random_cycle(rng, space, parts=2)
-            cg, e1, rep = project_cycle_to_graph(space, cover, graph, z)
-            assert boundary(space.complex, e1) == z - graph.realize(space, cg)
+            cg, e1, realized = project_cycle_to_graph(space, cover, graph, z)
+            assert realized == graph.realize(space, cg)
+            assert boundary(space.complex, e1) == z - realized
 
     def test_set_trees_cached_on_cover(self, monkeypatch, rng):
         import fillbound.geom
@@ -943,7 +945,7 @@ class TestProjection:
         restricted.clear()
         second = project_cycle_to_graph(space, cover, graph, z)
         assert restricted == []
-        assert second[:2] == first[:2]
+        assert second == first
 
     def test_cover_too_fine(self):
         cover = ball_cover(OCTA, 0.1)  # singleton sets contain no edge

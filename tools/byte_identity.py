@@ -26,7 +26,8 @@ code, stdout and stderr, and the bytes of every file either tree leaves
 behind, must be equal.  Each difference is printed, and the exit status is 1
 if there is any, else 0.  Under a JSON file that differs, each key path whose
 values differ is printed too, with the distance in ulps of two numbers that
-differ.
+differ.  Each seed's summary line also gives the line count of each tree's
+``src/fillbound/*.py``, parent first.
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ def field_diffs(a, b, path: str = "") -> list[str]:
     return [f"{path}: {_show(a)} -> {_show(b)}"]
 
 
+def src_lines(tree: Path) -> int:
+    """The number of lines (newlines, as ``wc -l`` counts) in ``src/fillbound/*.py``."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "fillbound").glob("*.py"))
+
+
 def compare_seed(parent: Path, change: Path, seed: str, work: Path) -> list[str]:
     inputs = work / "inputs"
     inputs.mkdir()
@@ -190,7 +196,8 @@ def compare_seed(parent: Path, change: Path, seed: str, work: Path) -> list[str]
                 diffs += [f"seed {seed}:   {line}" for line in field_diffs(*docs)]
     failed = sum(r.returncode != 0 for r in results["change"])
     print(f"seed {seed}: {len(results['change'])} commands ({failed} nonzero exits at the change), "
-          f"{len(after)} files, {len(diffs)} differences")
+          f"{len(after)} files, {len(diffs)} differences, "
+          f"src/fillbound {src_lines(parent)} -> {src_lines(change)} lines")
     return diffs
 
 
