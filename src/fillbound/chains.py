@@ -58,51 +58,31 @@ def sort_with_sign(vertices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 class SimplicialComplex:
     """Finite abstract simplicial complex, closed under faces.
 
-    Use :meth:`from_simplices` for construction from arbitrary simplex
-    iterables; the direct constructor expects canonical data and validates
-    it strictly.
+    :meth:`from_simplices`, the one place that builds a complex, checks
+    arbitrary simplices and closes them under faces.  The direct constructor
+    refuses all but the canonical data it makes: per dimension k >= 1 (which
+    may be empty), distinct increasing tuples in lexicographic order.
     """
 
     __slots__ = ("n_vertices", "_by_dim", "_index", "_memo")
 
     def __init__(self, n_vertices: int, simplices_by_dim: Mapping[int, Sequence[tuple[int, ...]]]):
-        if n_vertices <= 0:
-            raise StructuralError("complex needs at least one vertex")
-        self.n_vertices = n_vertices
-        by_dim: dict[int, tuple[tuple[int, ...], ...]] = {}
-        for k in sorted(simplices_by_dim):
-            if k < 1:
-                raise StructuralError("simplices_by_dim keys start at dimension 1")
-            simps = [tuple(s) for s in simplices_by_dim[k]]
-            for s in simps:
-                if len(s) != k + 1:
-                    raise StructuralError(f"{s} is not a {k}-simplex")
-                if any(not (0 <= v < n_vertices) for v in s):
-                    raise StructuralError(f"vertex out of range in {s}")
-                if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-                    raise StructuralError(f"simplex {s} is not strictly increasing")
-            if len(set(simps)) != len(simps):
-                raise StructuralError(f"duplicate {k}-simplices")
-            if sorted(simps) != simps:
-                raise StructuralError(f"{k}-simplices are not in lexicographic order")
-            by_dim[k] = tuple(simps)
-        self._by_dim = by_dim
-        self._index = {
-            k: {s: i for i, s in enumerate(simps)} for k, simps in by_dim.items()
-        }
-        self._memo: dict = {}
-        self._check_closure()
+        given = {k: tuple(map(tuple, simplices_by_dim[k])) for k in sorted(simplices_by_dim)}
+        if any(k < 1 for k in given):
+            raise StructuralError("simplices_by_dim keys start at dimension 1")
+        canon = self.from_simplices([s for simps in given.values() for s in simps], n_vertices)
+        if canon._by_dim != {k: simps for k, simps in given.items() if simps}:
+            raise StructuralError("simplices_by_dim is not canonical: distinct increasing "
+                                  "tuples in lexicographic order, closed under faces")
+        self._assemble(n_vertices, given)
 
-    def _check_closure(self):
-        for k in sorted(self._by_dim, reverse=True):
-            if k == 1:
-                continue
-            lower = self._index.get(k - 1, {})
-            for s in self._by_dim[k]:
-                for j in range(len(s)):
-                    face = s[:j] + s[j + 1:]
-                    if face not in lower:
-                        raise StructuralError(f"face {face} of {s} is missing")
+    def _assemble(self, n_vertices: int, by_dim: dict[int, tuple[tuple[int, ...], ...]]):
+        """Store canonical data as it is and index it; no checks."""
+        self.n_vertices = n_vertices
+        self._by_dim = by_dim
+        self._index = {k: {s: i for i, s in enumerate(simps)} for k, simps in by_dim.items()}
+        self._memo: dict = {}
+        return self
 
     @classmethod
     def from_simplices(
@@ -143,8 +123,8 @@ class SimplicialComplex:
             for s in collected.get(k, ()):
                 for j in range(len(s)):
                     lower.add(s[:j] + s[j + 1:])
-        by_dim = {k: tuple(sorted(v)) for k, v in collected.items() if v}
-        return cls(n_vertices, by_dim)
+        by_dim = {k: tuple(sorted(collected[k])) for k in sorted(collected) if collected[k]}
+        return cls.__new__(cls)._assemble(n_vertices, by_dim)
 
     @property
     def dimension(self) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     InvariantError,
     StructuralError,
 )
-from .filling import amin_upper_bound, hf1_profile
+from .filling import amin_upper_bound, hf1_profile, require_trivial_h1
 from .fileio import (
     canonical_json,
     chain_to_dict,
@@ -61,21 +61,19 @@ def _emit(path: Optional[str], text: str):
         write_atomic(path, text if text.endswith("\n") else text + "\n")
 
 
+# ``gen``'s shapes; their order is the order that --help and argparse's errors list
+_SHAPES = {
+    "octahedron": lambda args: shapes.octahedron(args.scale),
+    "icosphere": lambda args: shapes.icosphere(args.level, args.scale),
+    "tetra_boundary": lambda args: shapes.tetra_boundary(args.scale),
+    "prism": lambda args: shapes.prism(args.n, args.levels, args.scale),
+    "disk": lambda args: shapes.disk(args.n, args.rings, args.scale),
+}
+
+
 def cmd_gen(args) -> int:
-    shape = args.shape
-    if shape == "octahedron":
-        space = shapes.octahedron(args.scale)
-    elif shape == "tetra_boundary":
-        space = shapes.tetra_boundary(args.scale)
-    elif shape == "icosphere":
-        space = shapes.icosphere(args.level, args.scale)
-    elif shape == "prism":
-        space = shapes.prism(args.n, args.levels, args.scale)
-    elif shape == "disk":
-        space = shapes.disk(args.n, args.rings, args.scale)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown shape {shape}")
-    meta = {"shape": shape, "scale": args.scale}
+    space = _SHAPES[args.shape](args)
+    meta = {"shape": args.shape, "scale": args.scale}
     if args.out:
         save_space(args.out, space, metadata=meta)
     else:
@@ -124,6 +122,7 @@ def cmd_hf1(args) -> int:
         raise DomainError(f"--l-max {args.l_max} times --steps {args.steps} "
                           "overflows binary64")
     space = load_space(args.space)
+    require_trivial_h1(space.complex)  # before the diameter's Dijkstra per vertex
     grid = [args.l_max * i / args.steps for i in range(args.steps + 1)]
     diameter = skeleton_diameter(space)
     at_2d = 2.0 * diameter
@@ -231,11 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a generator space")
-    gen.add_argument(
-        "--shape",
-        required=True,
-        choices=["octahedron", "icosphere", "tetra_boundary", "prism", "disk"],
-    )
+    gen.add_argument("--shape", required=True, choices=list(_SHAPES))
     gen.add_argument("--scale", type=float, default=1.0)
     gen.add_argument("--level", type=int, default=1, help="icosphere subdivisions")
     gen.add_argument("--n", type=int, default=6, help="polygon order")

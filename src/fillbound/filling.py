@@ -101,6 +101,12 @@ def h1_is_trivial(complex: SimplicialComplex) -> bool:
     return cached(complex, "h1_trivial", build)
 
 
+def require_trivial_h1(complex: SimplicialComplex):
+    """Refuse a complex with a 1-cycle that does not bound (``h1_is_trivial``)."""
+    if not h1_is_trivial(complex):
+        raise DomainError("H1 is nontrivial: some 1-cycle does not bound")
+
+
 def _d2(complex: SimplicialComplex):
     """The complex's d2, from the caches of its builders: the ``DualGraph``
     when every edge lies in at most two triangles, else the Smith form of
@@ -683,7 +689,7 @@ def hf1_profile(
 ) -> Hf1Profile:
     """Lower estimate of HF1 on a grid of length thresholds.
 
-    Requires trivial integer H1 (checked by ``h1_is_trivial``).  The cycle
+    Requires trivial integer H1 (checked by ``require_trivial_h1``).  The cycle
     family is every simple skeleton cycle up to an edge-count budget
     (derived from the grid, capped at DEFAULT_MAX_CYCLE_EDGES), plus integer
     multiples up to mass l (capped at x3).  A smaller family only lowers the
@@ -694,8 +700,7 @@ def hf1_profile(
     edge.  One sweep of the grid over the members sorted by mass gives the
     samples and the census (``_staircase``).
     """
-    if not h1_is_trivial(complex):
-        raise DomainError("H1 is nontrivial: some 1-cycle does not bound")
+    require_trivial_h1(complex)
     grid = sorted(set(float(l) for l in l_grid))
     if not grid:
         raise DomainError("empty length grid")

@@ -32,8 +32,8 @@ from .filling import (
     FillCertificate,
     amin_upper_bound,
     fill_boundary,
-    h1_is_trivial,
     min_mass_fill,
+    require_trivial_h1,
 )
 from .intlin import _axpy
 
@@ -810,8 +810,6 @@ def decompose_cycle(space: MetricComplex, c: Chain) -> list[tuple[str, Chain]]:
     by_body: dict[str, dict[int, int]] = {}
     for idx, a in remainder.items():
         label = _edge_region(space, *edges[idx])
-        if is_neck_label(label):
-            raise DomainError("region decomposition did not stabilize")
         by_body.setdefault(label, {})[idx] = a
     for label in sorted(by_body):
         piece = Chain._of(1, by_body[label])
@@ -1019,8 +1017,7 @@ def pipeline_fill(
     """
     t_start = time.perf_counter()
     _require_cycle(space, c, "pipeline_fill", "pipeline input")
-    if not h1_is_trivial(space.complex):
-        raise DomainError("H1 is nontrivial: some 1-cycle does not bound")
+    require_trivial_h1(space.complex)
     input_mass = space.mass1(c)
 
     timing: dict[str, float] = {}

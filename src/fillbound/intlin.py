@@ -54,35 +54,29 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "_r")
 
-    def __init__(self, rows: int, cols: int, entries: Optional[Sequence[int]] = None):
+    def __init__(self, rows: int, cols: int):
+        """The rows x cols zero matrix."""
         if rows <= 0 or cols <= 0:
             raise StructuralError(f"matrix dimensions must be positive, got {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            self._r = [{} for _ in range(rows)]
-        else:
-            entries = list(entries)
-            if len(entries) != rows * cols:
-                raise StructuralError(
-                    f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
-                )
-            for e in entries:
-                if not isinstance(e, int):
-                    raise StructuralError(f"matrix entries must be int, got {type(e).__name__}")
-            self._r = [{j: x for j, x in enumerate(entries[i:i + cols]) if x}
-                       for i in range(0, rows * cols, cols)]
+        self._r = [{} for _ in range(rows)]
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int]]) -> "IntMatrix":
         data = [list(r) for r in data]
         if not data or not data[0]:
             raise StructuralError("matrix needs at least one row and one column")
-        cols = len(data[0])
-        if any(len(r) != cols for r in data):
+        if any(len(r) != len(data[0]) for r in data):
             raise StructuralError("ragged rows in matrix data")
-        flat = [e for r in data for e in r]
-        return cls(len(data), cols, flat)
+        mat = cls(len(data), len(data[0]))
+        for sparse, r in zip(mat._r, data):
+            for j, e in enumerate(r):
+                if not isinstance(e, int):
+                    raise StructuralError(f"matrix entries must be int, got {type(e).__name__}")
+                if e:
+                    sparse[j] = e
+        return mat
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":

@@ -28,6 +28,43 @@ def complete_complex(n_vertices: int, dim: int) -> SimplicialComplex:
     return SimplicialComplex.from_simplices(simps, n_vertices=n_vertices)
 
 
+def strict_complex(n_vertices: int, simplices_by_dim) -> tuple[dict, dict, int]:
+    """The direct ``SimplicialComplex`` constructor's checks as they were
+    written out one by one, kept as the oracle of what it accepts: the
+    simplices by dimension, their index by dimension and the dimension, or a
+    StructuralError."""
+    if n_vertices <= 0:
+        raise StructuralError("complex needs at least one vertex")
+    by_dim = {}
+    for k in sorted(simplices_by_dim):
+        if k < 1:
+            raise StructuralError("simplices_by_dim keys start at dimension 1")
+        simps = [tuple(s) for s in simplices_by_dim[k]]
+        for s in simps:
+            if len(s) != k + 1:
+                raise StructuralError(f"{s} is not a {k}-simplex")
+            if any(not (0 <= v < n_vertices) for v in s):
+                raise StructuralError(f"vertex out of range in {s}")
+            if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
+                raise StructuralError(f"simplex {s} is not strictly increasing")
+        if len(set(simps)) != len(simps):
+            raise StructuralError(f"duplicate {k}-simplices")
+        if sorted(simps) != simps:
+            raise StructuralError(f"{k}-simplices are not in lexicographic order")
+        by_dim[k] = tuple(simps)
+    index = {k: {s: i for i, s in enumerate(simps)} for k, simps in by_dim.items()}
+    for k in sorted(by_dim, reverse=True):
+        if k == 1:
+            continue
+        lower = index.get(k - 1, {})
+        for s in by_dim[k]:
+            for j in range(len(s)):
+                face = s[:j] + s[j + 1:]
+                if face not in lower:
+                    raise StructuralError(f"face {face} of {s} is missing")
+    return by_dim, index, max(by_dim, default=0)
+
+
 def octahedron_necklace(n: int) -> MetricComplex:
     """n unit octahedra in a row along x, each pinched to the next at a
     vertex: the boundary kernel has n disjoint +-1 columns."""

@@ -22,7 +22,14 @@ from fillbound.geom import ball_cover, nerve
 from fillbound.intlin import IntMatrix, _axpy
 from fillbound.shapes import capped_prism, disk, icosphere, octahedron, prism, tetra_boundary
 
-from conftest import is_cycle, matmul, random_chain, random_complex, slicing_boundary
+from conftest import (
+    is_cycle,
+    matmul,
+    random_chain,
+    random_complex,
+    slicing_boundary,
+    strict_complex,
+)
 
 
 TRIANGLE = SimplicialComplex.from_simplices([(0, 1, 2)])
@@ -95,6 +102,74 @@ class TestConstruction:
             chain_from_simplices(TRIANGLE, 1, [((0, 3), 0)])
         with pytest.raises(StructuralError, match="nonnegative"):
             chain_from_simplices(TRIANGLE, -1, [])
+
+
+PERTURBATIONS = ("none", "drop", "duplicate", "unsorted", "swap", "out_of_range",
+                 "wrong_length", "key_below_1", "empty_dimension")
+
+
+@st.composite
+def strict_constructor_inputs(draw):
+    """(n_vertices, simplices_by_dim, perturbation): a canonical family on
+    at most five vertices, closed under faces here, with one perturbation
+    of its data applied (or none)."""
+    n = draw(st.integers(1, 5))
+    top = draw(st.integers(1, 3))
+    pool = [s for k in range(1, top + 1) for s in itertools.combinations(range(n), k + 1)]
+    picked = [s for s, keep in zip(pool, draw(st.lists(st.booleans(), min_size=len(pool),
+                                                        max_size=len(pool)))) if keep]
+    closed = {f for s in picked for k in range(2, len(s) + 1)
+              for f in itertools.combinations(s, k)}
+    by_dim = {}
+    for s in sorted(closed):  # lexicographic within each length
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    if kind == "key_below_1":
+        by_dim[draw(st.integers(-1, 0))] = draw(st.sampled_from([[], [(0,)]]))
+    elif kind == "empty_dimension":
+        by_dim[max(by_dim, default=0) + draw(st.integers(1, 2))] = []
+    dims = sorted(k for k in by_dim if k >= 1 and by_dim[k])
+    if kind in ("none", "key_below_1", "empty_dimension") or not dims:
+        return n, by_dim, kind
+    k = draw(st.sampled_from(dims))
+    simps = by_dim[k]
+    i = draw(st.integers(0, len(simps) - 1))
+    j = draw(st.integers(0, len(simps) - 1))
+    if kind == "drop":
+        del simps[i]
+    elif kind == "duplicate":
+        simps.insert(j, simps[i])
+    elif kind == "unsorted":
+        simps[i] = simps[i][::-1]
+    elif kind == "swap":
+        simps[i], simps[j] = simps[j], simps[i]
+    elif kind == "out_of_range":
+        simps[i] = simps[i][:-1] + (draw(st.sampled_from([n, n + 3])),)
+    elif kind == "wrong_length":
+        simps.insert(j, simps[i][:-1] if draw(st.booleans()) else simps[i] + (n,))
+    return n, by_dim, kind
+
+
+class TestStrictConstructorDifferential:
+    """``SimplicialComplex(n, by_dim)`` against the strict checks it once
+    made on its own (``conftest.strict_complex``)."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=strict_constructor_inputs())
+    def test_accepts_exactly_what_the_oracle_accepts(self, case):
+        n, by_dim, _ = case
+        try:
+            expected = strict_complex(n, by_dim)
+        except StructuralError:
+            with pytest.raises(StructuralError):
+                SimplicialComplex(n, by_dim)
+            return
+        simplices, index, dimension = expected
+        cx = SimplicialComplex(n, by_dim)
+        assert cx.n_vertices == n and cx.dimension == dimension
+        for k in range(1, dimension + 2):
+            assert cx.simplices(k) == simplices.get(k, ())
+            assert {s: cx.index_of(k, s) for s in cx.simplices(k)} == index.get(k, {})
 
 
 class TestBoundary:

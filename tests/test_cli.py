@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fillbound
-from fillbound.chains import Chain, boundary, chain_from_simplices
+from fillbound.chains import Chain, SimplicialComplex, boundary, chain_from_simplices
 from fillbound.cli import build_parser, main
 from fillbound.errors import StructuralError
 from fillbound.fileio import (
@@ -22,7 +22,8 @@ from fillbound.fileio import (
     save_space,
     space_from_dict,
 )
-from fillbound.shapes import capped_prism, icosphere, octahedron
+from fillbound.geom import MetricComplex
+from fillbound.shapes import capped_prism, icosphere, octahedron, prism
 
 from conftest import octahedron_necklace
 from test_geom import tall_composite
@@ -386,6 +387,33 @@ class TestHf1Command:
         code = main(["hf1", "--space", str(space_path), "--l-max", "2"])
         assert code == 2
 
+    def test_h1_is_checked_before_the_diameter(self, tmp_path, capsys, monkeypatch):
+        # an annulus of 2,112 vertices: the refusal comes before a single
+        # Dijkstra of the diameter's one per vertex
+        import fillbound.cli
+        import fillbound.geom
+
+        def no_diameter(space):
+            raise AssertionError("skeleton_diameter ran before the H1 check")
+
+        monkeypatch.setattr(fillbound.geom, "skeleton_diameter", no_diameter)
+        monkeypatch.setattr(fillbound.cli, "skeleton_diameter", no_diameter)
+        space_path = tmp_path / "annulus.json"
+        save_space(str(space_path), prism(64, 32))
+        assert main(["hf1", "--space", str(space_path), "--l-max", "2"]) == 2
+        assert capsys.readouterr().err == "error: H1 is nontrivial: some 1-cycle does not bound\n"
+
+    def test_disconnected_skeleton_exits_2(self, tmp_path, capsys):
+        # two disjoint octahedra: H1 is trivial, the diameter is not finite
+        octa = octahedron(1.0)
+        faces = [tuple(v + 6 * i for v in t) for i in range(2) for t in octa.complex.simplices(2)]
+        coords = octa.coords + tuple((x + 3.0, y, z) for x, y, z in octa.coords)
+        space = MetricComplex(complex=SimplicialComplex.from_simplices(faces), coords=coords)
+        space_path = tmp_path / "two_octahedra.json"
+        save_space(str(space_path), space)
+        assert main(["hf1", "--space", str(space_path), "--l-max", "2"]) == 2
+        assert capsys.readouterr().err == "error: 1-skeleton is disconnected\n"
+
     def test_capacity_exits_3(self, tmp_path):
         # complete 2-skeleton on 8 simplex vertices: trivial H1 but the
         # homogeneous lattice of its face boundary map has dimension 35,
@@ -689,6 +717,12 @@ class TestNonFiniteGeometry:
         assert err == "error: area of triangle (0, 2, 4) underflows binary64\n"
 
 
+def src_nodes():
+    """(path, every AST node) of each module under src/fillbound."""
+    for path in sorted(Path(fillbound.__file__).parent.rglob("*.py")):
+        yield path, list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+
+
 class TestInvariantExit:
     def test_package_exports_every_error_class(self):
         import fillbound.errors
@@ -701,10 +735,18 @@ class TestInvariantExit:
 
     def test_no_assert_statement_in_src(self):
         # python -O strips assert statements, and every check must survive it
-        for path in sorted(Path(fillbound.__file__).parent.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        for path, nodes in src_nodes():
+            lines = [node.lineno for node in nodes if isinstance(node, ast.Assert)]
             assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+    def test_only_chains_calls_the_strict_constructor(self):
+        # every complex is built by SimplicialComplex.from_simplices
+        for path, nodes in src_nodes():
+            lines = [node.lineno for node in nodes if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", getattr(node.func, "attr", None))
+                     == "SimplicialComplex"]
+            assert path.name == "chains.py" or lines == [], \
+                f"SimplicialComplex(...) called in {path.name} at lines {lines}"
 
     def test_wrong_boundary_exits_5(self, tmp_path, octa_files, capsys, monkeypatch):
         import fillbound.geom
