@@ -90,8 +90,6 @@ def h1_is_trivial(complex: SimplicialComplex) -> bool:
     """
 
     def build():
-        if complex.dimension < 1:
-            return True
         cycle_rank = complex.n_simplices(1) - rank_d1(complex)
         if complex.dimension < 2:
             return cycle_rank == 0
@@ -304,8 +302,6 @@ class FillCertificate:
 
 def _binomial_bound(n0: int, k: int) -> float:
     c = math.comb(n0, k + 1)
-    if c == 0:
-        return 0.0
     try:
         return math.pow(c, c / 2.0)
     except OverflowError:

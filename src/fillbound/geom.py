@@ -137,7 +137,7 @@ class MetricComplex:
             if ru != rv:
                 adjacency.setdefault(ru, set()).add(rv)
                 adjacency.setdefault(rv, set()).add(ru)
-        for label in set(self.region):
+        for label in sorted(set(self.region)):  # the least offending label is named
             if not is_neck_label(label):
                 continue
             neighbors = adjacency.get(label, set())
@@ -345,25 +345,20 @@ def ball_cover(space: MetricComplex, radius: float) -> Cover:
         verts = regions[label]
         allowed = frozenset(verts)
         mindist = {v: math.inf for v in verts}
-
-        def relax(center):
+        center = min(verts)
+        while True:
             dist = shortest_path_tree(adj, center, allowed=allowed)[0]
             for v in verts:
                 if dist[v] < mindist[v]:
                     mindist[v] = dist[v]
             add_set(center, label, dist)
-
-        relax(min(verts))
-        while True:
-            far_v = None
             far_d = -1.0
             for v in verts:  # ascending ids: first vertex wins ties
                 if mindist[v] > far_d + ABS_TOL:
                     far_d = mindist[v]
-                    far_v = v
-            if far_v is None or far_d <= radius + ABS_TOL:
+                    center = v
+            if far_d <= radius + ABS_TOL:
                 break
-            relax(far_v)
 
     covered = {v for s in sets for v in s}
     for v in range(k.n_vertices):
@@ -401,40 +396,30 @@ def nerve(cover: Cover) -> SimplicialComplex:
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    a: int
-    b: int
-    path: tuple[int, ...]  # vertex walk from centers[a] to centers[b]
-    length: float
-
-
-@dataclass(frozen=True)
 class GeodesicGraph:
-    """The cover nerve's 1-skeleton, realized by paths between set centers.
+    """The cover nerve's 1-skeleton realized by paths between set centers, a
+    linear map from nerve 1-chains (chains on graph edges) to skeleton
+    1-chains: ``chains[n]`` is the path from the center of set a to that of
+    set b, for the nerve's n-th 1-simplex ``(a, b)``."""
 
-    Edge n joins the sets of the nerve's n-th 1-simplex ``(a, b)``, so a
-    chain on graph edges is a 1-chain of ``nerve``.
-    """
+    nerve: SimplicialComplex = field(repr=False)
+    chains: tuple[Chain, ...] = field(repr=False)
 
-    centers: tuple[int, ...]
-    edges: tuple[GraphEdge, ...]
-    nerve: SimplicialComplex = field(compare=False, repr=False)
-
-    def realize(self, space: MetricComplex, graph_chain: Chain) -> Chain:
+    def realize(self, graph_chain: Chain) -> Chain:
         """Skeleton 1-chain realizing a chain on graph edges."""
         total: dict[int, int] = {}
         for idx, coeff in graph_chain.items():
-            _axpy(total, path_chain(space.complex, self.edges[idx].path).items(), coeff)
+            _axpy(total, self.chains[idx].items(), coeff)
         return Chain._of(1, total)
 
 
 def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
-    """Connect the centers of the sets of every 1-simplex of the cover's nerve.
+    """Per 1-simplex of the cover's nerve, the chain of the shortest path
+    between the centers of its two sets inside their union, built once.
 
-    The connecting path is the shortest path inside the union of the two
-    sets.  Each set is first checked to have a center, a vertex that it
-    holds, and be connected in the 1-skeleton (a ``StructuralError`` names
-    the first that does not), so that union is connected and holds both.
+    Each set is first checked to have a center, a vertex that it holds, and
+    be connected in the 1-skeleton (a ``StructuralError`` names the first
+    that does not), so that union is connected and holds both.
     """
     adj = space.adjacency()
     if len(cover.centers) != len(cover.sets):
@@ -448,13 +433,12 @@ def geodesic_graph(space: MetricComplex, cover: Cover) -> GeodesicGraph:
                 "in the 1-skeleton"
             )
     nerve_complex = nerve(cover)
-    edges = []
+    chains = []
     for (i, j) in nerve_complex.simplices(1):
-        ci, cj = cover.centers[i], cover.centers[j]
         union = frozenset(cover.sets[i] + cover.sets[j])
-        dist, parent = shortest_path_tree(adj, ci, allowed=union)
-        edges.append(GraphEdge(a=i, b=j, path=tree_path(parent, cj), length=dist[cj]))
-    return GeodesicGraph(centers=cover.centers, edges=tuple(edges), nerve=nerve_complex)
+        parent = shortest_path_tree(adj, cover.centers[i], allowed=union)[1]
+        chains.append(path_chain(space.complex, tree_path(parent, cover.centers[j])))
+    return GeodesicGraph(nerve=nerve_complex, chains=tuple(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -838,13 +822,14 @@ def project_cycle_to_graph(
     """Reroute a skeleton cycle through cover-set centers.
 
     Returns (C', E1, R): C' is a chain on graph edges, that is a 1-chain of
-    ``graph.nerve``, R = ``graph.realize(space, C')`` its skeleton cycle,
-    and E1 a 2-chain with boundary(E1) = c - R exactly.  Arcs are maximal
-    runs of consecutive cycle edges assigned to one cover set; each arc is
-    traded for the graph edge between the centers of consecutive arc sets,
-    and the difference loops are cone-filled inside the relevant sets.  ``graph`` must come from
-    ``geodesic_graph(space, cover)``, which checks that every set is
-    connected and holds its center, so each set's tree reaches all of it.
+    ``graph.nerve``, R = ``graph.realize(C')`` its skeleton cycle, and E1 a
+    2-chain with boundary(E1) = c - R exactly.  Arcs are maximal cyclic runs
+    of walk edges assigned to one cover set (a walk in one set is one arc).
+    Each arc, closed by spokes from its set's center, is cone-filled from
+    there; at each junction of two sets, the graph edge between their
+    centers and the junction's two spokes are cone-filled from the junction.
+    ``graph`` must come from ``geodesic_graph(space, cover)``, which checks
+    that every set is connected and holds its center.
     """
     _require_cycle(space, c, "project_cycle_to_graph", "projection input")
 
@@ -885,24 +870,20 @@ def project_cycle_to_graph(
             last = runs.pop()
             runs[0] = (runs[0][0], last[1] + runs[0][1])
 
-        if len(runs) == 1:
-            _axpy(e1, cone_fill(space, path_chain(k, walk), cover.centers[runs[0][0]]).items(), 1)
-            continue
-
         p = len(runs)
-        junctions = [runs[(i + 1) % p][1][0][0] for i in range(p)]  # end of arc i
-        for i in range(p):
-            si, arc_steps = runs[i]
+        # junction i ends arc i, in set s_i, and starts arc i + 1, in set s_{i+1}
+        junctions = [runs[(i + 1) % p][1][0][0] for i in range(p)]
+        into = [spoke(runs[i][0], v) for i, v in enumerate(junctions)]
+        out = [spoke(runs[(i + 1) % p][0], v) for i, v in enumerate(junctions)]
+        for i, (si, arc_steps) in enumerate(runs):
             sj = runs[(i + 1) % p][0]
-            v_start = arc_steps[0][0]
-            v_end = junctions[i]
-            arc_chain = path_chain(k, [v_start] + [v for _, v in arc_steps])
-            t_i = spoke(si, v_start)          # center_i -> start junction
-            u_i = -spoke(si, v_end)           # end junction -> center_i
-            loop_a = dict(t_i.items())
-            _axpy(loop_a, arc_chain.items(), 1)
-            _axpy(loop_a, u_i.items(), 1)
+            # closed walk center_i -> arc -> center_i, the walk itself if p == 1
+            loop_a = dict(out[i - 1].items())
+            _axpy(loop_a, path_chain(k, [arc_steps[0][0]] + [v for _, v in arc_steps]).items(), 1)
+            _axpy(loop_a, into[i].items(), -1)
             _axpy(e1, cone_fill(space, Chain._of(1, loop_a), cover.centers[si]).items(), 1)
+            if sj == si:
+                continue
 
             pair = (min(si, sj), max(si, sj))
             if not graph.nerve.has_simplex(1, pair):
@@ -912,17 +893,15 @@ def project_cycle_to_graph(
                 )
             step = Chain._of(1, {graph.nerve.index_of(1, pair): 1 if si < sj else -1})
             _axpy(graph_acc, step.items(), 1)
-            gamma = graph.realize(space, step)
-            t_next = spoke(sj, v_end)
-            # closed walk v_end -> center_i -> center_j -> v_end
-            loop_b = dict(u_i.items())
-            _axpy(loop_b, gamma.items(), 1)
-            _axpy(loop_b, t_next.items(), 1)
-            _axpy(e1, cone_fill(space, Chain._of(1, loop_b), v_end).items(), -1)
+            # closed walk junction -> center_i -> center_j -> junction
+            loop_b = dict(graph.realize(step).items())
+            _axpy(loop_b, into[i].items(), -1)
+            _axpy(loop_b, out[i].items(), 1)
+            _axpy(e1, cone_fill(space, Chain._of(1, loop_b), junctions[i]).items(), -1)
 
     c_graph = Chain._of(1, graph_acc).scale(content)
     e1 = Chain._of(2, e1).scale(content)
-    realized = graph.realize(space, c_graph)
+    realized = graph.realize(c_graph)
     if boundary(k, e1) != c - realized:
         raise InvariantError("E1 projection fill has the wrong boundary")
     return c_graph, e1, realized
@@ -1071,8 +1050,8 @@ def pipeline_fill(
             triangles = graph.nerve.simplices(2)
             for tidx, coeff in nerve_fill.items():
                 # the realized boundary (j,l) - (i,l) + (i,j), coned from set i
-                loop = graph.realize(space, boundary(graph.nerve, Chain._of(2, {tidx: 1})))
-                apex = graph.centers[triangles[tidx][0]]
+                loop = graph.realize(boundary(graph.nerve, Chain._of(2, {tidx: 1})))
+                apex = cover.centers[triangles[tidx][0]]
                 _axpy(e2, cone_fill(space, loop, apex).items(), coeff)
 
     total = dict(e0)

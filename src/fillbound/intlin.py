@@ -387,8 +387,6 @@ def max_minor_abs(a: IntMatrix, m: int, budget: int = DEFAULT_MINOR_BUDGET) -> i
             f"minor enumeration costs {cost} multiply-adds (budget {budget}); "
             "use the Hadamard estimate instead"
         )
-    if m == 1:
-        return a.max_abs()
     best = 0
     rows = a.to_rows()
     for ris in itertools.combinations(range(a.rows), m):
@@ -449,6 +447,8 @@ class BoundCertificate:
 
 def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCertificate]:
     """Build a BoundCertificate for a solvable system; None if unsolvable."""
+    if len(b) != a.rows:
+        raise StructuralError(f"rhs length {len(b)} != row count {a.rows}")
     max_a = a.max_abs()
     max_b = max((abs(x) for x in b), default=0)
     if max_a == 0:
@@ -459,8 +459,6 @@ def certify_small_solution(a: IntMatrix, b: Sequence[int]) -> Optional[BoundCert
             m=0, max_a=0, max_b=max_b, hadamard_bound_ceiling=max_b,
             minor_max=None, solution=tuple([0] * a.cols), hadamard_case="b_column",
         )
-    if len(b) != a.rows:
-        raise StructuralError(f"rhs length {len(b)} != row count {a.rows}")
     snf = smith_decomposition(a)
     x0, _ = snf.solve_with_obstruction(dict(enumerate(b)))
     if x0 is None:
@@ -670,8 +668,6 @@ def coset_min(
         top = best_cost if bound is None else bound
         if top is None:
             return cap
-        if top < partial:
-            return -1
         limit = (top - partial) // weights[p]
         return cap if cap is not None and cap < limit else limit
 

@@ -3,7 +3,10 @@ import ast
 import importlib.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from fillbound.fileio import (
     save_chain,
     save_space,
     space_from_dict,
+    space_to_dict,
 )
 from fillbound.geom import MetricComplex
 from fillbound.shapes import capped_prism, icosphere, octahedron, prism
@@ -86,6 +90,23 @@ class TestSpaceFile:
         first = path.read_text()
         save_space(str(path), loaded)
         assert path.read_text() == first
+
+    def test_region_error_independent_of_hash_seed(self, tmp_path):
+        # capped_prism(6, 3) with its neck rings relabelled, so two necks touch
+        doc = space_to_dict(capped_prism(6, 3))
+        doc["region"][7:13] = ["neck:1"] * 6
+        doc["region"][13:19] = ["neck:2"] * 6
+        path = tmp_path / "space.json"
+        path.write_text(canonical_json(doc))
+        package_root = str(Path(fillbound.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        runs = {
+            subprocess.run([sys.executable, "-m", "fillbound.cli", "hf1", "--space", str(path),
+                            "--l-max", "2"], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=str(seed)))
+            .stderr for seed in range(6)
+        }
+        assert runs == {"error: neck neck:1 touches another neck\n"}
 
     def test_extra_edges(self):
         doc = {

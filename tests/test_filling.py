@@ -1356,6 +1356,27 @@ class TestDualGraph:
         chain = Chain.from_vector(2, vec)
         assert outcome == (chain, mass(w2, chain).hex())
 
+    def test_edge_in_no_triangle(self):
+        # the octahedron with a pendant edge (0, 6), which the dual graph skips
+        k = SimplicialComplex.from_simplices(list(OCTA.simplices(2)) + [(0, 6)])
+        dual, snf = dual_graph(k), boundary_smith(k, 2)
+        assert dual.rank == snf.rank == 7 and not dual.torsion and not snf.torsion
+        assert h1_is_trivial(k)
+        assert (smith_columns(_mass_kernel(k)[0])
+                == smith_columns(column_echelon_basis(snf.kernel_columns())))
+        w2 = octa_weights()[2]
+        z = boundary(k, Chain(2, {0: 1, 3: -2}))
+        smith_x0, _ = solve_dense(snf, z.to_vector(k.n_simplices(1)))
+        big, one = integer_weights(w2)
+        vec, _, _ = weighted_coset_min(smith_x0, snf.kernel_columns(), big,
+                                       tie_slack(fillbound.filling.REL_TOL, one), 10 ** 7)
+        chain = Chain.from_vector(2, vec)
+        assert fill_outcome(k, w2, z, 10 ** 5) == (chain, mass(w2, chain).hex())
+        pendant = Chain(1, {k.index_of(1, (0, 6)): 1})
+        x0, reason = dual.solve_with_obstruction(dict(pendant.items()))
+        assert x0 is None and reason.endswith("on edge (0, 6)")
+        assert solve_dense(snf, pendant.to_vector(k.n_simplices(1)))[0] is None
+
     def test_klein_bottle_has_torsion(self):
         k = SimplicialComplex.from_simplices(klein_bottle())
         assert (k.n_simplices(1), k.n_simplices(2)) == (27, 18)

@@ -220,11 +220,10 @@ class TestShortestPaths:
         cover = ball_cover(space, 0.7)
         graph = geodesic_graph(space, cover)
         adj = space.adjacency()
-        dists = {c: shortest_path_tree(adj, c)[0] for c in set(graph.centers)}
-        for e in graph.edges:
-            ca, cb = graph.centers[e.a], graph.centers[e.b]
-            exact = dists[ca][cb]
-            assert e.length >= exact - 1e-12
+        dists = {c: shortest_path_tree(adj, c)[0] for c in set(cover.centers)}
+        for (a, b), chain in zip(graph.nerve.simplices(1), graph.chains):
+            exact = dists[cover.centers[a]][cover.centers[b]]
+            assert space.mass1(chain) >= exact - 1e-12
 
 
 class TestBallCover:
@@ -327,17 +326,17 @@ class TestGeodesicGraph:
     def test_single_set(self):
         cover = ball_cover(OCTA, 10.0)
         graph = geodesic_graph(OCTA, cover)
-        assert len(graph.edges) == 0
+        assert graph.chains == ()
 
     def test_two_sets_shared_vertex(self):
         k = SimplicialComplex.from_simplices([(0, 1), (1, 2)])
         space = MetricComplex(complex=k, coords=((0.0,), (1.0,), (2.0,)))
         cover = Cover(sets=((0, 1), (1, 2)), centers=(0, 2))
         graph = geodesic_graph(space, cover)
-        assert len(graph.edges) == 1
-        e = graph.edges[0]
-        assert e.path == (0, 1, 2)
-        assert e.length == pytest.approx(2.0)
+        assert len(graph.chains) == 1
+        chain = graph.chains[0]
+        assert chain == path_chain(k, (0, 1, 2))
+        assert space.mass1(chain) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("cover,message", [
         (CENTER_OUTSIDE_COVER, "cover set 1 must hold its center 2"),
@@ -358,10 +357,11 @@ class TestGeodesicGraph:
         for c, s in zip(cover.centers, cover.sets):
             assert len(s) == 5 and c in s
         graph = geodesic_graph(OCTA, cover)
-        direct = [e for e in graph.edges if len(e.path) == 2]
+        # a one-step path is one edge, with coefficient +-1
+        direct = [c for c in graph.chains if len(c.support) == 1 and c.max_abs() == 1]
         assert len(direct) == 12
-        for e in direct:
-            assert e.length == pytest.approx(math.sqrt(2))
+        for chain in direct:
+            assert OCTA.mass1(chain) == pytest.approx(math.sqrt(2))
 
     def test_edges_are_the_nerve_1_simplices(self, rng):
         ico, capped = icosphere(1), capped_prism(6, 2)
@@ -371,7 +371,11 @@ class TestGeodesicGraph:
         cases += [(TRIANGLE, c) for c in (DISJOINT_COVER, FULL_TRIANGLE_COVER, CIRCLE_COVER)]
         for space, cover in cases:
             graph = geodesic_graph(space, cover)
-            assert [(e.a, e.b) for e in graph.edges] == list(graph.nerve.simplices(1))
+            # one chain per nerve 1-simplex (a, b), with boundary [c_b] - [c_a]
+            assert len(graph.chains) == graph.nerve.n_simplices(1)
+            for (a, b), chain in zip(graph.nerve.simplices(1), graph.chains):
+                ends = Chain(0, {cover.centers[b]: 1}) - Chain(0, {cover.centers[a]: 1})
+                assert boundary(space.complex, chain) == ends
             assert graph.nerve.simplices(2) == nerve(cover).simplices(2)
         # C' is a chain on graph edges, hence a nerve 1-chain, and a cycle there
         inputs = [(OCTA, octa_cover, octa_equator()),
@@ -912,7 +916,7 @@ class TestProjection:
         graph = geodesic_graph(OCTA, cover)
         z = octa_equator()
         cg, e1, realized = project_cycle_to_graph(OCTA, cover, graph, z)
-        assert realized == graph.realize(OCTA, cg) == z
+        assert realized == graph.realize(cg) == z
         assert e1.is_zero()
 
     def test_exactness_on_icosphere(self, rng):
@@ -922,7 +926,7 @@ class TestProjection:
         for _ in range(10):
             z = _random_cycle(rng, space, parts=2)
             cg, e1, realized = project_cycle_to_graph(space, cover, graph, z)
-            assert realized == graph.realize(space, cg)
+            assert realized == graph.realize(cg)
             assert boundary(space.complex, e1) == z - realized
 
     def test_set_trees_cached_on_cover(self, monkeypatch, rng):

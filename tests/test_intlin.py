@@ -1122,3 +1122,21 @@ class TestCertificate:
         cert = certify_small_solution(IntMatrix.zeros(2, 2), [0, 0])
         assert cert is not None and cert.m == 0
         assert certify_small_solution(IntMatrix.zeros(2, 2), [0, 1]) is None
+
+    @pytest.mark.parametrize("b", [[0], [0, 0, 0, 0]], ids=["short", "long"])
+    @pytest.mark.parametrize("a", [IntMatrix.zeros(2, 3), IntMatrix.from_rows([[1, 2, 0], [0, 1, 3]])],
+                             ids=["zero", "nonzero"])
+    def test_rhs_length_checked_first(self, a, b):
+        with pytest.raises(StructuralError, match=f"^rhs length {len(b)} != row count 2$"):
+            certify_small_solution(a, b)
+
+    def test_hadamard_fallback(self, rng):
+        # minors of order 6 of the 30 x 7 augmented matrix cost
+        # C(30, 6) * C(7, 6) * 6^3 (about 9.0e8) multiply-adds, over the budget
+        a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(6)] for _ in range(30)])
+        assert rank(a) == 6
+        x0 = [rng.randint(-2, 2) for _ in range(6)]
+        cert = certify_small_solution(a, a.mul_vec(x0))
+        assert cert.m == 6 and cert.minor_max is None
+        assert cert.solution == tuple(x0)  # the kernel is trivial
+        assert cert.check()

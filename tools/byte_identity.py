@@ -23,8 +23,11 @@ commands and 160 files per seed.  The shuffled copies give each seed other
 cycle families and Smith pivots in ``hf1``.  icosphere(3) brings the largest
 solves and fills, on 1,920 edges and 1,280 triangles.  Every command's exit
 code, stdout and stderr, and the bytes of every file either tree leaves
-behind, must be equal.  Each difference is printed, and the exit status is 1
-if there is any, else 0.  Under a JSON file that differs, each key path whose
+behind, must be equal.  The PARENT tree, which also writes the inputs, runs
+under PYTHONHASHSEED=0 and the CHANGE tree under PYTHONHASHSEED=1, so an
+output that depends on the order of string hashing differs on every run
+or on none, not now and then.  Each difference is printed, and the exit
+status is 1 if there is any, else 0.  Under a JSON file that differs, each key path whose
 values differ is printed too, with the distance in ulps of two numbers that
 differ.  Each seed's summary line also gives the line count of each tree's
 ``src/fillbound/*.py``, parent first.
@@ -115,8 +118,10 @@ def commands(seed: str) -> list[list[str]]:
     return out
 
 
-def run(tree: Path, args: list[str], cwd: Path, pythonpath: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / p) for p in pythonpath))
+def run(tree: Path, args: list[str], cwd: Path, pythonpath: list[str],
+        hash_seed: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(tree / p) for p in pythonpath),
+               PYTHONHASHSEED=hash_seed)
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
 
 
@@ -173,14 +178,14 @@ def compare_seed(parent: Path, change: Path, seed: str, work: Path) -> list[str]
     inputs = work / "inputs"
     inputs.mkdir()
     made = run(parent, ["-c", WRITE_INPUTS, seed, str(CYCLES_PER_SPACE), *(n for n, _ in SPACES)],
-               inputs, ["src", "perfbench", "tests"])
+               inputs, ["src", "perfbench", "tests"], "0")
     if made.returncode:
         raise SystemExit(f"writing the inputs failed:\n{made.stderr.decode()}")
     results = {}
-    for side, tree in (("parent", parent), ("change", change)):
+    for side, tree, hash_seed in (("parent", parent, "0"), ("change", change, "1")):
         shutil.copytree(inputs, work / side)
         results[side] = [run(tree, ["-c", "from fillbound.cli import main; raise SystemExit(main())",
-                                    *args], work / side, ["src"])
+                                    *args], work / side, ["src"], hash_seed)
                          for args in commands(seed)]
     diffs = []
     for args, a, b in zip(commands(seed), results["parent"], results["change"]):
